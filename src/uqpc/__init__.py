@@ -22,10 +22,7 @@ from .nisp import (
     SobolIndices,
     TrainingData,
     build_surrogate,
-    coefficient_covariance,
-    estimate_coefficients,
     load_surrogate,
-    noise_corrected_covariance,
     pce_mean,
     pce_variance_biased,
     pce_variance_unbiased,

@@ -167,10 +167,13 @@ def _as_positive_int(value, context: str) -> int:
     return value
 
 
-def _as_int_grid(value, context: str) -> tuple[int, ...]:
+def _as_int_grid(value, context: str, minimum: int = 1) -> tuple[int, ...]:
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{context} must be a non-empty list of positive integers")
-    return tuple(_as_positive_int(v, f"{context} entry") for v in value)
+    grid = tuple(_as_positive_int(v, f"{context} entry") for v in value)
+    if min(grid) < minimum:
+        raise ConfigError(f"{context} entries must be >= {minimum}, got {min(grid)}")
+    return grid
 
 
 def _parse_problem(section) -> SlabProblem:
@@ -246,7 +249,10 @@ def load_config(path) -> StudyConfig:
     kind = study.get("kind", "variance")
     if kind not in STUDY_KINDS:
         raise ConfigError(f"'study.kind' must be one of {STUDY_KINDS}, got {kind!r}")
-    n_xi_grid = _as_int_grid(_require(study, "n_xi_grid", "'study'"), "'study.n_xi_grid'")
+    # Coefficient variances need at least two parameter samples.
+    n_xi_grid = _as_int_grid(
+        _require(study, "n_xi_grid", "'study'"), "'study.n_xi_grid'", minimum=2
+    )
     n_eta_grid = _as_int_grid(_require(study, "n_eta_grid", "'study'"), "'study.n_eta_grid'")
     repetitions = _as_positive_int(study.get("repetitions", 200), "'study.repetitions'")
     methods_raw = study.get("methods", list(METHODS if kind == "variance" else GSA_METHODS))
@@ -256,6 +262,8 @@ def load_config(path) -> StudyConfig:
     for m in methods_raw:
         if m not in allowed:
             raise ConfigError(f"unknown method {m!r} for kind {kind!r}; allowed: {allowed}")
+    if len(set(methods_raw)) != len(methods_raw):
+        raise ConfigError(f"'study.methods' lists a method twice: {methods_raw}")
     noise_free = study.get("noise_free", False)
     if not isinstance(noise_free, bool):
         raise ConfigError("'study.noise_free' must be a boolean")
@@ -314,9 +322,9 @@ def _trim_target(data: TrainingData, surrogate: PceSurrogate) -> float:
     return pce_variance_unbiased(surrogate)
 
 
-def _variance_estimates(config: StudyConfig, data: TrainingData) -> dict[str, float]:
-    basis = total_degree_multi_indices(config.problem.d, config.n0)
-    surrogate = build_surrogate(data, basis, with_covariance=data.n_xi >= 2)
+def _variance_estimates(
+    config: StudyConfig, data: TrainingData, surrogate: PceSurrogate
+) -> dict[str, float]:
     out: dict[str, float] = {}
     for method in config.methods:
         if method == "pc_mc21":
@@ -343,10 +351,8 @@ def _sobol_or_nan(surrogate: PceSurrogate) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _gsa_estimates(
-    config: StudyConfig, data: TrainingData
+    config: StudyConfig, data: TrainingData, surrogate: PceSurrogate
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    basis = total_degree_multi_indices(config.problem.d, config.n0)
-    surrogate = build_surrogate(data, basis, with_covariance=True)
     out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for method in config.methods:
         if method == "pc_bias":
@@ -360,27 +366,20 @@ def _gsa_estimates(
 # Worker functions are module-level so process pools can pickle them.
 
 
-def _variance_chunk(config: StudyConfig, i_xi: int, i_eta: int, reps: range):
+def _cell_chunk(config: StudyConfig, estimate, i_xi: int, i_eta: int, reps: range):
+    # One work unit: repetitions `reps` of grid cell (i_xi, i_eta), sharing
+    # one basis. The estimators read only coefficient variances, so the fit
+    # skips the P x P matrices.
     cell = i_xi * len(config.n_eta_grid) + i_eta
     n_xi = config.n_xi_grid[i_xi]
     n_eta = config.n_eta_grid[i_eta]
+    basis = total_degree_multi_indices(config.problem.d, config.n0)
     out = []
     for rep in reps:
         rng = derive_rng(config.master_seed, cell, rep)
         data = _draw_training(config, n_xi, n_eta, rng)
-        out.append((i_xi, i_eta, rep, _variance_estimates(config, data)))
-    return out
-
-
-def _gsa_chunk(config: StudyConfig, i_xi: int, i_eta: int, reps: range):
-    cell = i_xi * len(config.n_eta_grid) + i_eta
-    n_xi = config.n_xi_grid[i_xi]
-    n_eta = config.n_eta_grid[i_eta]
-    out = []
-    for rep in reps:
-        rng = derive_rng(config.master_seed, cell, rep)
-        data = _draw_training(config, n_xi, n_eta, rng)
-        out.append((i_xi, i_eta, rep, _gsa_estimates(config, data)))
+        surrogate = build_surrogate(data, basis, full_covariance=False)
+        out.append((i_xi, i_eta, rep, estimate(config, data, surrogate)))
     return out
 
 
@@ -390,7 +389,7 @@ def _response_build(config: StudyConfig, sample_index: int):
     rng = derive_rng(config.master_seed, 0, sample_index)
     data = _draw_training(config, n_xi, n_eta, rng)
     basis = total_degree_multi_indices(config.problem.d, config.n0)
-    surrogate = build_surrogate(data, basis, with_covariance=True)
+    surrogate = build_surrogate(data, basis)
     trimmed = trim_expansion(surrogate, _trim_target(data, surrogate))
     grid = np.linspace(-1.0, 1.0, config.response_points)
     pts = grid[:, None]
@@ -434,13 +433,19 @@ def _rep_chunks(repetitions: int, workers: int) -> list[range]:
     return [range(lo, min(lo + size, repetitions)) for lo in range(0, repetitions, size)]
 
 
-def _grid_units(config: StudyConfig, workers: int):
-    return [
-        (config, i_xi, i_eta, reps)
+def _run_grid(config: StudyConfig, estimate, workers: int) -> dict:
+    """Estimates for every (i_xi, i_eta, rep) of the grid, keyed by that triple."""
+    units = [
+        (config, estimate, i_xi, i_eta, reps)
         for i_xi in range(len(config.n_xi_grid))
         for i_eta in range(len(config.n_eta_grid))
         for reps in _rep_chunks(config.repetitions, workers)
     ]
+    results = {}
+    for chunk in _run_units(units, _cell_chunk, workers):
+        for i_xi, i_eta, rep, estimates in chunk:
+            results[(i_xi, i_eta, rep)] = estimates
+    return results
 
 
 def emit_density(values, bins: int) -> DensityHistogram:
@@ -495,10 +500,7 @@ def _base_summary(config: StudyConfig) -> dict:
 
 def run_variance_study(config: StudyConfig, workers: int = 1) -> StudyReport:
     """Repeated variance estimation over the full (n_xi, n_eta) grid."""
-    results = {}
-    for chunk in _run_units(_grid_units(config, workers), _variance_chunk, workers):
-        for i_xi, i_eta, rep, estimates in chunk:
-            results[(i_xi, i_eta, rep)] = estimates
+    results = _run_grid(config, _variance_estimates, workers)
 
     exact_var = exact_variance(config.problem)
     report = StudyReport(config=config, summary=_base_summary(config))
@@ -535,10 +537,7 @@ def run_variance_study(config: StudyConfig, workers: int = 1) -> StudyReport:
 
 def run_gsa_study(config: StudyConfig, workers: int = 1) -> StudyReport:
     """Repeated Sobol-index estimation; one gsa record per method and repetition."""
-    results = {}
-    for chunk in _run_units(_grid_units(config, workers), _gsa_chunk, workers):
-        for i_xi, i_eta, rep, estimates in chunk:
-            results[(i_xi, i_eta, rep)] = estimates
+    results = _run_grid(config, _gsa_estimates, workers)
 
     report = StudyReport(config=config, summary=_base_summary(config))
     d = config.problem.d

@@ -3,15 +3,17 @@
 Coefficients are plain sample means of Psi_k(xi) Qtilde / b_k, so every
 estimator here works with under-resolved inner sampling, down to a single
 history per parameter sample. The price is estimator noise in the
-coefficients; the rest of the module quantifies it (coefficient covariance,
-with and without the inner-noise share), corrects for it (unbiased variance,
-a-posteriori trim), and propagates it (pointwise prediction bands).
+coefficients; the rest of the module quantifies it (coefficient variances,
+and optionally the full covariance with and without the inner-noise share),
+corrects for it (unbiased variance, a-posteriori trim, bias-corrected Sobol
+indices), and propagates it (pointwise prediction bands).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from math import isqrt
 
 import numpy as np
 
@@ -22,10 +24,7 @@ __all__ = [
     "SobolIndices",
     "TrainingData",
     "build_surrogate",
-    "coefficient_covariance",
-    "estimate_coefficients",
     "load_surrogate",
-    "noise_corrected_covariance",
     "pce_mean",
     "pce_variance_biased",
     "pce_variance_unbiased",
@@ -91,9 +90,13 @@ class TrainingData:
 class PceSurrogate:
     """Fitted expansion plus the uncertainty of its own coefficients.
 
-    ``coefficient_covariance`` is the sampling covariance of the coefficient
-    estimators; ``noise_corrected_covariance`` additionally removes the share
-    caused by per-history noise (present only when n_eta >= 2).
+    ``coefficient_variance[k]`` is the sampling variance Var[beta_k] of the
+    coefficient estimators, the only uncertainty the variance, trim and
+    Sobol estimators read. ``coefficient_covariance`` is the full sampling
+    covariance and ``noise_corrected_covariance`` additionally removes the
+    share caused by per-history noise (present only when n_eta >= 2); both
+    are optional. When the variances are not given they default to the
+    diagonal of ``coefficient_covariance``.
     ``trimmed_mask[k]`` is True for retained terms; the mean term is never
     trimmed.
     """
@@ -105,6 +108,7 @@ class PceSurrogate:
     trimmed_mask: np.ndarray
     n_xi: int
     n_eta: int
+    coefficient_variance: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         coefficients = np.asarray(self.coefficients, dtype=float)
@@ -126,6 +130,14 @@ class PceSurrogate:
             object.__setattr__(self, name, c)
             if c.shape != (p1, p1):
                 raise ValueError(f"{name} shape {c.shape} != ({p1}, {p1})")
+        var = self.coefficient_variance
+        if var is None and self.coefficient_covariance is not None:
+            var = np.diag(self.coefficient_covariance).copy()
+        if var is not None:
+            var = np.asarray(var, dtype=float)
+            object.__setattr__(self, "coefficient_variance", var)
+            if var.shape != (p1,):
+                raise ValueError(f"coefficient_variance shape {var.shape} != ({p1},)")
 
     @property
     def n_retained(self) -> int:
@@ -137,32 +149,11 @@ def _check_basis_match(data: TrainingData, basis: MultiIndexBasis) -> None:
         raise ValueError(f"sample dimension {data.d} != basis dimension {basis.dimension}")
 
 
-def _per_sample_terms(data: TrainingData, basis: MultiIndexBasis) -> tuple[np.ndarray, np.ndarray]:
-    # psi[i, k] = Psi_k(xi_i); terms[i, k] = Psi_k(xi_i) qtilde_i / b_k, whose
-    # column means are the coefficient estimates.
-    psi = eval_basis_matrix(basis, data.samples)
-    terms = psi * (data.qtilde[:, None] / basis.norms[None, :])
-    return psi, terms
-
-
-def _covariance_of_mean(terms: np.ndarray) -> np.ndarray:
-    # Sample covariance of the rows (ddof=1) divided by the row count:
-    # the estimated covariance of the column means.
-    n = terms.shape[0]
-    if n < 2:
-        raise ValueError(f"need at least 2 samples to estimate covariance, got {n}")
-    dev = terms - terms.mean(axis=0)
-    cov = dev.T @ dev / ((n - 1) * n)
-    return 0.5 * (cov + cov.T)
-
-
 def _noise_correction(
     data: TrainingData, basis: MultiIndexBasis, psi: np.ndarray
 ) -> np.ndarray:
     # Estimated share of the coefficient covariance caused by per-history
     # noise: (1/n_xi) mean_i[Psi_k Psi_r sigma2eta_i / n_eta] / (b_k b_r).
-    if data.sigma2eta is None:
-        raise ValueError("noise correction requires sigma2eta (n_eta >= 2)")
     n = data.n_xi
     w = data.sigma2eta / data.n_eta
     m = (psi * w[:, None]).T @ psi / n
@@ -170,61 +161,52 @@ def _noise_correction(
     return 0.5 * (corr + corr.T)
 
 
-def estimate_coefficients(data: TrainingData, basis: MultiIndexBasis) -> PceSurrogate:
-    """Fit coefficients only; covariance fields are left unset."""
-    _check_basis_match(data, basis)
-    _, terms = _per_sample_terms(data, basis)
-    return PceSurrogate(
-        basis=basis,
-        coefficients=terms.mean(axis=0),
-        coefficient_covariance=None,
-        noise_corrected_covariance=None,
-        trimmed_mask=np.ones(len(basis), dtype=bool),
-        n_xi=data.n_xi,
-        n_eta=data.n_eta,
-    )
+def build_surrogate(
+    data: TrainingData, basis: MultiIndexBasis, full_covariance: bool = True
+) -> PceSurrogate:
+    """Fit coefficients and their estimator uncertainty in one pass.
 
-
-def coefficient_covariance(data: TrainingData, basis: MultiIndexBasis) -> np.ndarray:
-    """Estimated covariance matrix of the coefficient estimators themselves."""
-    _check_basis_match(data, basis)
-    _, terms = _per_sample_terms(data, basis)
-    return _covariance_of_mean(terms)
-
-
-def noise_corrected_covariance(data: TrainingData, basis: MultiIndexBasis) -> np.ndarray:
-    """Coefficient covariance with the per-history noise share removed.
-
-    Estimates the covariance the same coefficient estimators would have if
-    every QoI evaluation were noise-free. Entries may dip below their
-    noise-free targets at finite sample counts; only the expectation is
-    corrected.
+    Coefficients are the column means of Psi_k(xi_i) qtilde_i / b_k; with
+    n_xi >= 2, ``coefficient_variance`` holds their estimator variances.
+    ``full_covariance`` (which needs n_xi >= 2) also builds the P x P
+    covariance of the estimators, whose diagonal is then exactly
+    ``coefficient_variance``, and for n_eta >= 2 the noise-corrected
+    covariance: the covariance the same estimators would have if every QoI
+    evaluation were noise-free. Its entries may dip below their noise-free
+    targets at finite sample counts; only the expectation is corrected.
     """
     _check_basis_match(data, basis)
-    psi, terms = _per_sample_terms(data, basis)
-    return _covariance_of_mean(terms) - _noise_correction(data, basis, psi)
-
-
-def build_surrogate(
-    data: TrainingData, basis: MultiIndexBasis, with_covariance: bool = True
-) -> PceSurrogate:
-    """Fit coefficients and (optionally) both covariance estimates in one pass."""
-    _check_basis_match(data, basis)
-    psi, terms = _per_sample_terms(data, basis)
-    cov = None
-    noise_cov = None
-    if with_covariance:
-        cov = _covariance_of_mean(terms)
+    n = data.n_xi
+    psi = eval_basis_matrix(basis, data.samples)
+    terms = psi * (data.qtilde[:, None] / basis.norms[None, :])
+    coefficients = terms.mean(axis=0)
+    cov = noise_cov = var = None
+    if full_covariance:
+        if n < 2:
+            raise ValueError(f"need at least 2 samples to estimate covariance, got {n}")
+        dev = terms - coefficients
+        cov = dev.T @ dev / ((n - 1) * n)
+        cov = 0.5 * (cov + cov.T)
         if data.sigma2eta is not None:
             noise_cov = cov - _noise_correction(data, basis, psi)
+    elif n >= 2:
+        # Column sums of squared deviations without BLAS, so the result does
+        # not depend on the BLAS thread count. Summing blocks of about
+        # sqrt(n) rows first keeps the rounding error near sqrt(n) ulp
+        # instead of n.
+        terms -= coefficients
+        sq = np.square(terms, out=terms)
+        blocks = np.add.reduceat(sq, np.arange(0, n, isqrt(n)), axis=0)
+        var = blocks.sum(axis=0) / ((n - 1) * n)
     return PceSurrogate(
         basis=basis,
-        coefficients=terms.mean(axis=0),
+        coefficients=coefficients,
         coefficient_covariance=cov,
         noise_corrected_covariance=noise_cov,
         trimmed_mask=np.ones(len(basis), dtype=bool),
-        n_xi=data.n_xi,
+        n_xi=n,
         n_eta=data.n_eta,
+        coefficient_variance=var,
     )
 
 
@@ -257,11 +239,11 @@ def pce_variance_unbiased(surrogate: PceSurrogate) -> float:
     unbiased estimate of the expansion variance, at the cost of possibly
     negative draws.
     """
-    if surrogate.coefficient_covariance is None:
-        raise ValueError("pce_variance_unbiased requires coefficient_covariance")
+    if surrogate.coefficient_variance is None:
+        raise ValueError("pce_variance_unbiased requires coefficient_variance")
     mask = _retained_tail(surrogate)
     beta = surrogate.coefficients[mask]
-    var_beta = np.diag(surrogate.coefficient_covariance)[mask]
+    var_beta = surrogate.coefficient_variance[mask]
     return float(np.sum((beta**2 - var_beta) * surrogate.basis.norms[mask]))
 
 
@@ -293,13 +275,13 @@ def trim_expansion(surrogate: PceSurrogate, target_variance: float) -> PceSurrog
     Because the kept sum reaches a positive goal, the trimmed unbiased
     variance is >= 0 for any target >= 0.
     """
-    if surrogate.coefficient_covariance is None:
-        raise ValueError("trim_expansion requires coefficient_covariance")
+    if surrogate.coefficient_variance is None:
+        raise ValueError("trim_expansion requires coefficient_variance")
     if not np.isfinite(target_variance):
         raise ValueError(f"target variance must be finite, got {target_variance}")
     norms = surrogate.basis.norms
     beta = surrogate.coefficients
-    var_beta = np.diag(surrogate.coefficient_covariance)
+    var_beta = surrogate.coefficient_variance
     contrib = (beta[1:] ** 2 - var_beta[1:]) * norms[1:]
     mask = np.zeros(len(surrogate.basis), dtype=bool)
     mask[0] = True
@@ -384,23 +366,31 @@ def sobol_indices(surrogate: PceSurrogate, use_unbiased: bool = True) -> SobolIn
     norms = surrogate.basis.norms
     beta = surrogate.coefficients
     if use_unbiased:
-        if surrogate.coefficient_covariance is None:
-            raise ValueError("bias-corrected Sobol indices require coefficient_covariance")
-        sq = beta**2 - np.diag(surrogate.coefficient_covariance)
+        if surrogate.coefficient_variance is None:
+            raise ValueError("bias-corrected Sobol indices require coefficient_variance")
+        sq = beta**2 - surrogate.coefficient_variance
     else:
         sq = beta**2
     mask = _retained_tail(surrogate)
     if not np.any(mask):
         raise ValueError("no retained non-mean terms; Sobol indices undefined")
     d = surrogate.basis.dimension
-    by_group: dict[tuple[int, ...], float] = {}
-    for k in np.nonzero(mask)[0]:
-        group = tuple(int(j) for j in np.nonzero(surrogate.basis.indices[k])[0])
-        by_group[group] = by_group.get(group, 0.0) + float(sq[k] * norms[k])
-    denom = sum(by_group.values())
+    # A term's group code is its row of nonzero flags read as raw bytes.
+    # bincount adds the contributions in term order, as a sequential loop
+    # would; groups are listed in order of first appearance.
+    active = surrogate.basis.indices[mask] != 0
+    codes = np.ascontiguousarray(active).view(f"V{d}").ravel()
+    _, first_term, group_of = np.unique(codes, return_index=True, return_inverse=True)
+    sums = np.bincount(group_of, weights=(sq * norms)[mask])
+    order = np.argsort(first_term)
+    contrib = sums[order].tolist()
+    denom = sum(contrib)
     if denom == 0.0:
         raise ValueError("total variance contribution is zero; Sobol indices undefined")
-    by_group = {g: v / denom for g, v in by_group.items()}
+    by_group = {
+        tuple(np.flatnonzero(active[first_term[g]]).tolist()): v / denom
+        for g, v in zip(order, contrib)
+    }
     first = np.array([by_group.get((i,), 0.0) for i in range(d)])
     total = np.zeros(d)
     for group, share in by_group.items():

@@ -136,10 +136,11 @@ def eval_basis_matrix(basis: MultiIndexBasis, xis: np.ndarray) -> np.ndarray:
             f"samples have shape {xis.shape}, expected (n, {basis.dimension})"
         )
     n_max = int(basis.indices.max(initial=0))
-    out = np.ones((xis.shape[0], len(basis)))
-    for j in range(basis.dimension):
-        table = legendre_table(n_max, xis[:, j])
-        out *= table[:, basis.indices[:, j]]
+    # np.take keeps the gathered factors C-ordered; table[:, idx] would be
+    # F-ordered, and the layout changes the last bits of later BLAS products.
+    out = np.take(legendre_table(n_max, xis[:, 0]), basis.indices[:, 0], axis=1)
+    for j in range(1, basis.dimension):
+        out *= np.take(legendre_table(n_max, xis[:, j]), basis.indices[:, j], axis=1)
     return out
 
 

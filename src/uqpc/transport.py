@@ -48,6 +48,8 @@ class SlabProblem:
             raise ValueError("sigma0, sigma_delta and dx must be 1d arrays of equal length")
         if self.sigma0.size == 0:
             raise ValueError("problem needs at least one material section")
+        if not all(np.isfinite(a).all() for a in (self.sigma0, self.sigma_delta, self.dx)):
+            raise ValueError("sigma0, sigma_delta and dx must be finite")
         if np.any(self.dx <= 0):
             raise ValueError("section widths dx must be positive")
         if np.any(self.sigma_delta < 0):

@@ -530,6 +530,58 @@ def test_cli_config_errors(tmp_path):
     assert "config error" in stderr
 
 
+@pytest.mark.parametrize("problem, study", [
+    # one parameter sample leaves the coefficient variances undefined
+    (D1_PROBLEM, "study: {n_xi_grid: [50, 1], n_eta_grid: [1]}\n"),
+    # a repeated method would duplicate its rows of records.csv
+    (D1_PROBLEM, "study: {n_xi_grid: [50], n_eta_grid: [1], methods: [pc_bias, pc_bias]}\n"),
+    # NaN passes every ordering check of the problem
+    ("problem:\n  materials:\n    - {sigma0: .nan, sigmaDelta: 0.5, dx: 1.0}\n",
+     "study: {n_xi_grid: [50], n_eta_grid: [1]}\n"),
+])
+def test_cli_rejects_config_before_running(tmp_path, problem, study):
+    path = write_config(tmp_path, problem, "pce: {n0: 2}\n", study)
+    out = tmp_path / "out"
+    code, stdout, stderr = run_cli("run", "--config", str(path), "--out", str(out))
+    assert code == 2
+    assert stderr.startswith("config error:")
+    assert stdout == ""
+    assert not out.exists()
+
+
+def test_variance_records_independent_of_blas_threads(tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    path = write_config(tmp_path, """\
+    problem:
+      materials:
+        - {sigma0: 0.3, sigmaDelta: 0.29, dx: 1.0}
+        - {sigma0: 0.3, sigmaDelta: 0.29, dx: 1.0}
+    pce: {n0: 4}
+    study:
+      kind: variance
+      n_xi_grid: [25, 300]
+      n_eta_grid: [1, 4]
+      repetitions: 3
+    seed: 5
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    records = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / f"threads{threads}"
+        subprocess.run(
+            [sys.executable, "-m", "uqpc.cli", "run", "--config", str(path), "--out", str(out)],
+            env=env, check=True, capture_output=True,
+        )
+        records.append((out / "records.csv").read_bytes())
+    assert records[0] == records[1]
+
+
 def test_cli_argument_errors(tmp_path):
     path = write_config(tmp_path, D1_PROBLEM, """\
     pce: {n0: 2}

@@ -5,10 +5,7 @@ from uqpc.nisp import (
     PceSurrogate,
     TrainingData,
     build_surrogate,
-    coefficient_covariance,
-    estimate_coefficients,
     load_surrogate,
-    noise_corrected_covariance,
     pce_mean,
     pce_variance_biased,
     pce_variance_unbiased,
@@ -29,7 +26,8 @@ from uqpc.transport import (
 )
 
 
-def make_surrogate(basis, beta, cov=None, noise_cov=None, mask=None, n_xi=100, n_eta=1):
+def make_surrogate(basis, beta, cov=None, noise_cov=None, mask=None, n_xi=100, n_eta=1,
+                   var=None):
     if mask is None:
         mask = np.ones(len(basis), dtype=bool)
     return PceSurrogate(
@@ -40,6 +38,7 @@ def make_surrogate(basis, beta, cov=None, noise_cov=None, mask=None, n_xi=100, n
         trimmed_mask=mask,
         n_xi=n_xi,
         n_eta=n_eta,
+        coefficient_variance=var,
     )
 
 
@@ -75,8 +74,14 @@ def test_surrogate_validation():
         make_surrogate(basis, [1.0, 2.0], mask=np.array([False, True]))
     with pytest.raises(ValueError):
         make_surrogate(basis, [1.0, 2.0], cov=np.zeros((3, 3)))
+    with pytest.raises(ValueError):
+        make_surrogate(basis, [1.0, 2.0], var=np.zeros(3))
     s = make_surrogate(basis, [1.0, 2.0], mask=np.array([True, False]))
     assert s.n_retained == 1
+    assert s.coefficient_variance is None
+    # variances default to the covariance diagonal
+    with_cov = make_surrogate(basis, [1.0, 2.0], cov=np.array([[0.1, 0.2], [0.2, 0.3]]))
+    assert with_cov.coefficient_variance.tolist() == [0.1, 0.3]
 
 
 # ------------------------------------------------------------------- fitting
@@ -86,10 +91,12 @@ def test_coefficients_by_hand():
     # two samples, n0 = 1: beta_0 = mean(qtilde), beta_1 = 3 mean(xi qtilde)
     basis = total_degree_multi_indices(1, 1)
     data = TrainingData(samples=[[-0.5], [0.5]], qtilde=[1.0, 0.0], sigma2eta=None, n_eta=1)
-    s = estimate_coefficients(data, basis)
+    s = build_surrogate(data, basis, full_covariance=False)
     assert s.coefficients == pytest.approx([0.5, -0.75], abs=1e-15)
     assert s.coefficient_covariance is None
     assert s.noise_corrected_covariance is None
+    # see test_covariance_by_hand for the diagonal
+    assert s.coefficient_variance == pytest.approx([0.25, 0.5625], abs=1e-15)
     assert s.trimmed_mask.all()
     assert (s.n_xi, s.n_eta) == (2, 1)
 
@@ -99,7 +106,7 @@ def test_covariance_by_hand():
     # covariance [[0.5, -0.75], [-0.75, 1.125]] divided by n_xi = 2
     basis = total_degree_multi_indices(1, 1)
     data = TrainingData(samples=[[-0.5], [0.5]], qtilde=[1.0, 0.0], sigma2eta=None, n_eta=1)
-    cov = coefficient_covariance(data, basis)
+    cov = build_surrogate(data, basis).coefficient_covariance
     assert cov == pytest.approx(np.array([[0.25, -0.375], [-0.375, 0.5625]]), abs=1e-15)
 
 
@@ -107,14 +114,17 @@ def test_covariance_needs_two_samples():
     basis = total_degree_multi_indices(1, 1)
     data = TrainingData(samples=[[0.5]], qtilde=[1.0], sigma2eta=None, n_eta=1)
     with pytest.raises(ValueError):
-        coefficient_covariance(data, basis)
+        build_surrogate(data, basis)
+    s = build_surrogate(data, basis, full_covariance=False)
+    assert s.coefficients == pytest.approx([1.0, 1.5], abs=1e-15)
+    assert s.coefficient_variance is None
 
 
 def test_covariance_symmetric_psd(rng):
     basis = total_degree_multi_indices(2, 3)
     xis = rng.uniform(-1.0, 1.0, size=(60, 2))
     data = TrainingData(samples=xis, qtilde=rng.random(60), sigma2eta=None, n_eta=1)
-    cov = coefficient_covariance(data, basis)
+    cov = build_surrogate(data, basis).coefficient_covariance
     assert np.array_equal(cov, cov.T)
     assert np.linalg.eigvalsh(cov).min() > -1e-12
 
@@ -125,8 +135,8 @@ def test_noise_correction_vanishes_without_noise():
     qt = np.cos(xis[:, 0])
     noisy = TrainingData(samples=xis, qtilde=qt, sigma2eta=np.zeros(7), n_eta=5)
     clean = TrainingData(samples=xis, qtilde=qt, sigma2eta=None, n_eta=1)
-    assert noise_corrected_covariance(noisy, basis) == pytest.approx(
-        coefficient_covariance(clean, basis), abs=1e-15
+    assert build_surrogate(noisy, basis).noise_corrected_covariance == pytest.approx(
+        build_surrogate(clean, basis).coefficient_covariance, abs=1e-15
     )
 
 
@@ -141,11 +151,30 @@ def test_build_surrogate_field_presence(d1_problem, rng):
     s1 = build_surrogate(TrainingData(xis, qt1, s21, 1), basis)
     assert s1.coefficient_covariance is not None
     assert s1.noise_corrected_covariance is None
-    bare = build_surrogate(TrainingData(xis, qt, s2, 4), basis, with_covariance=False)
+    bare = build_surrogate(TrainingData(xis, qt, s2, 4), basis, full_covariance=False)
     assert bare.coefficient_covariance is None
     assert bare.noise_corrected_covariance is None
+    assert bare.coefficient_variance.shape == (len(basis),)
+    assert np.array_equal(bare.coefficients, s.coefficients)
     with pytest.raises(ValueError):
         build_surrogate(TrainingData(xis, qt, s2, 4), total_degree_multi_indices(2, 2))
+
+
+def test_diagonal_fit_matches_full_covariance(d3_problem, rng):
+    # The diagonal-only path sums squared deviations without BLAS, so it may
+    # differ from the gemm diagonal in the last bits only; the full path
+    # reads its variances straight off the matrix.
+    basis = total_degree_multi_indices(3, 4)
+    for n_xi, n_eta in ((25, 1), (400, 2), (2000, 10)):
+        xis = sample_parameters(d3_problem, n_xi, rng)
+        qt, s2 = simulate_training_set(d3_problem, xis, n_eta, rng)
+        data = TrainingData(xis, qt, s2, n_eta)
+        full = build_surrogate(data, basis)
+        diag = build_surrogate(data, basis, full_covariance=False)
+        ref = np.diag(full.coefficient_covariance)
+        assert np.array_equal(full.coefficient_variance, ref)
+        assert np.array_equal(diag.coefficients, full.coefficients)
+        assert np.all(np.abs(diag.coefficient_variance - ref) <= 1e-14 * np.abs(ref))
 
 
 # -------------------------------------------------- statistical calibration
@@ -189,8 +218,9 @@ def test_noise_corrected_diag_matches_noise_free_variance(d1_problem):
         s = build_surrogate(TrainingData(xis, qt, s2, 10), basis)
         corrected[r] = np.diag(s.noise_corrected_covariance)
         plain[r] = np.diag(s.coefficient_covariance)
-        free = estimate_coefficients(
-            TrainingData(xis, transmittance_batch(d1_problem, xis), None, 1), basis
+        free = build_surrogate(
+            TrainingData(xis, transmittance_batch(d1_problem, xis), None, 1), basis,
+            full_covariance=False,
         )
         betas_free[r] = free.coefficients
     target = betas_free.var(axis=0, ddof=1)
@@ -259,7 +289,7 @@ def test_linear_response_recovered():
     basis = total_degree_multi_indices(1, 1)
     rng = np.random.default_rng(31006)
     xis = rng.uniform(-1.0, 1.0, size=(1_000_000, 1))
-    s = estimate_coefficients(TrainingData(xis, xis[:, 0], None, 1), basis)
+    s = build_surrogate(TrainingData(xis, xis[:, 0], None, 1), basis, full_covariance=False)
     # Var[3 xi^2] / n gives the standard error of beta_1
     se = np.sqrt(0.8 / xis.shape[0])
     assert abs(s.coefficients[1] - 1.0) < 3.0 * se
@@ -480,6 +510,45 @@ def test_sobol_by_hand_two_dims():
     with_cov = make_surrogate(basis, beta, cov=np.zeros((len(basis),) * 2))
     corr = sobol_indices(with_cov, use_unbiased=True)
     assert corr.first_order == pytest.approx(res.first_order, abs=1e-15)
+
+
+def _sobol_reference(surrogate, use_unbiased):
+    # The original per-term loop; sobol_indices must reproduce it bit for bit.
+    norms = surrogate.basis.norms
+    beta = surrogate.coefficients
+    sq = beta**2 - surrogate.coefficient_variance if use_unbiased else beta**2
+    mask = surrogate.trimmed_mask.copy()
+    mask[0] = False
+    d = surrogate.basis.dimension
+    by_group = {}
+    for k in np.nonzero(mask)[0]:
+        group = tuple(int(j) for j in np.nonzero(surrogate.basis.indices[k])[0])
+        by_group[group] = by_group.get(group, 0.0) + float(sq[k] * norms[k])
+    denom = sum(by_group.values())
+    by_group = {g: v / denom for g, v in by_group.items()}
+    first = np.array([by_group.get((i,), 0.0) for i in range(d)])
+    total = np.zeros(d)
+    for group, share in by_group.items():
+        for i in group:
+            total[i] += share
+    return first, total, by_group
+
+
+def test_sobol_matches_per_term_loop(rng):
+    for d, n0 in ((1, 3), (2, 5), (3, 6), (4, 3)):
+        basis = total_degree_multi_indices(d, n0)
+        p1 = len(basis)
+        for _ in range(20):
+            mask = rng.random(p1) < 0.6
+            mask[0] = True
+            mask[1 + rng.integers(p1 - 1)] = True
+            s = make_surrogate(basis, rng.normal(size=p1), mask=mask, var=0.1 * rng.random(p1))
+            for unbiased in (True, False):
+                res = sobol_indices(s, use_unbiased=unbiased)
+                first, total, by_group = _sobol_reference(s, unbiased)
+                assert np.array_equal(res.first_order, first)
+                assert np.array_equal(res.total, total)
+                assert list(res.by_group.items()) == list(by_group.items())
 
 
 def test_sobol_single_dim_is_unity():

@@ -94,6 +94,17 @@ def test_eval_basis_values():
     assert eval_basis(basis, np.array([0.5, 0.5]))[k] == pytest.approx(-0.0625, abs=1e-15)
 
 
+def test_eval_basis_matrix_is_exact_product(rng):
+    basis = total_degree_multi_indices(3, 5)
+    xis = rng.uniform(-1.0, 1.0, size=(300, 3))
+    psi = eval_basis_matrix(basis, xis)
+    assert psi.flags.c_contiguous
+    ref = np.ones((300, len(basis)))
+    for j in range(3):
+        ref = ref * legendre_table(5, xis[:, j])[:, basis.indices[:, j]]
+    assert np.array_equal(psi, ref)
+
+
 def test_eval_basis_dimension_check():
     basis = total_degree_multi_indices(2, 1)
     with pytest.raises(ValueError):

@@ -23,6 +23,14 @@ def test_problem_validation():
         SlabProblem(sigma0=[0.5], sigma_delta=[0.6], dx=[1.0])  # goes negative
     with pytest.raises(ValueError):
         SlabProblem(sigma0=[1.0, 1.0], sigma_delta=[0.1], dx=[1.0, 1.0])
+    # NaN slips past every ordering check, so finiteness is checked first
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            SlabProblem(sigma0=[bad], sigma_delta=[0.5], dx=[1.0])
+        with pytest.raises(ValueError):
+            SlabProblem(sigma0=[1.0], sigma_delta=[bad], dx=[1.0])
+        with pytest.raises(ValueError):
+            SlabProblem(sigma0=[1.0], sigma_delta=[0.5], dx=[bad])
 
 
 def test_problem_properties(d3_problem):
