@@ -46,24 +46,16 @@ from .oracle import (
 from .polybasis import (
     MultiIndexBasis,
     basis_count,
-    basis_norm,
-    eval_basis,
     eval_basis_matrix,
-    eval_legendre,
     gauss_legendre_rule,
     legendre_table,
     tensor_gauss_rule,
     total_degree_multi_indices,
 )
 from .transport import (
-    HistoryTally,
     SlabProblem,
-    analytic_transmittance,
-    cross_section,
     sample_parameters,
-    simulate_histories,
     simulate_training_set,
-    total_optical_depth,
     transmittance_batch,
 )
 

@@ -167,6 +167,17 @@ def _as_positive_int(value, context: str) -> int:
     return value
 
 
+def _as_float(value, context: str) -> float:
+    # float() also takes numeric strings such as "1e-3", which YAML 1.1
+    # leaves unparsed; anything else that is not a number is refused.
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"{context} must be a number, got {value!r}")
+
+
 def _as_int_grid(value, context: str, minimum: int = 1) -> tuple[int, ...]:
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{context} must be a non-empty list of positive integers")
@@ -187,18 +198,18 @@ def _parse_problem(section) -> SlabProblem:
         context = f"'problem.materials[{pos}]'"
         if not isinstance(mat, dict):
             raise ConfigError(f"{context} must be a mapping")
-        dx.append(float(_require(mat, "dx", context)))
+        dx.append(_as_float(_require(mat, "dx", context), f"{context} dx"))
         if "lo" in mat or "hi" in mat:
-            lo = float(_require(mat, "lo", context))
-            hi = float(_require(mat, "hi", context))
+            lo = _as_float(_require(mat, "lo", context), f"{context} lo")
+            hi = _as_float(_require(mat, "hi", context), f"{context} hi")
             sigma0.append(0.5 * (lo + hi))
             sigma_delta.append(0.5 * (hi - lo))
         else:
-            sigma0.append(float(_require(mat, "sigma0", context)))
+            sigma0.append(_as_float(_require(mat, "sigma0", context), f"{context} sigma0"))
             if "sigmaDelta" in mat:
-                sigma_delta.append(float(mat["sigmaDelta"]))
+                sigma_delta.append(_as_float(mat["sigmaDelta"], f"{context} sigmaDelta"))
             elif "sigma_delta" in mat:
-                sigma_delta.append(float(mat["sigma_delta"]))
+                sigma_delta.append(_as_float(mat["sigma_delta"], f"{context} sigma_delta"))
             else:
                 raise ConfigError(f"{context} needs 'sigmaDelta' (or 'lo'/'hi')")
     try:
@@ -214,9 +225,9 @@ def _parse_cost(section) -> CostModel | None:
         raise ConfigError("'cost' must be a mapping")
     try:
         return CostModel(
-            c_total=float(_require(section, "total", "'cost'")),
-            c_xi=float(_require(section, "xi", "'cost'")),
-            c_eta=float(_require(section, "eta", "'cost'")),
+            c_total=_as_float(_require(section, "total", "'cost'"), "'cost.total'"),
+            c_xi=_as_float(_require(section, "xi", "'cost'"), "'cost.xi'"),
+            c_eta=_as_float(_require(section, "eta", "'cost'"), "'cost.eta'"),
         )
     except ValueError as exc:
         raise ConfigError(f"invalid cost model: {exc}") from exc
@@ -236,6 +247,13 @@ def load_config(path) -> StudyConfig:
         raise ConfigError("config root must be a mapping")
 
     problem = _parse_problem(_require(raw, "problem", "config"))
+    # The exact Sobol indices of the summary divide by the output variance,
+    # and a deterministic output leaves a study nothing to estimate.
+    if exact_variance(problem) <= 0.0:
+        raise ConfigError(
+            "problem has no uncertainty: the transmittance variance is 0 "
+            "(every sigmaDelta is 0 or too small to resolve)"
+        )
     pce = _require(raw, "pce", "config")
     if not isinstance(pce, dict):
         raise ConfigError("'pce' must be a mapping")
@@ -277,8 +295,8 @@ def load_config(path) -> StudyConfig:
             raise ConfigError("response studies take exactly one (n_xi, n_eta) grid point")
 
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError(f"'seed' must be an integer, got {seed!r}")
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ConfigError(f"'seed' must be a nonnegative integer, got {seed!r}")
 
     return StudyConfig(
         problem=problem,
@@ -379,8 +397,8 @@ def _cell_chunk(config: StudyConfig, estimate, i_xi: int, i_eta: int, reps: rang
         rng = derive_rng(config.master_seed, cell, rep)
         data = _draw_training(config, n_xi, n_eta, rng)
         surrogate = build_surrogate(data, basis, full_covariance=False)
-        out.append((i_xi, i_eta, rep, estimate(config, data, surrogate)))
-    return out
+        out.append(estimate(config, data, surrogate))
+    return i_xi, i_eta, out
 
 
 def _response_build(config: StudyConfig, sample_index: int):
@@ -433,19 +451,26 @@ def _rep_chunks(repetitions: int, workers: int) -> list[range]:
     return [range(lo, min(lo + size, repetitions)) for lo in range(0, repetitions, size)]
 
 
-def _run_grid(config: StudyConfig, estimate, workers: int) -> dict:
-    """Estimates for every (i_xi, i_eta, rep) of the grid, keyed by that triple."""
+def _run_grid(config: StudyConfig, estimate, workers: int):
+    """Yield (n_xi, n_eta, {method: estimates by repetition}) per cell, in grid order.
+
+    A method the estimator skips in a cell (var_deconv at n_eta = 1) is left
+    out of that cell's mapping.
+    """
     units = [
         (config, estimate, i_xi, i_eta, reps)
         for i_xi in range(len(config.n_xi_grid))
         for i_eta in range(len(config.n_eta_grid))
         for reps in _rep_chunks(config.repetitions, workers)
     ]
-    results = {}
-    for chunk in _run_units(units, _cell_chunk, workers):
-        for i_xi, i_eta, rep, estimates in chunk:
-            results[(i_xi, i_eta, rep)] = estimates
-    return results
+    cells: dict[tuple[int, int], list] = {}
+    for i_xi, i_eta, estimates in _run_units(units, _cell_chunk, workers):
+        cells.setdefault((i_xi, i_eta), []).extend(estimates)
+    for (i_xi, i_eta), estimates in cells.items():
+        # Whether a method applies depends on the cell only, so the first
+        # repetition speaks for all of them.
+        by_method = {m: [e[m] for e in estimates] for m in config.methods if m in estimates[0]}
+        yield config.n_xi_grid[i_xi], config.n_eta_grid[i_eta], by_method
 
 
 def emit_density(values, bins: int) -> DensityHistogram:
@@ -500,76 +525,60 @@ def _base_summary(config: StudyConfig) -> dict:
 
 def run_variance_study(config: StudyConfig, workers: int = 1) -> StudyReport:
     """Repeated variance estimation over the full (n_xi, n_eta) grid."""
-    results = _run_grid(config, _variance_estimates, workers)
-
     exact_var = exact_variance(config.problem)
     report = StudyReport(config=config, summary=_base_summary(config))
     cells = []
-    for i_xi, n_xi in enumerate(config.n_xi_grid):
-        for i_eta, n_eta in enumerate(config.n_eta_grid):
-            cell_summary = {
-                "n_xi": n_xi,
-                "n_eta": n_eta,
-                "realized_cost": _realized_cost(config, n_xi, n_eta),
-                "methods": {},
+    for n_xi, n_eta, by_method in _run_grid(config, _variance_estimates, workers):
+        methods = {}
+        for method in config.methods:
+            if method not in by_method:
+                methods[method] = {"available": False}
+                continue
+            estimates = np.array(by_method[method])
+            for rep, est in enumerate(estimates):
+                report.records.append(Record(n_xi, n_eta, method, rep, float(est)))
+            report.densities[(n_xi, n_eta, method)] = emit_density(estimates, config.bins)
+            methods[method] = {
+                "available": True,
+                "mean": float(estimates.mean()),
+                "bias": float(estimates.mean() - exact_var),
+                "mse": float(np.mean((estimates - exact_var) ** 2)),
+                "variance": float(estimates.var(ddof=1)) if len(estimates) > 1 else 0.0,
             }
-            for method in config.methods:
-                reps = range(config.repetitions)
-                available = all(method in results[(i_xi, i_eta, r)] for r in reps)
-                if not available:
-                    cell_summary["methods"][method] = {"available": False}
-                    continue
-                estimates = np.array([results[(i_xi, i_eta, r)][method] for r in reps])
-                for rep, est in enumerate(estimates):
-                    report.records.append(Record(n_xi, n_eta, method, rep, float(est)))
-                report.densities[(n_xi, n_eta, method)] = emit_density(estimates, config.bins)
-                cell_summary["methods"][method] = {
-                    "available": True,
-                    "mean": float(estimates.mean()),
-                    "bias": float(estimates.mean() - exact_var),
-                    "mse": float(np.mean((estimates - exact_var) ** 2)),
-                    "variance": float(estimates.var(ddof=1)) if len(estimates) > 1 else 0.0,
-                }
-            cells.append(cell_summary)
+        cells.append({
+            "n_xi": n_xi,
+            "n_eta": n_eta,
+            "realized_cost": _realized_cost(config, n_xi, n_eta),
+            "methods": methods,
+        })
     report.summary["cells"] = cells
     return report
 
 
 def run_gsa_study(config: StudyConfig, workers: int = 1) -> StudyReport:
     """Repeated Sobol-index estimation; one gsa record per method and repetition."""
-    results = _run_grid(config, _gsa_estimates, workers)
-
     report = StudyReport(config=config, summary=_base_summary(config))
-    d = config.problem.d
     cells = []
-    for i_xi, n_xi in enumerate(config.n_xi_grid):
-        for i_eta, n_eta in enumerate(config.n_eta_grid):
-            cell_summary = {"n_xi": n_xi, "n_eta": n_eta, "methods": {}}
-            for method in config.methods:
-                firsts = np.empty((config.repetitions, d))
-                totals = np.empty((config.repetitions, d))
-                for rep in range(config.repetitions):
-                    first, total = results[(i_xi, i_eta, rep)][method]
-                    firsts[rep] = first
-                    totals[rep] = total
-                    report.gsa_records.append(
-                        GsaRecord(n_xi, n_eta, method, rep, first, total)
-                    )
-                # Summary statistics clamp indices into [0, 1] and skip
-                # undefined (NaN) draws; gsa.csv keeps the raw values.
-                defined = ~np.isnan(firsts[:, 0])
-                n_defined = int(defined.sum())
-                cf = np.clip(firsts[defined], 0.0, 1.0)
-                ct = np.clip(totals[defined], 0.0, 1.0)
-                cell_summary["methods"][method] = {
-                    "n_defined": n_defined,
-                    "mean_first": cf.mean(axis=0).tolist() if n_defined else None,
-                    "mean_total": ct.mean(axis=0).tolist() if n_defined else None,
-                    "std_first": (
-                        cf.std(axis=0, ddof=1).tolist() if n_defined > 1 else None
-                    ),
-                }
-            cells.append(cell_summary)
+    for n_xi, n_eta, by_method in _run_grid(config, _gsa_estimates, workers):
+        methods = {}
+        for method, draws in by_method.items():
+            for rep, (first, total) in enumerate(draws):
+                report.gsa_records.append(GsaRecord(n_xi, n_eta, method, rep, first, total))
+            firsts = np.array([first for first, _ in draws])
+            totals = np.array([total for _, total in draws])
+            # Summary statistics clamp indices into [0, 1] and skip
+            # undefined (NaN) draws; gsa.csv keeps the raw values.
+            defined = ~np.isnan(firsts[:, 0])
+            n_defined = int(defined.sum())
+            cf = np.clip(firsts[defined], 0.0, 1.0)
+            ct = np.clip(totals[defined], 0.0, 1.0)
+            methods[method] = {
+                "n_defined": n_defined,
+                "mean_first": cf.mean(axis=0).tolist() if n_defined else None,
+                "mean_total": ct.mean(axis=0).tolist() if n_defined else None,
+                "std_first": cf.std(axis=0, ddof=1).tolist() if n_defined > 1 else None,
+            }
+        cells.append({"n_xi": n_xi, "n_eta": n_eta, "methods": methods})
     report.summary["cells"] = cells
     return report
 
@@ -580,28 +589,16 @@ def run_response_study(config: StudyConfig, workers: int = 1) -> StudyReport:
     results = _run_units(units, _response_build, workers)
     report = StudyReport(config=config, summary=_base_summary(config))
     builds = []
-    for sample_index, surrogate, curves in results:
+    for sample_index, surrogate, (full, trimmed) in results:
         report.surrogates.append(surrogate)
-        report.response_curves.extend(curves)
-        builds.append(
-            {
-                "sample": sample_index,
-                "n_retained": {c.trimmed: c.n_retained for c in curves},
-            }
-        )
+        report.response_curves.extend((full, trimmed))
+        builds.append({
+            "sample": sample_index,
+            "n_retained_full": full.n_retained,
+            "n_retained_trimmed": trimmed.n_retained,
+        })
     report.summary["cells"] = [
-        {
-            "n_xi": config.n_xi_grid[0],
-            "n_eta": config.n_eta_grid[0],
-            "builds": [
-                {
-                    "sample": b["sample"],
-                    "n_retained_full": b["n_retained"][False],
-                    "n_retained_trimmed": b["n_retained"][True],
-                }
-                for b in builds
-            ],
-        }
+        {"n_xi": config.n_xi_grid[0], "n_eta": config.n_eta_grid[0], "builds": builds}
     ]
     return report
 
@@ -718,6 +715,8 @@ def apply_overrides(
 ) -> StudyConfig:
     """CLI-level overrides of the config file values."""
     if seed is not None:
+        if seed < 0:
+            raise ConfigError(f"seed must be a nonnegative integer, got {seed}")
         config = replace(config, master_seed=seed)
     if repetitions is not None:
         if repetitions < 1:

@@ -424,6 +424,10 @@ def save_surrogate(surrogate: PceSurrogate, path) -> None:
         "n_xi": surrogate.n_xi,
         "n_eta": surrogate.n_eta,
     }
+    if surrogate.coefficient_covariance is None:
+        # A stored matrix carries the variances on its diagonal.
+        var = surrogate.coefficient_variance
+        payload["coefficient_variance"] = None if var is None else var.tolist()
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=1)
         fh.write("\n")
@@ -441,6 +445,7 @@ def load_surrogate(path) -> PceSurrogate:
         raise ValueError("stored multi-index set does not match its declared dimension/degree")
     cov = payload["coefficient_covariance"]
     noise_cov = payload["noise_corrected_covariance"]
+    var = payload.get("coefficient_variance")
     return PceSurrogate(
         basis=basis,
         coefficients=np.asarray(payload["coefficients"], dtype=float),
@@ -451,4 +456,5 @@ def load_surrogate(path) -> PceSurrogate:
         trimmed_mask=np.asarray(payload["trimmed_mask"], dtype=bool),
         n_xi=int(payload["n_xi"]),
         n_eta=int(payload["n_eta"]),
+        coefficient_variance=None if var is None else np.asarray(var, dtype=float),
     )

@@ -17,10 +17,7 @@ import numpy as np
 __all__ = [
     "MultiIndexBasis",
     "basis_count",
-    "basis_norm",
-    "eval_basis",
     "eval_basis_matrix",
-    "eval_legendre",
     "gauss_legendre_rule",
     "legendre_table",
     "tensor_gauss_rule",
@@ -28,25 +25,11 @@ __all__ = [
 ]
 
 
-def eval_legendre(n: int, x: float) -> float:
-    """Degree-n Legendre polynomial at x, by the three-term recurrence.
-
-    Normalized so that P_n(1) = 1 for every n.
-    """
-    if n < 0:
-        raise ValueError(f"degree must be nonnegative, got {n}")
-    if n == 0:
-        return 1.0
-    p_prev, p_cur = 1.0, float(x)
-    for k in range(1, n):
-        p_prev, p_cur = p_cur, ((2 * k + 1) * x * p_cur - k * p_prev) / (k + 1)
-    return p_cur
-
-
 def legendre_table(n_max: int, x: np.ndarray) -> np.ndarray:
-    """Evaluate P_0, ..., P_{n_max} at the points x.
+    """Evaluate P_0, ..., P_{n_max} at the points x by the three-term recurrence.
 
-    Returns an array of shape (len(x), n_max + 1); column n holds P_n(x).
+    Returns an array of shape (len(x), n_max + 1); column n holds P_n(x),
+    normalized so that P_n(1) = 1.
     """
     x = np.asarray(x, dtype=float)
     table = np.empty((x.size, n_max + 1))
@@ -68,14 +51,6 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (head,) + tail
 
 
-def basis_norm(index: np.ndarray) -> float:
-    """Squared norm b = prod_i 1/(2 k_i + 1) of the tensor Legendre term."""
-    index = np.asarray(index, dtype=int)
-    if np.any(index < 0):
-        raise ValueError("multi-index degrees must be nonnegative")
-    return float(np.prod(1.0 / (2.0 * index + 1.0)))
-
-
 def basis_count(d: int, n0: int) -> int:
     """Number of multi-indices of total degree <= n0 in d variables."""
     return comb(n0 + d, d)
@@ -87,7 +62,8 @@ class MultiIndexBasis:
 
     ``indices`` has shape (n_terms, dimension); row 0 is the all-zeros
     (mean) term and the rest follow in graded order, descending
-    lexicographic within each grade. ``norms`` holds b_k > 0.
+    lexicographic within each grade. ``norms`` holds the squared norms
+    b_k = prod_i 1/(2 k_i + 1) > 0 of the tensor Legendre terms.
     """
 
     dimension: int
@@ -118,18 +94,11 @@ def total_degree_multi_indices(d: int, n0: int) -> MultiIndexBasis:
     return MultiIndexBasis(dimension=d, total_degree=n0, indices=indices, norms=norms)
 
 
-def eval_basis(basis: MultiIndexBasis, xi: np.ndarray) -> np.ndarray:
-    """Evaluate every basis term at one point; component k is prod_i P_{k_i}(xi_i)."""
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape != (basis.dimension,):
-        raise ValueError(
-            f"sample has shape {xi.shape}, expected ({basis.dimension},)"
-        )
-    return eval_basis_matrix(basis, xi[None, :])[0]
-
-
 def eval_basis_matrix(basis: MultiIndexBasis, xis: np.ndarray) -> np.ndarray:
-    """Evaluate the basis at many points; returns shape (n_points, n_terms)."""
+    """Evaluate the basis at many points; returns shape (n_points, n_terms).
+
+    Entry (i, k) is prod_j P_{k_j}(xis[i, j]), with k_j the degrees of term k.
+    """
     xis = np.asarray(xis, dtype=float)
     if xis.ndim != 2 or xis.shape[1] != basis.dimension:
         raise ValueError(

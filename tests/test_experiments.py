@@ -133,6 +133,22 @@ def test_load_config_gsa_defaults(tmp_path):
     "study: {n_xi_grid: [5], n_eta_grid: [1]}\n",
     "problem:\n  materials:\n    - {sigma0: 0.3, sigmaDelta: 0.29, dx: -1.0}\npce: {n0: 2}\n"
     "study: {n_xi_grid: [5], n_eta_grid: [1]}\n",
+    # lo/hi endpoints in the wrong order
+    "problem:\n  materials:\n    - {lo: 0.59, hi: 0.01, dx: 1.0}\npce: {n0: 2}\n"
+    "study: {n_xi_grid: [5], n_eta_grid: [1]}\n",
+    # values that are not numbers
+    "problem:\n  materials:\n    - {sigma0: 0.3, sigmaDelta: 0.29, dx: abc}\npce: {n0: 2}\n"
+    "study: {n_xi_grid: [5], n_eta_grid: [1]}\n",
+    "problem:\n  materials:\n    - {sigma0: null, sigmaDelta: 0.29, dx: 1.0}\npce: {n0: 2}\n"
+    "study: {n_xi_grid: [5], n_eta_grid: [1]}\n",
+    "problem:\n  materials:\n    - {sigma0: 0.3, sigmaDelta: 0.29, dx: [1]}\npce: {n0: 2}\n"
+    "study: {n_xi_grid: [5], n_eta_grid: [1]}\n",
+    D1_PROBLEM + "pce: {n0: 2}\nstudy: {n_xi_grid: [5], n_eta_grid: [1]}\n"
+    "cost: {total: [1], xi: 2.0, eta: 1.0}\n",
+    D1_PROBLEM + "pce: {n0: 2}\nstudy: {n_xi_grid: [5], n_eta_grid: [1]}\nseed: -1\n",
+    # no uncertainty: the output variance is 0
+    "problem:\n  materials:\n    - {sigma0: 0.3, sigmaDelta: 0.0, dx: 1.0}\npce: {n0: 2}\n"
+    "study: {n_xi_grid: [5], n_eta_grid: [1]}\n",
 ])
 def test_load_config_rejects(tmp_path, body):
     path = write_config(tmp_path, body)
@@ -528,6 +544,23 @@ def test_cli_config_errors(tmp_path):
     code, _, stderr = run_cli("oracle", "--config", str(tmp_path / "missing.yaml"))
     assert code == 2
     assert "config error" in stderr
+    flat = write_config(tmp_path, """\
+    problem:
+      materials:
+        - {sigma0: 1.0, sigmaDelta: 0.0, dx: 1.0}
+    pce: {n0: 2}
+    study: {n_xi_grid: [5], n_eta_grid: [1]}
+    """, name="flat.yaml")
+    code, stdout, stderr = run_cli("oracle", "--config", str(flat))
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith("config error:")
+    good = write_config(tmp_path, D1_PROBLEM, "pce: {n0: 2}\n",
+                        "study: {n_xi_grid: [5], n_eta_grid: [1]}\n", name="good.yaml")
+    out = tmp_path / "negative_seed"
+    code, stdout, stderr = run_cli("run", "--config", str(good), "--out", str(out), "--seed", "-1")
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith("config error:")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("problem, study", [
@@ -537,6 +570,21 @@ def test_cli_config_errors(tmp_path):
     (D1_PROBLEM, "study: {n_xi_grid: [50], n_eta_grid: [1], methods: [pc_bias, pc_bias]}\n"),
     # NaN passes every ordering check of the problem
     ("problem:\n  materials:\n    - {sigma0: .nan, sigmaDelta: 0.5, dx: 1.0}\n",
+     "study: {n_xi_grid: [50], n_eta_grid: [1]}\n"),
+    # values that are not numbers
+    ("problem:\n  materials:\n    - {sigma0: 1.0, sigmaDelta: 0.5, dx: abc}\n",
+     "study: {n_xi_grid: [50], n_eta_grid: [1]}\n"),
+    ("problem:\n  materials:\n    - {sigma0: null, sigmaDelta: 0.5, dx: 1.0}\n",
+     "study: {n_xi_grid: [50], n_eta_grid: [1]}\n"),
+    ("problem:\n  materials:\n    - {sigma0: 1.0, sigmaDelta: 0.5, dx: [1]}\n",
+     "study: {n_xi_grid: [50], n_eta_grid: [1]}\n"),
+    (D1_PROBLEM, "study: {n_xi_grid: [50], n_eta_grid: [1]}\n"
+     "cost: {total: [1], xi: 2.0, eta: 1.0}\n"),
+    # a negative seed fails in SeedSequence only when the first stream is derived
+    (D1_PROBLEM, "study: {n_xi_grid: [50], n_eta_grid: [1]}\nseed: -1\n"),
+    # every sigmaDelta 0: the exact Sobol indices of the summary divide by 0
+    ("problem:\n  materials:\n    - {sigma0: 1.0, sigmaDelta: 0.0, dx: 1.0}\n"
+     "    - {sigma0: 0.3, sigmaDelta: 0.0, dx: 1.0}\n",
      "study: {n_xi_grid: [50], n_eta_grid: [1]}\n"),
 ])
 def test_cli_rejects_config_before_running(tmp_path, problem, study):

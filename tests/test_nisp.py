@@ -600,6 +600,7 @@ def test_surrogate_roundtrip(tmp_path, d1_problem, rng):
     assert np.array_equal(back.coefficients, s.coefficients)
     assert np.array_equal(back.coefficient_covariance, s.coefficient_covariance)
     assert np.array_equal(back.noise_corrected_covariance, s.noise_corrected_covariance)
+    assert np.array_equal(back.coefficient_variance, s.coefficient_variance)
     assert np.array_equal(back.trimmed_mask, s.trimmed_mask)
     assert (back.n_xi, back.n_eta) == (s.n_xi, s.n_eta)
     assert np.array_equal(back.basis.indices, s.basis.indices)
@@ -613,7 +614,21 @@ def test_surrogate_roundtrip_without_covariance(tmp_path):
     back = load_surrogate(path)
     assert back.coefficient_covariance is None
     assert back.noise_corrected_covariance is None
+    assert back.coefficient_variance is None
     assert np.array_equal(back.coefficients, s.coefficients)
+
+
+def test_surrogate_roundtrip_diagonal_only(tmp_path, d3_problem, rng):
+    basis = total_degree_multi_indices(3, 3)
+    xis = sample_parameters(d3_problem, 60, rng)
+    qt, s2 = simulate_training_set(d3_problem, xis, 4, rng)
+    s = build_surrogate(TrainingData(xis, qt, s2, 4), basis, full_covariance=False)
+    path = tmp_path / "diag.json"
+    save_surrogate(s, path)
+    back = load_surrogate(path)
+    assert back.coefficient_covariance is None
+    assert np.array_equal(back.coefficient_variance, s.coefficient_variance)
+    assert pce_variance_unbiased(back) == pce_variance_unbiased(s)
 
 
 def test_load_rejects_tampered_files(tmp_path):

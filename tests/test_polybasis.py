@@ -5,10 +5,7 @@ import pytest
 
 from uqpc.polybasis import (
     basis_count,
-    basis_norm,
-    eval_basis,
     eval_basis_matrix,
-    eval_legendre,
     gauss_legendre_rule,
     legendre_table,
     tensor_gauss_rule,
@@ -17,14 +14,15 @@ from uqpc.polybasis import (
 
 
 def test_legendre_low_degrees():
-    assert eval_legendre(0, 0.77) == 1.0
-    assert eval_legendre(1, -0.3) == -0.3
+    table = legendre_table(2, np.array([0.77, -0.3, 0.5]))
+    assert table[0, 0] == 1.0
+    assert table[1, 1] == -0.3
     # P_2(x) = (3x^2 - 1)/2
-    assert eval_legendre(2, 0.5) == pytest.approx(-0.125, abs=1e-15)
+    assert table[2, 2] == pytest.approx(-0.125, abs=1e-15)
 
 
 def test_legendre_normalization_at_one():
-    assert all(eval_legendre(n, 1.0) == pytest.approx(1.0, abs=1e-12) for n in range(21))
+    assert legendre_table(20, np.ones(1))[0] == pytest.approx(np.ones(21), abs=1e-12)
 
 
 def test_legendre_bounded_on_interval():
@@ -33,17 +31,10 @@ def test_legendre_bounded_on_interval():
     assert np.all(np.abs(table) <= 1.0 + 1e-12)
 
 
-def test_legendre_table_matches_scalar(rng):
+def test_legendre_table_matches_legvander(rng):
     x = rng.uniform(-1.0, 1.0, 7)
     table = legendre_table(5, x)
-    for i, xi in enumerate(x):
-        for n in range(6):
-            assert table[i, n] == pytest.approx(eval_legendre(n, xi), abs=1e-14)
-
-
-def test_legendre_rejects_negative_degree():
-    with pytest.raises(ValueError):
-        eval_legendre(-1, 0.0)
+    assert table == pytest.approx(np.polynomial.legendre.legvander(x, 5), abs=1e-14)
 
 
 def test_multi_index_counts():
@@ -76,22 +67,25 @@ def test_multi_index_validation():
 
 
 def test_norms():
-    assert basis_norm([0, 0, 0]) == 1.0
-    assert basis_norm([1, 2, 0]) == pytest.approx(1.0 / 15.0, abs=1e-15)
-    assert basis_norm([6]) == pytest.approx(1.0 / 13.0, abs=1e-15)
     basis = total_degree_multi_indices(3, 4)
-    expected = [basis_norm(row) for row in basis.indices]
+    rows = [tuple(row) for row in basis.indices]
+    assert basis.norms[rows.index((0, 0, 0))] == 1.0
+    assert basis.norms[rows.index((1, 2, 0))] == pytest.approx(1.0 / 15.0, abs=1e-15)
+    expected = [math.prod(1.0 / (2 * k + 1) for k in row) for row in rows]
     assert basis.norms == pytest.approx(expected, abs=1e-15)
-    with pytest.raises(ValueError):
-        basis_norm([1, -1])
+    assert total_degree_multi_indices(1, 6).norms[6] == pytest.approx(1.0 / 13.0, abs=1e-15)
 
 
 def test_eval_basis_values():
     basis = total_degree_multi_indices(2, 3)
-    assert eval_basis(basis, np.ones(2)) == pytest.approx(np.ones(len(basis)), abs=1e-12)
+    assert eval_basis_matrix(basis, np.ones((1, 2)))[0] == pytest.approx(
+        np.ones(len(basis)), abs=1e-12
+    )
     # term with index (1, 2) at xi = (0.5, 0.5): P_1(0.5) * P_2(0.5)
     k = [tuple(row) for row in basis.indices].index((1, 2))
-    assert eval_basis(basis, np.array([0.5, 0.5]))[k] == pytest.approx(-0.0625, abs=1e-15)
+    psi = eval_basis_matrix(basis, np.array([[0.5, 0.5]]))
+    assert psi.shape == (1, len(basis))
+    assert psi[0, k] == pytest.approx(-0.0625, abs=1e-15)
 
 
 def test_eval_basis_matrix_is_exact_product(rng):
@@ -108,7 +102,9 @@ def test_eval_basis_matrix_is_exact_product(rng):
 def test_eval_basis_dimension_check():
     basis = total_degree_multi_indices(2, 1)
     with pytest.raises(ValueError):
-        eval_basis(basis, np.zeros(3))
+        eval_basis_matrix(basis, np.zeros(2))
+    with pytest.raises(ValueError):
+        eval_basis_matrix(basis, np.zeros((1, 3)))
     with pytest.raises(ValueError):
         eval_basis_matrix(basis, np.zeros((4, 3)))
 
