@@ -35,13 +35,14 @@ from .nisp import (
 )
 from .oracle import (
     ExactStatistics,
-    exact_factor_moment,
+    coefficient_moments_exact,
     exact_mean,
     exact_sobol,
     exact_statistics,
     exact_variance,
     mse,
     quadrature_coefficients,
+    section_moments,
 )
 from .polybasis import (
     MultiIndexBasis,
@@ -49,7 +50,6 @@ from .polybasis import (
     eval_basis_matrix,
     gauss_legendre_rule,
     legendre_table,
-    tensor_gauss_rule,
     total_degree_multi_indices,
 )
 from .transport import (

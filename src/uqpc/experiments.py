@@ -43,7 +43,7 @@ from .nisp import (
     variance_deconvolution,
 )
 from .oracle import exact_mean, exact_sobol, exact_variance
-from .polybasis import total_degree_multi_indices
+from .polybasis import basis_count, total_degree_multi_indices
 from .transport import (
     SlabProblem,
     sample_parameters,
@@ -72,6 +72,12 @@ __all__ = [
 METHODS = ("pc_mc21", "pc_bias", "pc_bias_trim", "var_deconv")
 GSA_METHODS = ("pc_bias", "pc_bias_trim")
 STUDY_KINDS = ("variance", "gsa", "response")
+# Largest float64 array a repetition may need: the n_xi x P basis matrix,
+# the P x d multi-index table and, for response builds, the P x P coefficient
+# covariance. A repetition holds a few arrays of this size at once in every
+# worker, so a larger basis is refused in load_config rather than running
+# out of memory part-way through a study.
+MAX_ARRAY_BYTES = 2**28
 
 
 class ConfigError(Exception):
@@ -287,6 +293,15 @@ def load_config(path) -> StudyConfig:
         raise ConfigError("'study.noise_free' must be a boolean")
     bins = _as_positive_int(study.get("bins", 40), "'study.bins'")
     response_points = _as_positive_int(study.get("response_points", 201), "'study.response_points'")
+
+    n_terms = basis_count(problem.d, n0)
+    rows = max(max(n_xi_grid), problem.d, n_terms if kind == "response" else 0)
+    if 8 * rows * n_terms > MAX_ARRAY_BYTES:
+        raise ConfigError(
+            f"basis too large: {n_terms} terms (d={problem.d}, n0={n0}) need a "
+            f"{rows} x {n_terms} float64 array of {8 * rows * n_terms / 2**20:.0f} MiB, "
+            f"over the {MAX_ARRAY_BYTES / 2**20:.0f} MiB limit"
+        )
 
     if kind == "response":
         if problem.d != 1:

@@ -1,122 +1,119 @@
 """Exact reference quantities for the slab attenuation problem.
 
-The transmittance factorizes over sections, Q(xi) = prod_m exp(-Sigma_m(xi_m) dx_m),
-so its moments, its Legendre coefficients, and its Sobol decomposition all
-have closed or quadrature-exact forms. These are the verification targets
-for the sampling estimators.
+The transmittance factorizes over sections, Q(xi) = prod_m g_m(xi_m) with
+g_m(xi) = exp(-Sigma_m(xi) dx_m), so every reference is built from 1-d
+section terms: moments and Sobol indices in closed form, Legendre
+coefficients and their moments from one Gauss table per section. These are
+the verification targets for the sampling estimators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
-from .polybasis import MultiIndexBasis, eval_basis_matrix, tensor_gauss_rule
-from .transport import SlabProblem, transmittance_batch
+from .polybasis import MultiIndexBasis, gauss_legendre_rule, legendre_table
+from .transport import SlabProblem
 
 __all__ = [
     "ExactStatistics",
     "coefficient_moments_exact",
-    "exact_factor_moment",
     "exact_mean",
     "exact_sobol",
     "exact_statistics",
     "exact_variance",
     "mse",
     "quadrature_coefficients",
+    "section_moments",
 ]
 
+# a*coth(a) - 1 = sum_n c_n a^(2n), c_n = 2^(2n) B_(2n) / (2n)!. Below
+# _SERIES_BELOW these eight terms are exact to ~1e-18 relative (each term is
+# about a^2/pi^2 times the last); above it a/tanh(a) - 1 cancels away fewer
+# than 50 ulp.
+_COTH_SERIES = np.array([1 / 3, -1 / 45, 2 / 945, -1 / 4725, 2 / 93555,
+                         -1382 / 638512875, 4 / 18243225, -3617 / 162820783125])
+_SERIES_BELOW = 0.25
 
-def _sinhc(x: float) -> float:
-    # sinh(x)/x with a series branch near 0 to avoid cancellation.
-    if abs(x) < 1e-4:
-        x2 = x * x
-        return 1.0 + x2 / 6.0 + x2 * x2 / 120.0
-    return float(np.sinh(x) / x)
 
+def section_moments(problem: SlabProblem) -> tuple[np.ndarray, np.ndarray]:
+    """Mean mu_m = E[g_m] and relative variance r_m = Var[g_m] / mu_m^2 per section.
 
-def exact_factor_moment(sigma0: float, sigma_delta: float, dx: float, power: int) -> float:
-    """E[exp(-p * Sigma(xi) * dx)] for one section, xi ~ U(-1, 1).
-
-    Equals exp(-p*sigma0*dx) * sinh(p*sigma_delta*dx) / (p*sigma_delta*dx),
-    with the sigma_delta -> 0 limit exp(-p*sigma0*dx).
+    With a_m = sigma_delta_m dx_m and xi ~ U(-1, 1),
+    mu_m = exp(-sigma0_m dx_m) sinh(a_m) / a_m and r_m = a_m coth(a_m) - 1,
+    with the a_m -> 0 limits exp(-sigma0_m dx_m) and 0. r_m is taken from
+    its Taylor series at small a_m, where the closed form cancels. The p-th
+    moment E[g_m^p] is the mean of the problem with sigma0 and sigma_delta
+    scaled by p.
     """
-    if power < 1:
-        raise ValueError(f"power must be >= 1, got {power}")
-    a = power * sigma_delta * dx
-    return float(np.exp(-power * sigma0 * dx)) * _sinhc(a)
-
-
-def _factor_moments(problem: SlabProblem, power: int) -> np.ndarray:
-    return np.array(
-        [
-            exact_factor_moment(problem.sigma0[m], problem.sigma_delta[m], problem.dx[m], power)
-            for m in range(problem.d)
-        ]
-    )
+    a = problem.sigma_delta * problem.dx
+    sinhc = np.divide(np.sinh(a), a, out=np.ones_like(a), where=a > 0)
+    mu = np.exp(-problem.sigma0 * problem.dx) * sinhc
+    a2 = a * a
+    r = a2 * np.polyval(_COTH_SERIES[::-1], a2)
+    big = a >= _SERIES_BELOW
+    r[big] = a[big] / np.tanh(a[big]) - 1.0
+    return mu, r
 
 
 def exact_mean(problem: SlabProblem) -> float:
-    """Exact E[Q]; product of the per-section first moments."""
-    return float(np.prod(_factor_moments(problem, 1)))
+    """Exact E[Q]; product of the per-section means."""
+    mu, _ = section_moments(problem)
+    return float(np.prod(mu))
 
 
 def exact_variance(problem: SlabProblem) -> float:
-    """Exact Var[Q] = prod_m E[g_m^2] - (prod_m E[g_m])^2."""
-    m1 = _factor_moments(problem, 1)
-    m2 = _factor_moments(problem, 2)
-    return float(np.prod(m2) - np.prod(m1) ** 2)
+    """Exact Var[Q] = prod_m E[g_m^2] - (prod_m E[g_m])^2.
+
+    Evaluated as prod_m mu_m^2 * expm1(sum_m log1p(r_m)), which keeps full
+    relative precision however small the section variances are.
+    """
+    mu, r = section_moments(problem)
+    return float(np.prod(mu**2) * np.expm1(np.sum(np.log1p(r))))
+
+
+def _term_expectations(
+    problem: SlabProblem, degrees: np.ndarray, level: int, j: int, p: int
+) -> np.ndarray:
+    # E[Psi_k^j Q^p] = prod_m E[P_{k_m}^j g_m^p] for every multi-index k in
+    # the rows of `degrees`, each factor by the level-point Gauss rule.
+    nodes, weights = gauss_legendre_rule(level)
+    tau = np.outer(problem.sigma_delta * problem.dx, nodes) + (problem.sigma0 * problem.dx)[:, None]
+    table = (weights * np.exp(-p * tau)) @ legendre_table(int(degrees.max()), nodes) ** j
+    return np.prod(table[np.arange(problem.d), degrees], axis=-1)
 
 
 def quadrature_coefficients(
     problem: SlabProblem, basis: MultiIndexBasis, level: int | None = None
 ) -> np.ndarray:
-    """Expansion coefficients of the exact transmittance by tensor Gauss quadrature.
+    """Expansion coefficients of the exact transmittance by Gauss quadrature.
 
-    ``level`` is the 1d rule size per dimension (default total_degree + 2).
-    Doubling the level should leave every coefficient unchanged to ~1e-10
-    once converged.
+    beta_k = prod_m E[g_m P_{k_m}] / b_k, each factor from the ``level``-point
+    rule of one section (default total_degree + 2). Doubling the level should
+    leave every coefficient unchanged to ~1e-10 once converged.
     """
     if basis.dimension != problem.d:
         raise ValueError(f"basis dimension {basis.dimension} != problem dimension {problem.d}")
     if level is None:
         level = basis.total_degree + 2
-    if level < 1:
-        raise ValueError(f"quadrature level must be >= 1, got {level}")
-    nodes, weights = tensor_gauss_rule(problem.d, level)
-    q = transmittance_batch(problem, nodes)
-    psi = eval_basis_matrix(basis, nodes)
-    return (psi.T @ (weights * q)) / basis.norms
+    return _term_expectations(problem, basis.indices, level, 1, 1) / basis.norms
 
 
 def exact_sobol(problem: SlabProblem) -> tuple[np.ndarray, np.ndarray]:
     """Exact first-order and total Sobol indices of the transmittance.
 
-    Uses the product structure: the partial variance of a variable group u
-    is prod_{i in u} v_i * prod_{i not in u} mu_i^2, with mu_i and v_i the
-    per-section factor mean and variance.
+    For a product of independent factors with relative variances r_i and
+    L = sum_j log1p(r_j): S_i = r_i / expm1(L) and
+    T_i = r_i exp(L - log1p(r_i)) / expm1(L).
     """
-    mu = _factor_moments(problem, 1)
-    v = _factor_moments(problem, 2) - mu**2
-    total_var = exact_variance(problem)
-    if total_var <= 0.0:
+    _, r = section_moments(problem)
+    if not np.any(r > 0.0):
         raise ValueError("problem has zero output variance; Sobol indices undefined")
-    d = problem.d
-    first = np.zeros(d)
-    total = np.zeros(d)
-    for size in range(1, d + 1):
-        for u in combinations(range(d), size):
-            in_u = np.zeros(d, dtype=bool)
-            in_u[list(u)] = True
-            v_u = float(np.prod(v[in_u]) * np.prod(mu[~in_u] ** 2))
-            s_u = v_u / total_var
-            if size == 1:
-                first[u[0]] = s_u
-            for i in u:
-                total[i] += s_u
-    return first, total
+    log1p_r = np.log1p(r)
+    total_log = np.sum(log1p_r)
+    scale = np.expm1(total_log)
+    return r / scale, r * np.exp(total_log - log1p_r) / scale
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,20 +147,18 @@ def coefficient_moments_exact(
 
     sigma_eta^2(xi) = p(1 - p) with p = exp(-tau(xi)) is the per-history
     Bernoulli variance of the analog transport game. These are the inputs
-    the estimator-variance cost model needs.
+    the estimator-variance cost model needs. Each expectation is a product
+    of per-section ``level``-point Gauss sums (default total_degree + 8).
     """
     if not 0 <= k < len(basis):
         raise ValueError(f"term index {k} out of range [0, {len(basis)})")
     if level is None:
         level = basis.total_degree + 8
-    nodes, weights = tensor_gauss_rule(problem.d, level)
-    p = transmittance_batch(problem, nodes)
-    psi_k = eval_basis_matrix(basis, nodes)[:, k]
-    m1 = float(weights @ (p * psi_k))
-    m2 = float(weights @ ((p * psi_k) ** 2))
-    var_qpsi = m2 - m1**2
-    noise_term = float(weights @ (psi_k**2 * p * (1.0 - p)))
-    return var_qpsi, noise_term
+    m11, m21, m22 = (
+        float(_term_expectations(problem, basis.indices[k], level, j, p))
+        for j, p in ((1, 1), (2, 1), (2, 2))
+    )
+    return m22 - m11**2, m21 - m22
 
 
 def mse(estimates, exact: float) -> float:

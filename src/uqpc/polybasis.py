@@ -20,7 +20,6 @@ __all__ = [
     "eval_basis_matrix",
     "gauss_legendre_rule",
     "legendre_table",
-    "tensor_gauss_rule",
     "total_degree_multi_indices",
 ]
 
@@ -124,18 +123,3 @@ def gauss_legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     nodes, weights = np.polynomial.legendre.leggauss(n)
     return nodes, weights / 2.0
 
-
-def tensor_gauss_rule(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor product of the n-point rule over d dimensions.
-
-    Returns nodes of shape (n**d, d) and weights of shape (n**d,) summing
-    to 1.
-    """
-    nodes_1d, weights_1d = gauss_legendre_rule(n)
-    grids = np.meshgrid(*([nodes_1d] * d), indexing="ij")
-    nodes = np.stack([g.ravel() for g in grids], axis=1)
-    wgrids = np.meshgrid(*([weights_1d] * d), indexing="ij")
-    weights = np.ones(n**d)
-    for w in wgrids:
-        weights = weights * w.ravel()
-    return nodes, weights

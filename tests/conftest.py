@@ -1,7 +1,23 @@
 import numpy as np
 import pytest
 
+from uqpc.polybasis import gauss_legendre_rule
 from uqpc.transport import SlabProblem
+
+
+def _tensor_gauss_rule(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    # Reference only: the n-point rule on every axis, nodes (n**d, d) and
+    # weights (n**d,) summing to 1.
+    nodes, weights = gauss_legendre_rule(n)
+    grid = np.stack(np.meshgrid(*[nodes] * d, indexing="ij"), axis=-1).reshape(-1, d)
+    wgrid = np.stack(np.meshgrid(*[weights] * d, indexing="ij"), axis=-1).reshape(-1, d)
+    return grid, np.prod(wgrid, axis=1)
+
+
+@pytest.fixture(scope="session")
+def tensor_rule():
+    """The tensor-product Gauss rule, as a quadrature reference for tests."""
+    return _tensor_gauss_rule
 
 
 @pytest.fixture(scope="session")

@@ -149,11 +149,30 @@ def test_load_config_gsa_defaults(tmp_path):
     # no uncertainty: the output variance is 0
     "problem:\n  materials:\n    - {sigma0: 0.3, sigmaDelta: 0.0, dx: 1.0}\npce: {n0: 2}\n"
     "study: {n_xi_grid: [5], n_eta_grid: [1]}\n",
+    # a response build holds the P x P covariance: 6001^2 float64 is 275 MiB
+    D1_PROBLEM + "pce: {n0: 6000}\nstudy: {kind: response, n_xi_grid: [5], n_eta_grid: [2]}\n",
 ])
 def test_load_config_rejects(tmp_path, body):
     path = write_config(tmp_path, body)
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+def test_load_config_nearly_flat_slab(tmp_path):
+    # a = sigmaDelta dx = 1e-8: E[Q^2] - E[Q]^2 cancels to 0 in floating
+    # point, but the variance is e^{-2 sigma0 dx} (a^2/3 + 4a^4/45 + ...).
+    path = write_config(tmp_path, """\
+    problem:
+      materials:
+        - {sigma0: 1.0, sigmaDelta: 1.0e-8, dx: 1.0}
+    pce: {n0: 2}
+    study: {n_xi_grid: [5], n_eta_grid: [1], repetitions: 2}
+    """)
+    report = run_study(load_config(path))
+    a = 1e-8
+    series = np.exp(-2.0) * (a**2 / 3 + 4 * a**4 / 45)
+    assert report.summary["exact"]["variance"] == pytest.approx(series, rel=1e-13)
+    assert report.summary["exact"]["sobol_first"] == [1.0]
 
 
 def test_load_config_response_needs_1d(tmp_path):
@@ -586,9 +605,13 @@ def test_cli_config_errors(tmp_path):
     ("problem:\n  materials:\n    - {sigma0: 1.0, sigmaDelta: 0.0, dx: 1.0}\n"
      "    - {sigma0: 0.3, sigmaDelta: 0.0, dx: 1.0}\n",
      "study: {n_xi_grid: [50], n_eta_grid: [1]}\n"),
+    # d = 20, n0 = 10: about 3e7 basis terms, far past the array limit
+    ("problem:\n  materials:\n" + "    - {sigma0: 0.3, sigmaDelta: 0.29, dx: 1.0}\n" * 20,
+     "pce: {n0: 10}\nstudy: {n_xi_grid: [50], n_eta_grid: [1]}\n"),
 ])
 def test_cli_rejects_config_before_running(tmp_path, problem, study):
-    path = write_config(tmp_path, problem, "pce: {n0: 2}\n", study)
+    pce = "" if "pce:" in study else "pce: {n0: 2}\n"
+    path = write_config(tmp_path, problem, pce, study)
     out = tmp_path / "out"
     code, stdout, stderr = run_cli("run", "--config", str(path), "--out", str(out))
     assert code == 2

@@ -1,51 +1,108 @@
 import math
+import time
+from decimal import Decimal, localcontext
+from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from uqpc.experiments import load_config
 from uqpc.oracle import (
     ExactStatistics,
     coefficient_moments_exact,
-    exact_factor_moment,
     exact_mean,
     exact_sobol,
     exact_statistics,
     exact_variance,
     mse,
     quadrature_coefficients,
+    section_moments,
 )
-from uqpc.polybasis import gauss_legendre_rule, total_degree_multi_indices
-from uqpc.transport import SlabProblem
+from uqpc.polybasis import eval_basis_matrix, gauss_legendre_rule, total_degree_multi_indices
+from uqpc.transport import SlabProblem, transmittance_batch
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+# Three unequal sections, so no factor or coefficient is repeated.
+MIXED_D3 = SlabProblem(sigma0=[0.3, 1.0, 0.7], sigma_delta=[0.29, 0.95, 0.2], dx=[1.0, 0.5, 2.0])
+
+
+def factor_moment(sigma0, sigma_delta, dx, power):
+    # E[g^p] for one section: the mean of the section with sigma0 and
+    # sigma_delta scaled by p.
+    mu, _ = section_moments(SlabProblem([power * sigma0], [power * sigma_delta], [dx]))
+    return float(mu[0])
 
 
 def test_factor_moment_deterministic_limit():
-    assert exact_factor_moment(0.3, 0.0, 1.0, 1) == pytest.approx(math.exp(-0.3), abs=1e-15)
+    mu, r = section_moments(SlabProblem([0.3], [0.0], [1.0]))
+    assert mu[0] == pytest.approx(math.exp(-0.3), abs=1e-15)
+    assert r[0] == 0.0
 
 
 def test_factor_moment_closed_form():
     # E[e^{-p Sigma(xi) dx}] = e^{-p sigma0 dx} sinh(p sigma_delta dx)/(p sigma_delta dx)
-    m1 = exact_factor_moment(1.0, 0.95, 1.0, 1)
-    m2 = exact_factor_moment(1.0, 0.95, 1.0, 2)
+    m1 = factor_moment(1.0, 0.95, 1.0, 1)
+    m2 = factor_moment(1.0, 0.95, 1.0, 2)
     assert m1 == pytest.approx(math.exp(-1.0) * math.sinh(0.95) / 0.95, rel=1e-14)
     assert m2 == pytest.approx(math.exp(-2.0) * math.sinh(1.9) / 1.9, rel=1e-14)
-    with pytest.raises(ValueError):
-        exact_factor_moment(1.0, 0.95, 1.0, 0)
+    # r = E[g^2] / E[g]^2 - 1 = a coth(a) - 1
+    _, r = section_moments(SlabProblem([1.0], [0.95], [1.0]))
+    assert r[0] == pytest.approx(m2 / m1**2 - 1.0, rel=1e-14)
+    assert r[0] == pytest.approx(0.95 / math.tanh(0.95) - 1.0, rel=1e-14)
 
 
 def test_factor_moment_series_branch():
-    # The sinh(x)/x series takes over below x = 1e-4 without a value jump.
-    lo = exact_factor_moment(0.0, 0.99999e-4, 1.0, 1)
-    hi = exact_factor_moment(0.0, 1.00001e-4, 1.0, 1)
+    # sinh(a)/a stays exact near a = 0 without a value jump.
+    lo = factor_moment(1.0, 0.99999e-4, 1.0, 1)
+    hi = factor_moment(1.0, 1.00001e-4, 1.0, 1)
     assert abs(hi - lo) < 1e-12
     x = 5e-5
-    assert exact_factor_moment(0.0, x, 1.0, 1) == pytest.approx(math.sinh(x) / x, rel=1e-14)
+    assert factor_moment(1.0, x, 1.0, 1) == pytest.approx(
+        math.exp(-1.0) * math.sinh(x) / x, rel=1e-14
+    )
+    # The series of a coth(a) - 1 hands over to the closed form at a = 0.25.
+    a = np.array([0.25 * (1 - 1e-12), 0.25, 0.25 * (1 + 1e-12)])
+    _, r = section_moments(SlabProblem(a, a, np.ones(3)))
+    assert np.all(np.diff(r) > 0)
+    assert r == pytest.approx(a / np.tanh(a) - 1.0, rel=1e-14)
 
 
 def test_factor_moment_against_quadrature(d1_problem):
     nodes, weights = gauss_legendre_rule(40)
     for power in (1, 2, 3):
         direct = float(weights @ np.exp(-power * (1.0 + 0.95 * nodes)))
-        assert exact_factor_moment(1.0, 0.95, 1.0, power) == pytest.approx(direct, rel=1e-13)
+        assert factor_moment(1.0, 0.95, 1.0, power) == pytest.approx(direct, rel=1e-13)
+
+
+def _decimal_variance(sigma0, sigma_delta, dx):
+    # prod E[g^2] - (prod E[g])^2 in 60-digit decimal arithmetic.
+    with localcontext() as ctx:
+        ctx.prec = 60
+
+        def sinhc(x):
+            return ((x.exp() - (-x).exp()) / 2) / x if x else Decimal(1)
+
+        m1 = m2 = Decimal(1)
+        for s0, sd, h in zip(sigma0, sigma_delta, dx):
+            b, a = Decimal(s0) * Decimal(h), Decimal(sd) * Decimal(h)
+            m1 *= (-b).exp() * sinhc(a)
+            m2 *= (-2 * b).exp() * sinhc(2 * a)
+        return m2 - m1 * m1
+
+
+def test_exact_variance_small_sections():
+    # E[Q^2] - E[Q]^2 cancels as a = sigma_delta dx -> 0; the variance must
+    # keep full relative precision down to a = 1e-9.
+    problems = [SlabProblem([2.0], [a / 1.5], [1.5]) for a in np.geomspace(1e-9, 3.0, 40)]
+    problems.append(SlabProblem([2.0, 0.3], [1e-9, 1e-7], [1.0, 1.0]))
+    shipped = [load_config(path).problem for path in sorted(CONFIG_DIR.glob("*.yaml"))]
+    assert len(shipped) == 4
+    problems += shipped
+    for problem in problems:
+        ref = _decimal_variance(problem.sigma0, problem.sigma_delta, problem.dx)
+        err = abs(Decimal(exact_variance(problem)) - ref) / ref
+        assert err <= Decimal("1e-13"), (problem.sigma_delta, float(err))
 
 
 def test_exact_moments_d1(d1_problem):
@@ -167,8 +224,8 @@ def test_coefficient_moments_exact(d1_problem):
     var_qpsi, noise = coefficient_moments_exact(d1_problem, basis, 0)
     # k = 0: Var[Q Psi_0] = Var[Q]; E[Psi_0^2 p(1-p)] = E[p] - E[p^2]
     assert var_qpsi == pytest.approx(exact_variance(d1_problem), rel=1e-12)
-    m1 = exact_factor_moment(1.0, 0.95, 1.0, 1)
-    m2 = exact_factor_moment(1.0, 0.95, 1.0, 2)
+    m1 = factor_moment(1.0, 0.95, 1.0, 1)
+    m2 = factor_moment(1.0, 0.95, 1.0, 2)
     assert noise == pytest.approx(m1 - m2, rel=1e-12)
     # k = 1 cross-check by direct quadrature
     nodes, weights = gauss_legendre_rule(30)
@@ -181,6 +238,73 @@ def test_coefficient_moments_exact(d1_problem):
     assert noise1 == pytest.approx(noise_direct, rel=1e-12)
     with pytest.raises(ValueError):
         coefficient_moments_exact(d1_problem, basis, len(basis))
+
+
+@pytest.mark.parametrize("n0", [4, 6])
+def test_factorized_oracle_matches_tensor_quadrature(n0, tensor_rule):
+    basis = total_degree_multi_indices(3, n0)
+
+    def tensor_terms(level):
+        nodes, weights = tensor_rule(3, level)
+        return weights, transmittance_batch(MIXED_D3, nodes), eval_basis_matrix(basis, nodes)
+
+    weights, q, psi = tensor_terms(n0 + 2)
+    ref = psi.T @ (weights * q) / basis.norms
+    # A high-degree coefficient is a sum that cancels to far below its
+    # terms, so both sides carry rounding of order eps * E[|Q Psi_k|] / b_k.
+    scale = np.abs(psi).T @ (weights * q) / basis.norms
+    assert np.all(np.abs(quadrature_coefficients(MIXED_D3, basis) - ref) <= 1e-13 * scale)
+
+    weights, q, psi = tensor_terms(n0 + 8)
+    for k in range(len(basis)):
+        qpsi = q * psi[:, k]
+        var_ref = weights @ qpsi**2 - (weights @ qpsi) ** 2
+        noise_ref = weights @ (psi[:, k] ** 2 * q * (1.0 - q))
+        var_qpsi, noise = coefficient_moments_exact(MIXED_D3, basis, k)
+        assert var_qpsi == pytest.approx(var_ref, rel=1e-13)
+        assert noise == pytest.approx(noise_ref, rel=1e-13)
+
+
+def test_exact_sobol_matches_subset_sum():
+    problem = SlabProblem(
+        sigma0=[0.3, 1.0, 0.7, 2.0], sigma_delta=[0.29, 0.95, 0.2, 0.01], dx=[1.0, 0.5, 2.0, 1.0]
+    )
+    b = problem.sigma0 * problem.dx
+    a = problem.sigma_delta * problem.dx
+    mu = np.exp(-b) * np.sinh(a) / a
+    v = np.exp(-2 * b) * np.sinh(2 * a) / (2 * a) - mu**2
+    # The partial variance of a group u is prod_{i in u} v_i prod_{i not in u} mu_i^2.
+    partial = {}
+    for size in range(1, 5):
+        for u in combinations(range(4), size):
+            in_u = np.isin(np.arange(4), u)
+            partial[u] = np.prod(v[in_u]) * np.prod(mu[~in_u] ** 2)
+    var = sum(partial.values())
+    first_ref = [partial[(i,)] / var for i in range(4)]
+    total_ref = [sum(p for u, p in partial.items() if i in u) / var for i in range(4)]
+    first, total = exact_sobol(problem)
+    assert first == pytest.approx(first_ref, rel=1e-13)
+    assert total == pytest.approx(total_ref, rel=1e-13)
+    assert exact_variance(problem) == pytest.approx(var, rel=1e-13)
+
+
+def test_oracle_high_dimension():
+    # d = 12 would need a 12**12-node tensor grid; the factorized oracle
+    # costs one 1-d table per section.
+    rng = np.random.default_rng(12)
+    sigma0 = rng.uniform(0.2, 1.0, 12)
+    problem = SlabProblem(sigma0, sigma0 * rng.uniform(0.1, 0.9, 12), rng.uniform(0.2, 1.0, 12))
+    basis = total_degree_multi_indices(12, 3)
+    start = time.perf_counter()
+    beta = quadrature_coefficients(problem, basis)
+    moments = [coefficient_moments_exact(problem, basis, k) for k in (0, len(basis) - 1)]
+    first, total = exact_sobol(problem)
+    assert time.perf_counter() - start < 1.0
+    assert beta[0] == pytest.approx(exact_mean(problem), rel=1e-12)
+    assert float(np.sum(beta[1:] ** 2 * basis.norms[1:])) <= exact_variance(problem)
+    assert moments[0][0] == pytest.approx(exact_variance(problem), rel=1e-10)
+    assert all(np.isfinite(m).all() and m[1] > 0 for m in moments)
+    assert np.all(first > 0) and np.all(first <= total)
 
 
 def test_mse():

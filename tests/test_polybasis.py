@@ -8,7 +8,6 @@ from uqpc.polybasis import (
     eval_basis_matrix,
     gauss_legendre_rule,
     legendre_table,
-    tensor_gauss_rule,
     total_degree_multi_indices,
 )
 
@@ -129,17 +128,10 @@ def test_gauss_rule_polynomial_exactness():
         assert float(weights @ nodes**p) == pytest.approx(exact, abs=1e-14)
 
 
-def test_tensor_rule_weights_and_shape():
-    nodes, weights = tensor_gauss_rule(3, 4)
-    assert nodes.shape == (64, 3)
-    assert weights.shape == (64,)
-    assert float(weights.sum()) == pytest.approx(1.0, abs=1e-13)
-
-
 @pytest.mark.parametrize("d,n0", [(1, 6), (2, 4), (3, 3)])
-def test_orthogonality(d, n0):
+def test_orthogonality(d, n0, tensor_rule):
     basis = total_degree_multi_indices(d, n0)
-    nodes, weights = tensor_gauss_rule(d, n0 + 1)
+    nodes, weights = tensor_rule(d, n0 + 1)
     psi = eval_basis_matrix(basis, nodes)
     gram = psi.T @ (weights[:, None] * psi)
     assert gram == pytest.approx(np.diag(basis.norms), abs=1e-12)
