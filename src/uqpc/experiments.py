@@ -72,9 +72,11 @@ __all__ = [
 METHODS = ("pc_mc21", "pc_bias", "pc_bias_trim", "var_deconv")
 GSA_METHODS = ("pc_bias", "pc_bias_trim")
 STUDY_KINDS = ("variance", "gsa", "response")
-# Largest float64 array a repetition may need: the n_xi x P basis matrix,
-# the P x d multi-index table and, for response builds, the P x P coefficient
-# covariance. A repetition holds a few arrays of this size at once in every
+# Bound on the largest float64 array a repetition may need: the n_xi x P
+# basis matrix and the P x P coefficient covariance of a response build, and
+# the P x d multi-index table. Variance and GSA fits never build the basis
+# matrix, only n_xi x (head terms) arrays, so for them the bound is
+# conservative. A repetition holds a few arrays of this size at once in every
 # worker, so a larger basis is refused in load_config rather than running
 # out of memory part-way through a study.
 MAX_ARRAY_BYTES = 2**28

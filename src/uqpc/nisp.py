@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from math import isqrt
 
 import numpy as np
 
-from .polybasis import MultiIndexBasis, eval_basis_matrix, total_degree_multi_indices
+from .polybasis import MultiIndexBasis, eval_basis_matrix, legendre_table, total_degree_multi_indices
 
 __all__ = [
     "PceSurrogate",
@@ -161,15 +160,27 @@ def _noise_correction(
     return 0.5 * (corr + corr.T)
 
 
+def _term_sums(w: np.ndarray, t: np.ndarray, basis: MultiIndexBasis) -> np.ndarray:
+    # Sum factorization: term k is Phi_h(xi_head) P_j(xi_last) with
+    # (h, j) = (row[k], last[k]), so sum_i w[h, i] t[j, i] sums the product
+    # of its two factors over the samples. einsum without `optimize` never
+    # calls BLAS, so the sums do not depend on the BLAS thread count.
+    _, row, last, _ = basis.split
+    return np.einsum("pi,ki->pk", w, t, optimize=False)[row, last]
+
+
 def build_surrogate(
     data: TrainingData, basis: MultiIndexBasis, full_covariance: bool = True
 ) -> PceSurrogate:
     """Fit coefficients and their estimator uncertainty in one pass.
 
-    Coefficients are the column means of Psi_k(xi_i) qtilde_i / b_k; with
+    Coefficients are the sample means of Psi_k(xi_i) qtilde_i / b_k; with
     n_xi >= 2, ``coefficient_variance`` holds their estimator variances.
-    ``full_covariance`` (which needs n_xi >= 2) also builds the P x P
-    covariance of the estimators, whose diagonal is then exactly
+    Both come from the sums of q Psi_k and (q Psi_k)^2 over the samples,
+    contracted from the (d - 1)-variable head terms and the last variable's
+    Legendre table, so this fit never forms the n_xi x P basis matrix.
+    ``full_covariance`` (which needs n_xi >= 2) forms it to build the P x P
+    covariance of the estimators instead, whose diagonal is then exactly
     ``coefficient_variance``, and for n_eta >= 2 the noise-corrected
     covariance: the covariance the same estimators would have if every QoI
     evaluation were noise-free. Its entries may dip below their noise-free
@@ -177,27 +188,34 @@ def build_surrogate(
     """
     _check_basis_match(data, basis)
     n = data.n_xi
-    psi = eval_basis_matrix(basis, data.samples)
-    terms = psi * (data.qtilde[:, None] / basis.norms[None, :])
-    coefficients = terms.mean(axis=0)
-    cov = noise_cov = var = None
+    head, _, _, first = basis.split
     if full_covariance:
         if n < 2:
             raise ValueError(f"need at least 2 samples to estimate covariance, got {n}")
-        dev = terms - coefficients
+        psi = eval_basis_matrix(basis, data.samples)
+        head_values = psi[:, first]
+    elif head is None:
+        head_values = np.ones((n, 1))
+    else:
+        head_values = eval_basis_matrix(head, data.samples[:, :-1])
+    # Degree-major head and last-variable factors: q Phi_h and P_j.
+    w = np.multiply(head_values.T, data.qtilde, order="C")
+    t = legendre_table(basis.total_degree, data.samples[:, -1]).T
+    coefficients = _term_sums(w, t, basis) / (n * basis.norms)
+    cov = noise_cov = var = None
+    if full_covariance:
+        dev = psi * (data.qtilde[:, None] / basis.norms[None, :]) - coefficients
         cov = dev.T @ dev / ((n - 1) * n)
         cov = 0.5 * (cov + cov.T)
         if data.sigma2eta is not None:
             noise_cov = cov - _noise_correction(data, basis, psi)
     elif n >= 2:
-        # Column sums of squared deviations without BLAS, so the result does
-        # not depend on the BLAS thread count. Summing blocks of about
-        # sqrt(n) rows first keeps the rounding error near sqrt(n) ulp
-        # instead of n.
-        terms -= coefficients
-        sq = np.square(terms, out=terms)
-        blocks = np.add.reduceat(sq, np.arange(0, n, isqrt(n)), axis=0)
-        var = blocks.sum(axis=0) / ((n - 1) * n)
+        s2 = _term_sums(w * w, t * t, basis)
+        var = (s2 / basis.norms**2 - n * coefficients**2) / ((n - 1) * n)
+        # The raw second moment cancels for the mean term of a nearly flat
+        # or noise-free response; sum its squared deviations directly.
+        dev = data.qtilde - coefficients[0]
+        var[0] = np.sum(dev * dev) / ((n - 1) * n)
     return PceSurrogate(
         basis=basis,
         coefficients=coefficients,

@@ -140,6 +140,23 @@ def exact_statistics(
     )
 
 
+def _section_factor_moments(
+    problem: SlabProblem, degrees: np.ndarray, level: int
+) -> tuple[np.ndarray, np.ndarray]:
+    # Mean and variance of each section's factor X_m = g_m P_{k_m} by the
+    # level-point rule. With g_m = c_m (1 + h_m), h_m = expm1(-a_m xi) and
+    # the exact E[P_k] = [k = 0], the deviation X_m - E[X_m] is summed from
+    # terms that keep full relative precision however small a_m is.
+    nodes, weights = gauss_legendre_rule(level)
+    c = np.exp(-problem.sigma0 * problem.dx)
+    h = np.expm1(-np.outer(problem.sigma_delta * problem.dx, nodes))
+    p = legendre_table(int(degrees.max()), nodes).T[degrees]
+    ph = p * h
+    mean_ph = ph @ weights
+    dev = (p - (degrees == 0)[:, None]) + (ph - mean_ph[:, None])
+    return c * ((degrees == 0) + mean_ph), c**2 * (dev**2 @ weights)
+
+
 def coefficient_moments_exact(
     problem: SlabProblem, basis: MultiIndexBasis, k: int, level: int | None = None
 ) -> tuple[float, float]:
@@ -149,16 +166,25 @@ def coefficient_moments_exact(
     Bernoulli variance of the analog transport game. These are the inputs
     the estimator-variance cost model needs. Each expectation is a product
     of per-section ``level``-point Gauss sums (default total_degree + 8).
+    Q Psi_k is a product of independent section factors X_m with means
+    E_m and variances V_m, so Var[Q Psi_k] = prod E[X_m^2] - prod E_m^2 is
+    evaluated as prod E[X_m^2] * -expm1(sum log1p(-V_m / E[X_m^2])): no
+    difference of near-equal products, and a factor with E_m = 0 needs no
+    special case.
     """
     if not 0 <= k < len(basis):
         raise ValueError(f"term index {k} out of range [0, {len(basis)})")
     if level is None:
         level = basis.total_degree + 8
-    m11, m21, m22 = (
-        float(_term_expectations(problem, basis.indices[k], level, j, p))
-        for j, p in ((1, 1), (2, 1), (2, 2))
+    mean, var = _section_factor_moments(problem, basis.indices[k], level)
+    second = mean**2 + var
+    with np.errstate(divide="ignore"):  # log1p(-1) = -inf where E_m = 0
+        log_kept = np.sum(np.log1p(-var / second))
+    var_qpsi = float(np.prod(second) * -np.expm1(log_kept))
+    m21, m22 = (
+        float(_term_expectations(problem, basis.indices[k], level, 2, p)) for p in (1, 2)
     )
-    return m22 - m11**2, m21 - m22
+    return var_qpsi, m21 - m22
 
 
 def mse(estimates, exact: float) -> float:

@@ -9,6 +9,7 @@ univariate norms are E[P_n^2] = 1/(2n + 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 from typing import Iterator
 
@@ -28,16 +29,17 @@ def legendre_table(n_max: int, x: np.ndarray) -> np.ndarray:
     """Evaluate P_0, ..., P_{n_max} at the points x by the three-term recurrence.
 
     Returns an array of shape (len(x), n_max + 1); column n holds P_n(x),
-    normalized so that P_n(1) = 1.
+    normalized so that P_n(1) = 1. The array is the transposed view of a
+    degree-major table, so ``.T`` holds each degree in one contiguous row.
     """
     x = np.asarray(x, dtype=float)
-    table = np.empty((x.size, n_max + 1))
-    table[:, 0] = 1.0
+    table = np.empty((n_max + 1, x.size))
+    table[0] = 1.0
     if n_max >= 1:
-        table[:, 1] = x
+        table[1] = x
     for k in range(1, n_max):
-        table[:, k + 1] = ((2 * k + 1) * x * table[:, k] - k * table[:, k - 1]) / (k + 1)
-    return table
+        table[k + 1] = ((2 * k + 1) * x * table[k] - k * table[k - 1]) / (k + 1)
+    return table.T
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -72,6 +74,26 @@ class MultiIndexBasis:
 
     def __len__(self) -> int:
         return self.indices.shape[0]
+
+    @cached_property
+    def split(self) -> tuple[MultiIndexBasis | None, np.ndarray, np.ndarray, np.ndarray]:
+        """Terms grouped by their head, the degrees of the first d - 1 variables.
+
+        Returns (head, row, last, first). Term k is head term ``row[k]`` times
+        P_{last[k]} of the last variable. ``head`` is the basis of the heads,
+        the same set and order as total_degree_multi_indices(d - 1, n0), or
+        None at d = 1, where every term has the one empty head. ``first[r]``
+        is the term of head r with last degree 0. Computed once per basis.
+        """
+        last = self.indices[:, -1]
+        first = np.flatnonzero(last == 0)
+        heads = self.indices[first, :-1]
+        position = {h: r for r, h in enumerate(map(tuple, heads.tolist()))}
+        row = np.array([position[h] for h in map(tuple, self.indices[:, :-1].tolist())])
+        head = None
+        if self.dimension > 1:
+            head = MultiIndexBasis(self.dimension - 1, self.total_degree, heads, self.norms[first])
+        return head, row, last, first
 
 
 def total_degree_multi_indices(d: int, n0: int) -> MultiIndexBasis:

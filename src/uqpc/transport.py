@@ -92,7 +92,8 @@ def simulate_training_set(
 
     Returns (qtilde, sigma2eta) arrays over the samples: the mean of the 0/1
     outcomes and their unbiased (n_eta - 1 divisor) sample variance, None
-    when n_eta == 1.
+    when n_eta == 1. Both follow from the count K of leaked histories:
+    qtilde = K / n_eta and sigma2eta = K (n_eta - K) / (n_eta (n_eta - 1)).
     """
     xis = np.asarray(xis, dtype=float)
     if xis.ndim != 2 or xis.shape[1] != problem.d:
@@ -101,8 +102,8 @@ def simulate_training_set(
         raise ValueError(f"n_eta must be >= 1, got {n_eta}")
     p = transmittance_batch(problem, xis)
     u = rng.random((xis.shape[0], n_eta))
-    f = u < p[:, None]
-    qtilde = f.mean(axis=1)
+    leaked = np.count_nonzero(u < p[:, None], axis=1)
+    qtilde = leaked / n_eta
     if n_eta == 1:
         return qtilde, None
-    return qtilde, f.var(axis=1, ddof=1)
+    return qtilde, leaked * (n_eta - leaked) / (n_eta * (n_eta - 1))

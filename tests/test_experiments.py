@@ -639,18 +639,33 @@ def test_variance_records_independent_of_blas_threads(tmp_path):
       repetitions: 3
     seed: 5
     """)
+    # A d=10, n0=3 GSA fit at n_xi=2000: a shape where a gemm contraction of
+    # the head terms gives different last bits at 1 and 2 BLAS threads.
+    gsa_path = write_config(tmp_path, "problem:\n  materials:\n" + "".join(
+        f"    - {{sigma0: {0.2 + 0.1 * m:.1f}, sigmaDelta: 0.15, dx: 0.3}}\n" for m in range(10)
+    ), """\
+    pce: {n0: 3}
+    study:
+      kind: gsa
+      n_xi_grid: [2000]
+      n_eta_grid: [1]
+      repetitions: 2
+    seed: 6
+    """, name="gsa.yaml")
     src = str(Path(__file__).resolve().parents[1] / "src")
-    records = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        out = tmp_path / f"threads{threads}"
-        subprocess.run(
-            [sys.executable, "-m", "uqpc.cli", "run", "--config", str(path), "--out", str(out)],
-            env=env, check=True, capture_output=True,
-        )
-        records.append((out / "records.csv").read_bytes())
-    assert records[0] == records[1]
+    for config, report in ((path, "records.csv"), (gsa_path, "gsa.csv")):
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            out = tmp_path / f"{config.stem}{threads}"
+            subprocess.run(
+                [sys.executable, "-m", "uqpc.cli", "run", "--config", str(config),
+                 "--out", str(out)],
+                env=env, check=True, capture_output=True,
+            )
+            outputs.append((out / report).read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 def test_cli_argument_errors(tmp_path):

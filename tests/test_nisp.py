@@ -17,7 +17,7 @@ from uqpc.nisp import (
     variance_deconvolution,
 )
 from uqpc.oracle import exact_variance, quadrature_coefficients
-from uqpc.polybasis import total_degree_multi_indices
+from uqpc.polybasis import eval_basis_matrix, total_degree_multi_indices
 from uqpc.transport import (
     SlabProblem,
     sample_parameters,
@@ -175,6 +175,74 @@ def test_diagonal_fit_matches_full_covariance(d3_problem, rng):
         assert np.array_equal(full.coefficient_variance, ref)
         assert np.array_equal(diag.coefficients, full.coefficients)
         assert np.all(np.abs(diag.coefficient_variance - ref) <= 1e-14 * np.abs(ref))
+
+
+def _basis_matrix_fit(data, basis):
+    # Reference fit from the explicit n_xi x P basis matrix: coefficients,
+    # the scale E|q Psi_k| / b_k of the sums behind them, and centred
+    # coefficient variances.
+    terms = eval_basis_matrix(basis, data.samples) * (data.qtilde[:, None] / basis.norms)
+    beta = terms.mean(axis=0)
+    n = data.n_xi
+    var = np.sum((terms - beta) ** 2, axis=0) / ((n - 1) * n)
+    return beta, np.abs(terms).mean(axis=0), var
+
+
+TEN_SECTIONS = SlabProblem(
+    sigma0=np.linspace(0.2, 1.1, 10), sigma_delta=np.linspace(0.15, 0.5, 10), dx=[0.3] * 10
+)
+
+
+@pytest.mark.parametrize("problem, n0", [("d1", 6), ("d3", 6), ("d10", 3)])
+def test_factorized_fit_matches_basis_matrix(problem, n0, d1_problem, d3_problem, rng):
+    problem = {"d1": d1_problem, "d3": d3_problem, "d10": TEN_SECTIONS}[problem]
+    basis = total_degree_multi_indices(problem.d, n0)
+    xis = sample_parameters(problem, 2000, rng)
+    qt, s2 = simulate_training_set(problem, xis, 2, rng)
+    data = TrainingData(xis, qt, s2, 2)
+    fit = build_surrogate(data, basis, full_covariance=False)
+    beta, scale, var = _basis_matrix_fit(data, basis)
+    assert np.all(np.abs(fit.coefficients - beta) <= 1e-13 * scale)
+    assert np.all(np.abs(fit.coefficient_variance - var) <= 1e-13 * var)
+
+
+@pytest.mark.parametrize("sigma_delta, n_eta", [(1e-8, 1), (0.29, 10)])
+def test_factorized_fit_flat_and_noise_free(sigma_delta, n_eta, rng):
+    # Noise-free tallies (sigma2eta all 0) of a nearly flat and of an
+    # ordinary slab: the mean term's raw second moment would cancel, so its
+    # variance must match the centred full path.
+    problem = SlabProblem(sigma0=[0.3] * 3, sigma_delta=[sigma_delta] * 3, dx=[1.0] * 3)
+    basis = total_degree_multi_indices(3, 6)
+    xis = sample_parameters(problem, 2000, rng)
+    s2 = None if n_eta == 1 else np.zeros(2000)
+    data = TrainingData(xis, transmittance_batch(problem, xis), s2, n_eta)
+    full = build_surrogate(data, basis)
+    diag = build_surrogate(data, basis, full_covariance=False)
+    ref = full.coefficient_variance
+    assert np.array_equal(diag.coefficients, full.coefficients)
+    assert ref[0] > 0.0
+    assert np.all(np.abs(diag.coefficient_variance - ref) <= 1e-13 * ref)
+
+
+def test_fit_layout_belongs_to_its_basis(d1_problem, d3_problem, rng):
+    # Alternating d=3 and d=1 fits in one process, each with a basis object
+    # that is dropped right after use, so a later basis often reuses the
+    # address of an earlier one: every fit must still match its reference.
+    datasets = []
+    for problem in (d3_problem, d1_problem):
+        xis = sample_parameters(problem, 50, rng)
+        qt, s2 = simulate_training_set(problem, xis, 4, rng)
+        datasets.append(TrainingData(xis, qt, s2, 4))
+    fits = []
+    for data in datasets * 20:
+        fit = build_surrogate(data, total_degree_multi_indices(data.d, 4),
+                              full_covariance=False)
+        fits.append((data, fit.coefficients, fit.coefficient_variance))
+        del fit
+    for data, coefficients, variance in fits:
+        beta, scale, var = _basis_matrix_fit(data, total_degree_multi_indices(data.d, 4))
+        assert np.all(np.abs(coefficients - beta) <= 1e-13 * scale)
+        assert np.all(np.abs(variance - var) <= 1e-13 * var)
 
 
 # -------------------------------------------------- statistical calibration

@@ -265,6 +265,32 @@ def test_factorized_oracle_matches_tensor_quadrature(n0, tensor_rule):
         assert noise == pytest.approx(noise_ref, rel=1e-13)
 
 
+@pytest.mark.parametrize("sigma_delta", [1e-7, 1e-8])
+def test_coefficient_moments_nearly_flat(sigma_delta):
+    # Var[Q Psi_0] = Var[Q] keeps full relative precision when the section
+    # variances are far below the squared means.
+    for problem in (
+        SlabProblem([1.0], [sigma_delta], [1.0]),
+        SlabProblem([1.0, 0.3], [sigma_delta, 0.29], [1.0, 2.0]),
+    ):
+        basis = total_degree_multi_indices(problem.d, 4)
+        var_qpsi, _ = coefficient_moments_exact(problem, basis, 0)
+        exact = exact_variance(problem)
+        assert abs(var_qpsi - exact) <= 1e-13 * exact
+
+
+def test_coefficient_moments_zero_factor_mean(tensor_rule):
+    # The second section is deterministic, so E[g_2 P_n] = 0 for n >= 1 and
+    # Var[Q Psi_k] = E[Q^2 Psi_k^2] for every term of positive degree in it.
+    problem = SlabProblem([0.3, 0.7], [0.29, 0.0], [1.0, 2.0])
+    basis = total_degree_multi_indices(2, 4)
+    nodes, weights = tensor_rule(2, 12)
+    qpsi = transmittance_batch(problem, nodes)[:, None] * eval_basis_matrix(basis, nodes)
+    for k in np.flatnonzero(basis.indices[:, 1] > 0):
+        var_qpsi, _ = coefficient_moments_exact(problem, basis, k)
+        assert var_qpsi == pytest.approx(weights @ qpsi[:, k] ** 2, rel=1e-13)
+
+
 def test_exact_sobol_matches_subset_sum():
     problem = SlabProblem(
         sigma0=[0.3, 1.0, 0.7, 2.0], sigma_delta=[0.29, 0.95, 0.2, 0.01], dx=[1.0, 0.5, 2.0, 1.0]

@@ -98,6 +98,33 @@ def test_eval_basis_matrix_is_exact_product(rng):
     assert np.array_equal(psi, ref)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_basis_split_into_heads(d):
+    for n0 in range(6):
+        basis = total_degree_multi_indices(d, n0)
+        head, row, last, first = basis.split
+        assert basis.split is basis.split  # computed once per basis
+        assert np.array_equal(last, basis.indices[:, -1])
+        assert np.array_equal(first, np.flatnonzero(last == 0))
+        if d == 1:
+            assert head is None
+            assert np.all(row == 0)
+            continue
+        ref = total_degree_multi_indices(d - 1, n0)
+        assert (head.dimension, head.total_degree) == (d - 1, n0)
+        assert np.array_equal(head.indices, ref.indices)
+        assert np.array_equal(head.norms, ref.norms)
+        assert np.array_equal(head.indices[row], basis.indices[:, :-1])
+        assert np.array_equal(row[first], np.arange(len(head)))
+
+
+def test_legendre_table_degree_major(rng):
+    x = rng.uniform(-1.0, 1.0, 50)
+    table = legendre_table(4, x)
+    assert table.shape == (50, 5)
+    assert table.T.flags.c_contiguous
+
+
 def test_eval_basis_dimension_check():
     basis = total_degree_multi_indices(2, 1)
     with pytest.raises(ValueError):

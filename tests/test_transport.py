@@ -144,3 +144,20 @@ def test_training_set_single_history(d1_problem, d3_problem, rng):
         simulate_training_set(d3_problem, xis, 0, rng)
     with pytest.raises(ValueError):
         simulate_training_set(d3_problem, xis[:, :2], 4, rng)
+
+
+@pytest.mark.parametrize("n_eta", [1, 2, 7, 100])
+def test_tally_statistics_from_counts(d3_problem, n_eta):
+    # The statistics come from the leak counts; the stream is one uniform per
+    # history, sample-major, so the same draw can be scored by hand.
+    xis = sample_parameters(d3_problem, 400, np.random.default_rng(3))
+    qt, s2 = simulate_training_set(d3_problem, xis, n_eta, np.random.default_rng(4))
+    u = np.random.default_rng(4).random((400, n_eta))
+    f = u < transmittance_batch(d3_problem, xis)[:, None]
+    assert np.array_equal(qt, f.mean(axis=1))
+    if n_eta == 1:
+        assert s2 is None
+        return
+    ref = f.var(axis=1, ddof=1)
+    assert np.array_equal(s2 == 0.0, ref == 0.0)
+    assert np.all(np.abs(s2 - ref) <= 1e-15 * ref)
