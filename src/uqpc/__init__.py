@@ -23,7 +23,6 @@ from .nisp import (
     TrainingData,
     build_surrogate,
     load_surrogate,
-    pce_mean,
     pce_variance_biased,
     pce_variance_unbiased,
     predict,
@@ -34,13 +33,10 @@ from .nisp import (
     variance_deconvolution,
 )
 from .oracle import (
-    ExactStatistics,
     coefficient_moments_exact,
     exact_mean,
     exact_sobol,
-    exact_statistics,
     exact_variance,
-    mse,
     quadrature_coefficients,
     section_moments,
 )

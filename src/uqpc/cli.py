@@ -9,7 +9,7 @@ import sys
 import numpy as np
 
 from .experiments import ConfigError, apply_overrides, load_config, run_study, write_report
-from .oracle import exact_statistics
+from .oracle import exact_mean, exact_sobol, exact_variance, quadrature_coefficients
 from .polybasis import total_degree_multi_indices
 
 __all__ = ["main"]
@@ -55,18 +55,18 @@ def _cmd_run(args) -> int:
 
 def _cmd_oracle(args) -> int:
     config = load_config(args.config)
-    basis = total_degree_multi_indices(config.problem.d, config.n0)
-    stats = exact_statistics(config.problem, basis)
-    beta = stats.coefficients
-    pc_variance = float(np.sum(beta[1:] ** 2 * basis.norms[1:]))
+    problem = config.problem
+    basis = total_degree_multi_indices(problem.d, config.n0)
+    beta = quadrature_coefficients(problem, basis)
+    first, total = exact_sobol(problem)
     payload = {
-        "mean": stats.mean,
-        "variance": stats.variance,
+        "mean": exact_mean(problem),
+        "variance": exact_variance(problem),
         "pc_mean": float(beta[0]),
-        "pc_variance": pc_variance,
+        "pc_variance": float(np.sum(beta[1:] ** 2 * basis.norms[1:])),
         "n0": config.n0,
-        "sobol_first": stats.sobol_first.tolist(),
-        "sobol_total": stats.sobol_total.tolist(),
+        "sobol_first": first.tolist(),
+        "sobol_total": total.tolist(),
     }
     print(json.dumps(payload, indent=1))
     return 0

@@ -1,13 +1,16 @@
 """Repetition studies over (n_xi, n_eta) grids with deterministic parallelism.
 
-Three study kinds share one config format and runner:
+Three study kinds share one config format and one runner, run_study. Each
+is a repetition study of (n_xi, n_eta) sampling cells, and differs only in
+its per-repetition estimator and in how a cell's repetitions are reported:
 
 - ``variance``: repeated variance estimation per grid cell and method, with
   MSE against the exact value, plus estimator density histograms.
 - ``gsa``: repeated Sobol-index estimation (first-order and total).
-- ``response``: independent surrogate builds on one grid cell, each emitting
-  the predicted curve with a 2-stddev coefficient-uncertainty band next to
-  the analytic curve, with and without trim.
+- ``response``: independent surrogate builds on one grid cell (build s is
+  repetition s of cell 0), each emitting the predicted curve with a
+  2-stddev coefficient-uncertainty band next to the analytic curve, with and
+  without trim.
 
 Randomness: the work unit (grid cell g, repetition r) consumes exactly one
 generator, derived as default_rng(SeedSequence(master_seed, spawn_key=(g, r)))
@@ -43,7 +46,7 @@ from .nisp import (
     variance_deconvolution,
 )
 from .oracle import exact_mean, exact_sobol, exact_variance
-from .polybasis import basis_count, total_degree_multi_indices
+from .polybasis import MultiIndexBasis, basis_count, total_degree_multi_indices
 from .transport import (
     SlabProblem,
     sample_parameters,
@@ -62,16 +65,16 @@ __all__ = [
     "derive_rng",
     "emit_density",
     "load_config",
-    "run_gsa_study",
-    "run_response_study",
     "run_study",
-    "run_variance_study",
     "write_report",
 ]
 
 METHODS = ("pc_mc21", "pc_bias", "pc_bias_trim", "var_deconv")
 GSA_METHODS = ("pc_bias", "pc_bias_trim")
 STUDY_KINDS = ("variance", "gsa", "response")
+STUDY_KEYS = ("kind", "n_xi_grid", "n_eta_grid", "repetitions", "methods", "noise_free",
+              "bins", "response_points")
+MATERIAL_KEYS = ("sigma0", "sigmaDelta", "sigma_delta", "lo", "hi", "dx")
 # Bound on the largest float64 array a repetition may need: the n_xi x P
 # basis matrix and the P x P coefficient covariance of a response build, and
 # the P x d multi-index table. Variance and GSA fits never build the basis
@@ -163,6 +166,18 @@ def derive_rng(master_seed: int, *path: int) -> np.random.Generator:
 # Config parsing
 
 
+def _mapping(value, allowed: tuple[str, ...], context: str) -> dict:
+    # A misspelt key would otherwise fall back to its default without a word.
+    if not isinstance(value, dict):
+        raise ConfigError(f"{context} must be a mapping")
+    unknown = [key for key in value if key not in allowed]
+    if unknown:
+        raise ConfigError(
+            f"unknown key {unknown[0]!r} in {context}; allowed: {', '.join(allowed)}"
+        )
+    return value
+
+
 def _require(mapping: dict, key: str, context: str):
     if key not in mapping:
         raise ConfigError(f"missing '{key}' in {context}")
@@ -196,16 +211,14 @@ def _as_int_grid(value, context: str, minimum: int = 1) -> tuple[int, ...]:
 
 
 def _parse_problem(section) -> SlabProblem:
-    if not isinstance(section, dict):
-        raise ConfigError("'problem' must be a mapping")
+    section = _mapping(section, ("materials",), "'problem'")
     materials = _require(section, "materials", "'problem'")
     if not isinstance(materials, list) or not materials:
         raise ConfigError("'problem.materials' must be a non-empty list")
     sigma0, sigma_delta, dx = [], [], []
     for pos, mat in enumerate(materials):
         context = f"'problem.materials[{pos}]'"
-        if not isinstance(mat, dict):
-            raise ConfigError(f"{context} must be a mapping")
+        _mapping(mat, MATERIAL_KEYS, context)
         dx.append(_as_float(_require(mat, "dx", context), f"{context} dx"))
         if "lo" in mat or "hi" in mat:
             lo = _as_float(_require(mat, "lo", context), f"{context} lo")
@@ -229,8 +242,7 @@ def _parse_problem(section) -> SlabProblem:
 def _parse_cost(section) -> CostModel | None:
     if section is None:
         return None
-    if not isinstance(section, dict):
-        raise ConfigError("'cost' must be a mapping")
+    _mapping(section, ("total", "xi", "eta"), "'cost'")
     try:
         return CostModel(
             c_total=_as_float(_require(section, "total", "'cost'"), "'cost.total'"),
@@ -251,8 +263,7 @@ def load_config(path) -> StudyConfig:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a mapping")
+    _mapping(raw, ("problem", "pce", "study", "cost", "seed"), "config root")
 
     problem = _parse_problem(_require(raw, "problem", "config"))
     # The exact Sobol indices of the summary divide by the output variance,
@@ -262,16 +273,12 @@ def load_config(path) -> StudyConfig:
             "problem has no uncertainty: the transmittance variance is 0 "
             "(every sigmaDelta is 0 or too small to resolve)"
         )
-    pce = _require(raw, "pce", "config")
-    if not isinstance(pce, dict):
-        raise ConfigError("'pce' must be a mapping")
+    pce = _mapping(_require(raw, "pce", "config"), ("n0",), "'pce'")
     n0 = _require(pce, "n0", "'pce'")
     if not isinstance(n0, int) or isinstance(n0, bool) or n0 < 0:
         raise ConfigError(f"'pce.n0' must be a nonnegative integer, got {n0!r}")
 
-    study = _require(raw, "study", "config")
-    if not isinstance(study, dict):
-        raise ConfigError("'study' must be a mapping")
+    study = _mapping(_require(raw, "study", "config"), STUDY_KEYS, "'study'")
     kind = study.get("kind", "variance")
     if kind not in STUDY_KINDS:
         raise ConfigError(f"'study.kind' must be one of {STUDY_KINDS}, got {kind!r}")
@@ -281,10 +288,13 @@ def load_config(path) -> StudyConfig:
     )
     n_eta_grid = _as_int_grid(_require(study, "n_eta_grid", "'study'"), "'study.n_eta_grid'")
     repetitions = _as_positive_int(study.get("repetitions", 200), "'study.repetitions'")
-    methods_raw = study.get("methods", list(METHODS if kind == "variance" else GSA_METHODS))
-    if not isinstance(methods_raw, list) or not methods_raw:
+    # Response builds fit, trim and predict; they have no methods to choose.
+    allowed = {"variance": METHODS, "gsa": GSA_METHODS, "response": ()}[kind]
+    methods_raw = study.get("methods", list(allowed))
+    if not allowed and "methods" in study:
+        raise ConfigError("'study.methods' does not apply to response studies")
+    if not isinstance(methods_raw, list) or (allowed and not methods_raw):
         raise ConfigError("'study.methods' must be a non-empty list")
-    allowed = GSA_METHODS if kind == "gsa" else METHODS
     for m in methods_raw:
         if m not in allowed:
             raise ConfigError(f"unknown method {m!r} for kind {kind!r}; allowed: {allowed}")
@@ -333,6 +343,9 @@ def load_config(path) -> StudyConfig:
 
 # ---------------------------------------------------------------------------
 # Per-repetition estimation
+#
+# An estimator maps one repetition's training data and the cell's basis to
+# what that study kind records, and fits only what it reads.
 
 
 def _draw_training(
@@ -348,18 +361,28 @@ def _draw_training(
     return TrainingData(xis, qtilde, sigma2, n_eta)
 
 
-def _trim_target(data: TrainingData, surrogate: PceSurrogate) -> float:
-    # Noise-corrected variance target for the trim: deconvolution when the
-    # per-sample noise variance is observable, the unbiased expansion total
-    # otherwise (n_eta = 1).
-    if data.sigma2eta is not None:
-        return variance_deconvolution(data)
-    return pce_variance_unbiased(surrogate)
+def _deconvolution(data: TrainingData, methods) -> float | None:
+    # Variance deconvolution is the var_deconv estimate and, where the
+    # per-sample noise variance is observable (n_eta >= 2), the trim target
+    # of pc_bias_trim; it runs once per repetition, and only if read.
+    if data.sigma2eta is None or not {"var_deconv", "pc_bias_trim"} & set(methods):
+        return None
+    return variance_deconvolution(data)
+
+
+def _trimmed(surrogate: PceSurrogate, deconv: float | None) -> PceSurrogate:
+    # Trim to the noise-corrected variance target: the deconvolution
+    # estimate when there is one, the unbiased expansion total otherwise
+    # (n_eta = 1).
+    target = pce_variance_unbiased(surrogate) if deconv is None else deconv
+    return trim_expansion(surrogate, target)
 
 
 def _variance_estimates(
-    config: StudyConfig, data: TrainingData, surrogate: PceSurrogate
+    config: StudyConfig, data: TrainingData, basis: MultiIndexBasis
 ) -> dict[str, float]:
+    surrogate = build_surrogate(data, basis, full_covariance=False)
+    deconv = _deconvolution(data, config.methods)
     out: dict[str, float] = {}
     for method in config.methods:
         if method == "pc_mc21":
@@ -367,11 +390,9 @@ def _variance_estimates(
         elif method == "pc_bias":
             out[method] = pce_variance_unbiased(surrogate)
         elif method == "pc_bias_trim":
-            trimmed = trim_expansion(surrogate, _trim_target(data, surrogate))
-            out[method] = pce_variance_unbiased(trimmed)
-        elif method == "var_deconv":
-            if data.n_eta >= 2:
-                out[method] = variance_deconvolution(data)
+            out[method] = pce_variance_unbiased(_trimmed(surrogate, deconv))
+        elif deconv is not None:
+            out[method] = deconv
     return out
 
 
@@ -386,16 +407,32 @@ def _sobol_or_nan(surrogate: PceSurrogate) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _gsa_estimates(
-    config: StudyConfig, data: TrainingData, surrogate: PceSurrogate
+    config: StudyConfig, data: TrainingData, basis: MultiIndexBasis
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    surrogate = build_surrogate(data, basis, full_covariance=False)
+    deconv = _deconvolution(data, config.methods)
     out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for method in config.methods:
-        if method == "pc_bias":
-            out[method] = _sobol_or_nan(surrogate)
-        else:
-            trimmed = trim_expansion(surrogate, _trim_target(data, surrogate))
-            out[method] = _sobol_or_nan(trimmed)
+        fit = surrogate if method == "pc_bias" else _trimmed(surrogate, deconv)
+        out[method] = _sobol_or_nan(fit)
     return out
+
+
+def _response_grid(config: StudyConfig) -> np.ndarray:
+    return np.linspace(-1.0, 1.0, config.response_points)
+
+
+def _response_estimates(config: StudyConfig, data: TrainingData, basis: MultiIndexBasis):
+    # One surrogate build with its covariances, and for the fit and its
+    # trim the predicted curve, the half-width of its 2-stddev band and
+    # the number of retained terms.
+    surrogate = build_surrogate(data, basis)
+    pts = _response_grid(config)[:, None]
+    curves = []
+    for fit in (surrogate, _trimmed(surrogate, _deconvolution(data, ["pc_bias_trim"]))):
+        half = 2.0 * prediction_stddev(fit, pts, use_noise_corrected=data.n_eta >= 2)
+        curves.append((predict(fit, pts), half, fit.n_retained))
+    return surrogate, curves
 
 
 # Worker functions are module-level so process pools can pickle them.
@@ -403,8 +440,7 @@ def _gsa_estimates(
 
 def _cell_chunk(config: StudyConfig, estimate, i_xi: int, i_eta: int, reps: range):
     # One work unit: repetitions `reps` of grid cell (i_xi, i_eta), sharing
-    # one basis. The estimators read only coefficient variances, so the fit
-    # skips the P x P matrices.
+    # one basis.
     cell = i_xi * len(config.n_eta_grid) + i_eta
     n_xi = config.n_xi_grid[i_xi]
     n_eta = config.n_eta_grid[i_eta]
@@ -412,53 +448,12 @@ def _cell_chunk(config: StudyConfig, estimate, i_xi: int, i_eta: int, reps: rang
     out = []
     for rep in reps:
         rng = derive_rng(config.master_seed, cell, rep)
-        data = _draw_training(config, n_xi, n_eta, rng)
-        surrogate = build_surrogate(data, basis, full_covariance=False)
-        out.append(estimate(config, data, surrogate))
+        out.append(estimate(config, _draw_training(config, n_xi, n_eta, rng), basis))
     return i_xi, i_eta, out
 
 
-def _response_build(config: StudyConfig, sample_index: int):
-    n_xi = config.n_xi_grid[0]
-    n_eta = config.n_eta_grid[0]
-    rng = derive_rng(config.master_seed, 0, sample_index)
-    data = _draw_training(config, n_xi, n_eta, rng)
-    basis = total_degree_multi_indices(config.problem.d, config.n0)
-    surrogate = build_surrogate(data, basis)
-    trimmed = trim_expansion(surrogate, _trim_target(data, surrogate))
-    grid = np.linspace(-1.0, 1.0, config.response_points)
-    pts = grid[:, None]
-    analytic = transmittance_batch(config.problem, pts)
-    use_corrected = data.n_eta >= 2
-    curves = []
-    for fit, is_trim in ((surrogate, False), (trimmed, True)):
-        mid = predict(fit, pts)
-        half = 2.0 * prediction_stddev(fit, pts, use_noise_corrected=use_corrected)
-        curves.append(
-            ResponseCurve(
-                sample_index=sample_index,
-                trimmed=is_trim,
-                xi=grid,
-                predict=mid,
-                band_lo=mid - half,
-                band_hi=mid + half,
-                analytic=analytic,
-                n_retained=fit.n_retained,
-            )
-        )
-    return sample_index, surrogate, curves
-
-
 # ---------------------------------------------------------------------------
-# Study runners
-
-
-def _run_units(units, worker, workers: int):
-    if workers <= 1:
-        return [worker(*unit) for unit in units]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(worker, *unit) for unit in units]
-        return [f.result() for f in futures]
+# Study runner
 
 
 def _rep_chunks(repetitions: int, workers: int) -> list[range]:
@@ -469,25 +464,24 @@ def _rep_chunks(repetitions: int, workers: int) -> list[range]:
 
 
 def _run_grid(config: StudyConfig, estimate, workers: int):
-    """Yield (n_xi, n_eta, {method: estimates by repetition}) per cell, in grid order.
-
-    A method the estimator skips in a cell (var_deconv at n_eta = 1) is left
-    out of that cell's mapping.
-    """
+    """Yield (n_xi, n_eta, [estimate by repetition]) per cell, in grid order."""
     units = [
         (config, estimate, i_xi, i_eta, reps)
         for i_xi in range(len(config.n_xi_grid))
         for i_eta in range(len(config.n_eta_grid))
         for reps in _rep_chunks(config.repetitions, workers)
     ]
+    if workers <= 1:
+        results = [_cell_chunk(*unit) for unit in units]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(_cell_chunk, *unit) for unit in units]
+            results = [f.result() for f in futures]
     cells: dict[tuple[int, int], list] = {}
-    for i_xi, i_eta, estimates in _run_units(units, _cell_chunk, workers):
+    for i_xi, i_eta, estimates in results:
         cells.setdefault((i_xi, i_eta), []).extend(estimates)
     for (i_xi, i_eta), estimates in cells.items():
-        # Whether a method applies depends on the cell only, so the first
-        # repetition speaks for all of them.
-        by_method = {m: [e[m] for e in estimates] for m in config.methods if m in estimates[0]}
-        yield config.n_xi_grid[i_xi], config.n_eta_grid[i_eta], by_method
+        yield config.n_xi_grid[i_xi], config.n_eta_grid[i_eta], estimates
 
 
 def emit_density(values, bins: int) -> DensityHistogram:
@@ -508,12 +502,6 @@ def emit_density(values, bins: int) -> DensityHistogram:
         )
     density, edges = np.histogram(values, bins=bins, range=(lo, hi), density=True)
     return DensityHistogram(edges=edges, density=density)
-
-
-def _realized_cost(config: StudyConfig, n_xi: int, n_eta: int) -> float | None:
-    if config.cost is None:
-        return None
-    return n_xi * (config.cost.c_xi + config.cost.c_eta * n_eta)
 
 
 def _base_summary(config: StudyConfig) -> dict:
@@ -540,93 +528,95 @@ def _base_summary(config: StudyConfig) -> dict:
     return summary
 
 
-def run_variance_study(config: StudyConfig, workers: int = 1) -> StudyReport:
-    """Repeated variance estimation over the full (n_xi, n_eta) grid."""
-    exact_var = exact_variance(config.problem)
-    report = StudyReport(config=config, summary=_base_summary(config))
-    cells = []
-    for n_xi, n_eta, by_method in _run_grid(config, _variance_estimates, workers):
-        methods = {}
-        for method in config.methods:
-            if method not in by_method:
-                methods[method] = {"available": False}
-                continue
-            estimates = np.array(by_method[method])
-            for rep, est in enumerate(estimates):
-                report.records.append(Record(n_xi, n_eta, method, rep, float(est)))
-            report.densities[(n_xi, n_eta, method)] = emit_density(estimates, config.bins)
-            methods[method] = {
-                "available": True,
-                "mean": float(estimates.mean()),
-                "bias": float(estimates.mean() - exact_var),
-                "mse": float(np.mean((estimates - exact_var) ** 2)),
-                "variance": float(estimates.var(ddof=1)) if len(estimates) > 1 else 0.0,
-            }
-        cells.append({
-            "n_xi": n_xi,
-            "n_eta": n_eta,
-            "realized_cost": _realized_cost(config, n_xi, n_eta),
-            "methods": methods,
-        })
-    report.summary["cells"] = cells
-    return report
+def _variance_cell(report: StudyReport, n_xi: int, n_eta: int, estimates: list) -> dict:
+    config = report.config
+    exact_var = report.summary["exact"]["variance"]
+    methods = {}
+    for method in config.methods:
+        # Whether a method applies depends on the cell only (var_deconv
+        # needs n_eta >= 2), so the first repetition speaks for all.
+        if method not in estimates[0]:
+            methods[method] = {"available": False}
+            continue
+        draws = [e[method] for e in estimates]
+        report.records.extend(
+            Record(n_xi, n_eta, method, rep, est) for rep, est in enumerate(draws)
+        )
+        report.densities[(n_xi, n_eta, method)] = emit_density(draws, config.bins)
+        values = np.array(draws)
+        methods[method] = {
+            "available": True,
+            "mean": float(values.mean()),
+            "bias": float(values.mean() - exact_var),
+            "mse": float(np.mean((values - exact_var) ** 2)),
+            "variance": float(values.var(ddof=1)) if len(values) > 1 else 0.0,
+        }
+    cost = config.cost
+    realized_cost = None if cost is None else n_xi * (cost.c_xi + cost.c_eta * n_eta)
+    return {"n_xi": n_xi, "n_eta": n_eta, "realized_cost": realized_cost, "methods": methods}
 
 
-def run_gsa_study(config: StudyConfig, workers: int = 1) -> StudyReport:
-    """Repeated Sobol-index estimation; one gsa record per method and repetition."""
-    report = StudyReport(config=config, summary=_base_summary(config))
-    cells = []
-    for n_xi, n_eta, by_method in _run_grid(config, _gsa_estimates, workers):
-        methods = {}
-        for method, draws in by_method.items():
-            for rep, (first, total) in enumerate(draws):
-                report.gsa_records.append(GsaRecord(n_xi, n_eta, method, rep, first, total))
-            firsts = np.array([first for first, _ in draws])
-            totals = np.array([total for _, total in draws])
-            # Summary statistics clamp indices into [0, 1] and skip
-            # undefined (NaN) draws; gsa.csv keeps the raw values.
-            defined = ~np.isnan(firsts[:, 0])
-            n_defined = int(defined.sum())
-            cf = np.clip(firsts[defined], 0.0, 1.0)
-            ct = np.clip(totals[defined], 0.0, 1.0)
-            methods[method] = {
-                "n_defined": n_defined,
-                "mean_first": cf.mean(axis=0).tolist() if n_defined else None,
-                "mean_total": ct.mean(axis=0).tolist() if n_defined else None,
-                "std_first": cf.std(axis=0, ddof=1).tolist() if n_defined > 1 else None,
-            }
-        cells.append({"n_xi": n_xi, "n_eta": n_eta, "methods": methods})
-    report.summary["cells"] = cells
-    return report
+def _gsa_cell(report: StudyReport, n_xi: int, n_eta: int, estimates: list) -> dict:
+    methods = {}
+    for method in report.config.methods:
+        draws = [e[method] for e in estimates]
+        report.gsa_records.extend(
+            GsaRecord(n_xi, n_eta, method, rep, first, total)
+            for rep, (first, total) in enumerate(draws)
+        )
+        firsts = np.array([first for first, _ in draws])
+        totals = np.array([total for _, total in draws])
+        # Summary statistics clamp indices into [0, 1] and skip undefined
+        # (NaN) draws; gsa.csv keeps the raw values.
+        defined = ~np.isnan(firsts[:, 0])
+        n_defined = int(defined.sum())
+        cf = np.clip(firsts[defined], 0.0, 1.0)
+        ct = np.clip(totals[defined], 0.0, 1.0)
+        methods[method] = {
+            "n_defined": n_defined,
+            "mean_first": cf.mean(axis=0).tolist() if n_defined else None,
+            "mean_total": ct.mean(axis=0).tolist() if n_defined else None,
+            "std_first": cf.std(axis=0, ddof=1).tolist() if n_defined > 1 else None,
+        }
+    return {"n_xi": n_xi, "n_eta": n_eta, "methods": methods}
 
 
-def run_response_study(config: StudyConfig, workers: int = 1) -> StudyReport:
-    """Independent surrogate builds, each with trimmed and untrimmed curves."""
-    units = [(config, s) for s in range(config.repetitions)]
-    results = _run_units(units, _response_build, workers)
-    report = StudyReport(config=config, summary=_base_summary(config))
+def _response_cell(report: StudyReport, n_xi: int, n_eta: int, estimates: list) -> dict:
+    # Repetition s is build s, drawn from stream (master_seed, 0, s).
+    config = report.config
+    grid = _response_grid(config)
+    analytic = transmittance_batch(config.problem, grid[:, None])
     builds = []
-    for sample_index, surrogate, (full, trimmed) in results:
+    for sample, (surrogate, curves) in enumerate(estimates):
         report.surrogates.append(surrogate)
-        report.response_curves.extend((full, trimmed))
-        builds.append({
-            "sample": sample_index,
-            "n_retained_full": full.n_retained,
-            "n_retained_trimmed": trimmed.n_retained,
-        })
-    report.summary["cells"] = [
-        {"n_xi": config.n_xi_grid[0], "n_eta": config.n_eta_grid[0], "builds": builds}
-    ]
-    return report
+        report.response_curves.extend(
+            ResponseCurve(sample, trimmed, grid, mid, mid - half, mid + half, analytic, kept)
+            for trimmed, (mid, half, kept) in zip((False, True), curves)
+        )
+        (_, _, full), (_, _, trim) = curves
+        builds.append({"sample": sample, "n_retained_full": full, "n_retained_trimmed": trim})
+    return {"n_xi": n_xi, "n_eta": n_eta, "builds": builds}
+
+
+# Study kind -> (estimator, cell aggregator). A cell aggregator adds one
+# cell's repetitions to the report and returns the cell's summary entry.
+_STUDIES = {
+    "variance": (_variance_estimates, _variance_cell),
+    "gsa": (_gsa_estimates, _gsa_cell),
+    "response": (_response_estimates, _response_cell),
+}
 
 
 def run_study(config: StudyConfig, workers: int = 1) -> StudyReport:
-    runner = {
-        "variance": run_variance_study,
-        "gsa": run_gsa_study,
-        "response": run_response_study,
-    }[config.kind]
-    return runner(config, workers=workers)
+    """Run the config's study: each repetition of each grid cell through the
+    kind's estimator, then each cell through its aggregator, in grid order."""
+    estimate, aggregate = _STUDIES[config.kind]
+    report = StudyReport(config=config, summary=_base_summary(config))
+    report.summary["cells"] = [
+        aggregate(report, n_xi, n_eta, estimates)
+        for n_xi, n_eta, estimates in _run_grid(config, estimate, workers)
+    ]
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -634,12 +624,13 @@ def run_study(config: StudyConfig, workers: int = 1) -> StudyReport:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    # repr keeps full float precision so reruns are byte-identical.
+    # csv writes a float as its repr, which keeps full precision, so reruns
+    # are byte-identical. Rows must hold Python scalars: a numpy float would
+    # be written as "np.float64(...)".
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else str(v) for v in row])
+        writer.writerows(rows)
 
 
 def write_report(report: StudyReport, out_dir) -> list[Path]:
@@ -659,10 +650,7 @@ def write_report(report: StudyReport, out_dir) -> list[Path]:
         _write_csv(
             path,
             ["n_xi", "n_eta", "method", "repetition", "estimate"],
-            (
-                (r.n_xi, r.n_eta, r.method, r.repetition, r.estimate)
-                for r in report.records
-            ),
+            ((r.n_xi, r.n_eta, r.method, r.repetition, r.estimate) for r in report.records),
         )
         written.append(path)
 
@@ -671,10 +659,7 @@ def write_report(report: StudyReport, out_dir) -> list[Path]:
         _write_csv(
             path,
             ["bin_left", "bin_right", "density"],
-            (
-                (float(hist.edges[b]), float(hist.edges[b + 1]), float(hist.density[b]))
-                for b in range(len(hist.density))
-            ),
+            np.column_stack((hist.edges[:-1], hist.edges[1:], hist.density)).tolist(),
         )
         written.append(path)
 
@@ -691,8 +676,8 @@ def write_report(report: StudyReport, out_dir) -> list[Path]:
             header,
             (
                 [g.n_xi, g.n_eta, g.method, g.repetition]
-                + [float(v) for v in g.first_order]
-                + [float(v) for v in g.total]
+                + g.first_order.tolist()
+                + g.total.tolist()
                 for g in report.gsa_records
             ),
         )
@@ -701,19 +686,11 @@ def write_report(report: StudyReport, out_dir) -> list[Path]:
     for curve in report.response_curves:
         suffix = "_trim" if curve.trimmed else ""
         path = out / f"response_{curve.sample_index}{suffix}.csv"
+        columns = (curve.xi, curve.predict, curve.band_lo, curve.band_hi, curve.analytic)
         _write_csv(
             path,
             ["xi", "predict", "band_lo", "band_hi", "analytic"],
-            (
-                (
-                    float(curve.xi[i]),
-                    float(curve.predict[i]),
-                    float(curve.band_lo[i]),
-                    float(curve.band_hi[i]),
-                    float(curve.analytic[i]),
-                )
-                for i in range(len(curve.xi))
-            ),
+            np.column_stack(columns).tolist(),
         )
         written.append(path)
 

@@ -24,7 +24,6 @@ __all__ = [
     "TrainingData",
     "build_surrogate",
     "load_surrogate",
-    "pce_mean",
     "pce_variance_biased",
     "pce_variance_unbiased",
     "predict",
@@ -226,11 +225,6 @@ def build_surrogate(
         n_eta=data.n_eta,
         coefficient_variance=var,
     )
-
-
-def pce_mean(surrogate: PceSurrogate) -> float:
-    """Expansion mean, the coefficient of the constant term."""
-    return float(surrogate.coefficients[0])
 
 
 def _retained_tail(surrogate: PceSurrogate) -> np.ndarray:

@@ -9,21 +9,16 @@ the verification targets for the sampling estimators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .polybasis import MultiIndexBasis, gauss_legendre_rule, legendre_table
 from .transport import SlabProblem
 
 __all__ = [
-    "ExactStatistics",
     "coefficient_moments_exact",
     "exact_mean",
     "exact_sobol",
-    "exact_statistics",
     "exact_variance",
-    "mse",
     "quadrature_coefficients",
     "section_moments",
 ]
@@ -73,15 +68,14 @@ def exact_variance(problem: SlabProblem) -> float:
     return float(np.prod(mu**2) * np.expm1(np.sum(np.log1p(r))))
 
 
-def _term_expectations(
-    problem: SlabProblem, degrees: np.ndarray, level: int, j: int, p: int
-) -> np.ndarray:
-    # E[Psi_k^j Q^p] = prod_m E[P_{k_m}^j g_m^p] for every multi-index k in
-    # the rows of `degrees`, each factor by the level-point Gauss rule.
+def _section_sums(problem: SlabProblem, degrees: np.ndarray, level: int, j: int, factor):
+    # E[P_{k_m}^j factor(tau_m)] per section m for every multi-index k in the
+    # rows of `degrees`, by the level-point Gauss rule; tau_m is the
+    # section's optical depth, so factor = exp(-tau) gives E[P^j g_m].
     nodes, weights = gauss_legendre_rule(level)
     tau = np.outer(problem.sigma_delta * problem.dx, nodes) + (problem.sigma0 * problem.dx)[:, None]
-    table = (weights * np.exp(-p * tau)) @ legendre_table(int(degrees.max()), nodes) ** j
-    return np.prod(table[np.arange(problem.d), degrees], axis=-1)
+    table = (weights * factor(tau)) @ legendre_table(int(degrees.max()), nodes) ** j
+    return table[np.arange(problem.d), degrees]
 
 
 def quadrature_coefficients(
@@ -97,7 +91,8 @@ def quadrature_coefficients(
         raise ValueError(f"basis dimension {basis.dimension} != problem dimension {problem.d}")
     if level is None:
         level = basis.total_degree + 2
-    return _term_expectations(problem, basis.indices, level, 1, 1) / basis.norms
+    sums = _section_sums(problem, basis.indices, level, 1, lambda tau: np.exp(-tau))
+    return np.prod(sums, axis=-1) / basis.norms
 
 
 def exact_sobol(problem: SlabProblem) -> tuple[np.ndarray, np.ndarray]:
@@ -114,30 +109,6 @@ def exact_sobol(problem: SlabProblem) -> tuple[np.ndarray, np.ndarray]:
     total_log = np.sum(log1p_r)
     scale = np.expm1(total_log)
     return r / scale, r * np.exp(total_log - log1p_r) / scale
-
-
-@dataclass(frozen=True, eq=False)
-class ExactStatistics:
-    """Bundle of exact reference values for one problem and basis."""
-
-    mean: float
-    variance: float
-    coefficients: np.ndarray
-    sobol_first: np.ndarray
-    sobol_total: np.ndarray
-
-
-def exact_statistics(
-    problem: SlabProblem, basis: MultiIndexBasis, level: int | None = None
-) -> ExactStatistics:
-    first, total = exact_sobol(problem)
-    return ExactStatistics(
-        mean=exact_mean(problem),
-        variance=exact_variance(problem),
-        coefficients=quadrature_coefficients(problem, basis, level),
-        sobol_first=first,
-        sobol_total=total,
-    )
 
 
 def _section_factor_moments(
@@ -170,7 +141,10 @@ def coefficient_moments_exact(
     E_m and variances V_m, so Var[Q Psi_k] = prod E[X_m^2] - prod E_m^2 is
     evaluated as prod E[X_m^2] * -expm1(sum log1p(-V_m / E[X_m^2])): no
     difference of near-equal products, and a factor with E_m = 0 needs no
-    special case.
+    special case. Likewise E[Psi_k^2 Q] - E[Psi_k^2 Q^2], with
+    A_m = E[P_{k_m}^2 g_m] and C_m = E[P_{k_m}^2 g_m (1 - g_m)] (1 - g_m
+    taken as -expm1(-tau_m)), is prod A_m * -expm1(sum log1p(-C_m / A_m)),
+    accurate also for nearly transparent sections, where Q is close to 1.
     """
     if not 0 <= k < len(basis):
         raise ValueError(f"term index {k} out of range [0, {len(basis)})")
@@ -181,15 +155,9 @@ def coefficient_moments_exact(
     with np.errstate(divide="ignore"):  # log1p(-1) = -inf where E_m = 0
         log_kept = np.sum(np.log1p(-var / second))
     var_qpsi = float(np.prod(second) * -np.expm1(log_kept))
-    m21, m22 = (
-        float(_term_expectations(problem, basis.indices[k], level, 2, p)) for p in (1, 2)
+    a = _section_sums(problem, basis.indices[k], level, 2, lambda tau: np.exp(-tau))
+    c = _section_sums(
+        problem, basis.indices[k], level, 2, lambda tau: -np.exp(-tau) * np.expm1(-tau)
     )
-    return var_qpsi, m21 - m22
+    return var_qpsi, float(np.prod(a) * -np.expm1(np.sum(np.log1p(-c / a))))
 
-
-def mse(estimates, exact: float) -> float:
-    """Mean squared error of a batch of estimates against the exact value."""
-    estimates = np.asarray(estimates, dtype=float)
-    if estimates.size == 0:
-        raise ValueError("need at least one estimate")
-    return float(np.mean((estimates - exact) ** 2))

@@ -20,7 +20,8 @@ from uqpc.experiments import (
     write_report,
 )
 from uqpc.nisp import load_surrogate, predict
-from uqpc.oracle import exact_mean, exact_variance, mse
+from uqpc.oracle import exact_mean, exact_sobol, exact_variance, quadrature_coefficients
+from uqpc.polybasis import total_degree_multi_indices
 from uqpc.transport import transmittance_batch
 
 D1_PROBLEM = """\
@@ -151,6 +152,19 @@ def test_load_config_gsa_defaults(tmp_path):
     "study: {n_xi_grid: [5], n_eta_grid: [1]}\n",
     # a response build holds the P x P covariance: 6001^2 float64 is 275 MiB
     D1_PROBLEM + "pce: {n0: 6000}\nstudy: {kind: response, n_xi_grid: [5], n_eta_grid: [2]}\n",
+    # unknown keys, which would otherwise fall back to their defaults
+    D1_PROBLEM + "pce: {n0: 2}\nstudy: {n_xi_grid: [5], n_eta_grid: [1], repetiton: 5}\n",
+    D1_PROBLEM + "pce: {n0: 2}\nstudy: {n_xi_grid: [5], n_eta_grid: [1]}\nsed: 3\n",
+    D1_PROBLEM + "pce: {n0: 2, degree: 3}\nstudy: {n_xi_grid: [5], n_eta_grid: [1]}\n",
+    D1_PROBLEM + "pce: {n0: 2}\nstudy: {n_xi_grid: [5], n_eta_grid: [1]}\n"
+    "cost: {total: 600.0, xi: 2.0, eta: 1.0, zeta: 1.0}\n",
+    "problem:\n  materials:\n    - {sigma0: 0.3, sigmaDelta: 0.29, dx: 1.0, sigmadelta: 0.1}\n"
+    "pce: {n0: 2}\nstudy: {n_xi_grid: [5], n_eta_grid: [1]}\n",
+    "problem:\n  sections: 1\n  materials:\n    - {sigma0: 0.3, sigmaDelta: 0.29, dx: 1.0}\n"
+    "pce: {n0: 2}\nstudy: {n_xi_grid: [5], n_eta_grid: [1]}\n",
+    # a response build has no methods to choose
+    D1_PROBLEM + "pce: {n0: 2}\n"
+    "study: {kind: response, n_xi_grid: [5], n_eta_grid: [2], methods: [pc_bias]}\n",
 ])
 def test_load_config_rejects(tmp_path, body):
     path = write_config(tmp_path, body)
@@ -312,10 +326,12 @@ def test_variance_study_summary(tiny_variance_config):
     assert stats["bias"] == pytest.approx(
         np.mean(ests) - exact_variance(tiny_variance_config.problem)
     )
-    assert stats["mse"] == pytest.approx(
-        mse(ests, exact_variance(tiny_variance_config.problem))
-    )
+    errors = np.array(ests) - exact_variance(tiny_variance_config.problem)
+    assert stats["mse"] == pytest.approx(np.mean(errors**2))
     assert stats["variance"] == pytest.approx(np.var(ests, ddof=1))
+    # mean squared error = bias^2 + (n - 1)/n * repetition variance
+    n = len(ests)
+    assert stats["mse"] == pytest.approx(stats["bias"] ** 2 + (n - 1) / n * stats["variance"])
 
 
 def test_variance_study_worker_invariance(tiny_variance_config, tmp_path):
@@ -369,7 +385,6 @@ def test_noise_free_study_wiring(tmp_path):
     seed: 13
     """)
     from uqpc.nisp import TrainingData, build_surrogate, pce_variance_unbiased
-    from uqpc.polybasis import total_degree_multi_indices
     from uqpc.transport import sample_parameters
 
     config = load_config(path)
@@ -506,6 +521,41 @@ def test_response_study(tmp_path):
         assert b["n_retained_trimmed"] <= b["n_retained_full"]
 
 
+def test_response_study_worker_invariance(tmp_path):
+    # Workers split the builds into chunks; each build still draws from its
+    # own stream (seed, 0, s), so every file matches the serial run.
+    path = write_config(tmp_path, D1_PROBLEM, """\
+    pce: {n0: 4}
+    study:
+      kind: response
+      n_xi_grid: [150]
+      n_eta_grid: [3]
+      repetitions: 5
+      response_points: 21
+    seed: 17
+    """)
+    config = load_config(path)
+    files = {}
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}"
+        written = write_report(run_study(config, workers=workers), out)
+        files[workers] = {p.name: p.read_bytes() for p in written}
+    assert len(files[1]) == 1 + 3 * 5
+    assert files[1] == files[2]
+
+    from uqpc.nisp import TrainingData, build_surrogate
+    from uqpc.transport import sample_parameters, simulate_training_set
+
+    rng = derive_rng(17, 0, 1)
+    xis = sample_parameters(config.problem, 150, rng)
+    qtilde, sigma2 = simulate_training_set(config.problem, xis, 3, rng)
+    fit = build_surrogate(TrainingData(xis, qtilde, sigma2, 3), total_degree_multi_indices(1, 4))
+    stored = load_surrogate(tmp_path / "w2" / "surrogate_1.json")
+    assert np.array_equal(stored.coefficients, fit.coefficients)
+    assert np.array_equal(stored.coefficient_covariance, fit.coefficient_covariance)
+    assert np.array_equal(stored.noise_corrected_covariance, fit.noise_corrected_covariance)
+
+
 # ------------------------------------------------------------------------ cli
 
 
@@ -550,6 +600,13 @@ def test_cli_oracle(tmp_path):
     }
     assert payload["n0"] == 8
     assert payload["mean"] == pytest.approx(np.exp(-1.0) * np.sinh(0.95) / 0.95, rel=1e-14)
+    # the payload is the library's exact references, unchanged
+    problem = load_config(path).problem
+    beta = quadrature_coefficients(problem, total_degree_multi_indices(1, 8))
+    first, total = exact_sobol(problem)
+    assert (payload["mean"], payload["variance"]) == (exact_mean(problem), exact_variance(problem))
+    assert payload["pc_mean"] == beta[0]
+    assert (payload["sobol_first"], payload["sobol_total"]) == (first.tolist(), total.tolist())
     assert payload["pc_mean"] == pytest.approx(payload["mean"], abs=1e-12)
     assert payload["pc_variance"] == pytest.approx(payload["variance"], abs=1e-4)
     assert payload["sobol_first"] == [1.0]
@@ -608,6 +665,16 @@ def test_cli_config_errors(tmp_path):
     # d = 20, n0 = 10: about 3e7 basis terms, far past the array limit
     ("problem:\n  materials:\n" + "    - {sigma0: 0.3, sigmaDelta: 0.29, dx: 1.0}\n" * 20,
      "pce: {n0: 10}\nstudy: {n_xi_grid: [50], n_eta_grid: [1]}\n"),
+    # a misspelt key would silently run the default 200 repetitions
+    (D1_PROBLEM, "study: {n_xi_grid: [50], n_eta_grid: [1], repetiton: 5}\n"),
+    (D1_PROBLEM, "study: {n_xi_grid: [50], n_eta_grid: [1]}\nseeds: 4\n"),
+    ("problem:\n  materials:\n    - {sigma0: 1.0, sigmaDelta: 0.5, dx: 1.0, sigma: 2.0}\n",
+     "study: {n_xi_grid: [50], n_eta_grid: [1]}\n"),
+    (D1_PROBLEM, "pce: {n0: 2, q: 1}\nstudy: {n_xi_grid: [50], n_eta_grid: [1]}\n"),
+    (D1_PROBLEM, "study: {n_xi_grid: [50], n_eta_grid: [1]}\n"
+     "cost: {total: 600.0, xi: 2.0, eta: 1.0, unit: s}\n"),
+    # methods are parsed for a response study but never read
+    (D1_PROBLEM, "study: {kind: response, n_xi_grid: [50], n_eta_grid: [2], methods: [pc_bias]}\n"),
 ])
 def test_cli_rejects_config_before_running(tmp_path, problem, study):
     pce = "" if "pce:" in study else "pce: {n0: 2}\n"

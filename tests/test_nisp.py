@@ -6,7 +6,6 @@ from uqpc.nisp import (
     TrainingData,
     build_surrogate,
     load_surrogate,
-    pce_mean,
     pce_variance_biased,
     pce_variance_unbiased,
     predict,
@@ -370,7 +369,7 @@ def test_moment_estimates_by_hand():
     basis = total_degree_multi_indices(1, 1)
     cov = np.array([[0.01, 0.0], [0.0, 0.03]])
     s = make_surrogate(basis, [0.7, 2.0], cov=cov)
-    assert pce_mean(s) == pytest.approx(0.7, abs=1e-15)
+    assert s.coefficients[0] == 0.7  # the expansion mean
     assert pce_variance_biased(s) == pytest.approx(4.0 / 3.0, abs=1e-15)
     assert pce_variance_unbiased(s) == pytest.approx((4.0 - 0.03) / 3.0, abs=1e-15)
 

@@ -4,18 +4,16 @@ from decimal import Decimal, localcontext
 from itertools import combinations
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
 from uqpc.experiments import load_config
 from uqpc.oracle import (
-    ExactStatistics,
     coefficient_moments_exact,
     exact_mean,
     exact_sobol,
-    exact_statistics,
     exact_variance,
-    mse,
     quadrature_coefficients,
     section_moments,
 )
@@ -209,16 +207,6 @@ def test_exact_sobol_degenerate():
         exact_sobol(flat)
 
 
-def test_exact_statistics_bundle(d1_problem):
-    basis = total_degree_multi_indices(1, 6)
-    stats = exact_statistics(d1_problem, basis)
-    assert isinstance(stats, ExactStatistics)
-    assert stats.mean == pytest.approx(exact_mean(d1_problem), abs=1e-15)
-    assert stats.variance == pytest.approx(exact_variance(d1_problem), abs=1e-15)
-    assert stats.coefficients == pytest.approx(quadrature_coefficients(d1_problem, basis))
-    assert stats.sobol_first == pytest.approx([1.0], abs=1e-14)
-
-
 def test_coefficient_moments_exact(d1_problem):
     basis = total_degree_multi_indices(1, 6)
     var_qpsi, noise = coefficient_moments_exact(d1_problem, basis, 0)
@@ -279,6 +267,47 @@ def test_coefficient_moments_nearly_flat(sigma_delta):
         assert abs(var_qpsi - exact) <= 1e-13 * exact
 
 
+def _noise_moment_references(problem: SlabProblem, basis) -> list:
+    # E[Psi_k^2 Q] - E[Psi_k^2 Q^2] for every term k, from 1-d section
+    # integrals E[P_n^2 g_m^p] taken by mpmath at 40 digits, so the
+    # difference loses nothing that matters.
+    with mpmath.workdps(40):
+        table = {}
+        for m in range(problem.d):
+            s0, sd, dx = (mpmath.mpf(float(v[m]))
+                          for v in (problem.sigma0, problem.sigma_delta, problem.dx))
+            for n in range(basis.total_degree + 1):
+                for p in (1, 2):
+                    def integrand(x, n=n, p=p):
+                        return mpmath.legendre(n, x) ** 2 * mpmath.exp(-p * (s0 + sd * x) * dx)
+
+                    table[m, n, p] = mpmath.quad(integrand, [-1, 1]) / 2
+        return [
+            mpmath.fprod(table[m, n, 1] for m, n in enumerate(degrees))
+            - mpmath.fprod(table[m, n, 2] for m, n in enumerate(degrees))
+            for degrees in basis.indices.tolist()
+        ]
+
+
+@pytest.mark.parametrize("problem, n0", [
+    (SlabProblem([1e-8], [5e-9], [1.0]), 4),
+    (SlabProblem([1e-6], [5e-7], [1.0]), 4),
+    (SlabProblem([1e-8, 2e-8], [5e-9, 1e-8], [1.0, 0.5]), 3),
+    *[(config.problem, config.n0) for config in (
+        load_config(CONFIG_DIR / f"{name}.yaml")
+        for name in ("d1_oracle", "d1_response", "d3_gsa", "d3_variance")
+    )],
+], ids=["transparent-1e-8", "transparent-1e-6", "transparent-d2",
+        "d1_oracle", "d1_response", "d3_gsa", "d3_variance"])
+def test_coefficient_noise_moment_against_mpmath(problem, n0):
+    # E[Psi_k^2 p(1 - p)] for a nearly transparent slab (Q close to 1) is a
+    # small difference of two moments near 1; it must keep full precision.
+    basis = total_degree_multi_indices(problem.d, n0)
+    for k, ref in enumerate(_noise_moment_references(problem, basis)):
+        _, noise = coefficient_moments_exact(problem, basis, k)
+        assert abs(noise - ref) <= 1e-13 * ref
+
+
 def test_coefficient_moments_zero_factor_mean(tensor_rule):
     # The second section is deterministic, so E[g_2 P_n] = 0 for n >= 1 and
     # Var[Q Psi_k] = E[Q^2 Psi_k^2] for every term of positive degree in it.
@@ -331,13 +360,3 @@ def test_oracle_high_dimension():
     assert moments[0][0] == pytest.approx(exact_variance(problem), rel=1e-10)
     assert all(np.isfinite(m).all() and m[1] > 0 for m in moments)
     assert np.all(first > 0) and np.all(first <= total)
-
-
-def test_mse():
-    assert mse([2.0, 2.0], 2.0) == 0.0
-    assert mse([1.0, 3.0], 2.0) == pytest.approx(1.0, abs=1e-15)
-    est = np.array([0.3, 0.5, 0.9, 1.4])
-    bias = est.mean() - 0.7
-    assert mse(est, 0.7) == pytest.approx(bias**2 + est.var(), abs=1e-12)
-    with pytest.raises(ValueError):
-        mse([], 1.0)
