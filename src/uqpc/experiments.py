@@ -75,12 +75,13 @@ STUDY_KINDS = ("variance", "gsa", "response")
 STUDY_KEYS = ("kind", "n_xi_grid", "n_eta_grid", "repetitions", "methods", "noise_free",
               "bins", "response_points")
 MATERIAL_KEYS = ("sigma0", "sigmaDelta", "sigma_delta", "lo", "hi", "dx")
-# Bound on the largest float64 array a repetition may need: the n_xi x P
-# basis matrix and the P x P coefficient covariance of a response build, and
-# the P x d multi-index table. Variance and GSA fits never build the basis
+# Bound on the largest float64 array a study may need: the n_xi x P basis
+# matrix, a response build's P x P covariance and response_points x P grid
+# basis, the P x d multi-index table, a tally draw's n_xi x n_eta uniforms
+# and the histogram edges. Variance and GSA fits never build the basis
 # matrix, only n_xi x (head terms) arrays, so for them the bound is
 # conservative. A repetition holds a few arrays of this size at once in every
-# worker, so a larger basis is refused in load_config rather than running
+# worker, so a larger config is refused in load_config rather than running
 # out of memory part-way through a study.
 MAX_ARRAY_BYTES = 2**28
 
@@ -220,13 +221,19 @@ def _parse_problem(section) -> SlabProblem:
         context = f"'problem.materials[{pos}]'"
         _mapping(mat, MATERIAL_KEYS, context)
         dx.append(_as_float(_require(mat, "dx", context), f"{context} dx"))
+        # One form per material: a second one would silently lose its values.
+        center = [key for key in ("sigma0", "sigmaDelta", "sigma_delta") if key in mat]
         if "lo" in mat or "hi" in mat:
+            if center:
+                raise ConfigError(f"{context} mixes 'lo'/'hi' with {center[0]!r}; give one form")
             lo = _as_float(_require(mat, "lo", context), f"{context} lo")
             hi = _as_float(_require(mat, "hi", context), f"{context} hi")
             sigma0.append(0.5 * (lo + hi))
             sigma_delta.append(0.5 * (hi - lo))
         else:
             sigma0.append(_as_float(_require(mat, "sigma0", context), f"{context} sigma0"))
+            if "sigmaDelta" in mat and "sigma_delta" in mat:
+                raise ConfigError(f"{context} gives both 'sigmaDelta' and 'sigma_delta'")
             if "sigmaDelta" in mat:
                 sigma_delta.append(_as_float(mat["sigmaDelta"], f"{context} sigmaDelta"))
             elif "sigma_delta" in mat:
@@ -307,13 +314,20 @@ def load_config(path) -> StudyConfig:
     response_points = _as_positive_int(study.get("response_points", 201), "'study.response_points'")
 
     n_terms = basis_count(problem.d, n0)
-    rows = max(max(n_xi_grid), problem.d, n_terms if kind == "response" else 0)
-    if 8 * rows * n_terms > MAX_ARRAY_BYTES:
-        raise ConfigError(
-            f"basis too large: {n_terms} terms (d={problem.d}, n0={n0}) need a "
-            f"{rows} x {n_terms} float64 array of {8 * rows * n_terms / 2**20:.0f} MiB, "
-            f"over the {MAX_ARRAY_BYTES / 2**20:.0f} MiB limit"
-        )
+    response = (n_terms, response_points) if kind == "response" else ()
+    arrays = (
+        (f"basis of {n_terms} terms (d={problem.d}, n0={n0})",
+         max(max(n_xi_grid), problem.d, *response), n_terms),
+        ("tally draw", 0 if noise_free else max(n_xi_grid), max(n_eta_grid)),
+        ("'study.bins' histogram", bins + 1, 1),
+    )
+    for what, rows, cols in arrays:
+        if 8 * rows * cols > MAX_ARRAY_BYTES:
+            raise ConfigError(
+                f"{what} too large: a {rows} x {cols} float64 array of "
+                f"{8 * rows * cols / 2**20:.0f} MiB is over the "
+                f"{MAX_ARRAY_BYTES / 2**20:.0f} MiB limit"
+            )
 
     if kind == "response":
         if problem.d != 1:
@@ -402,7 +416,7 @@ def _sobol_or_nan(surrogate: PceSurrogate) -> tuple[np.ndarray, np.ndarray]:
     if not surrogate.trimmed_mask[1:].any():
         nan = np.full(surrogate.basis.dimension, np.nan)
         return nan, nan
-    s = sobol_indices(surrogate, use_unbiased=True)
+    s = sobol_indices(surrogate)
     return s.first_order, s.total
 
 
@@ -438,13 +452,13 @@ def _response_estimates(config: StudyConfig, data: TrainingData, basis: MultiInd
 # Worker functions are module-level so process pools can pickle them.
 
 
-def _cell_chunk(config: StudyConfig, estimate, i_xi: int, i_eta: int, reps: range):
-    # One work unit: repetitions `reps` of grid cell (i_xi, i_eta), sharing
-    # one basis.
+def _cell_chunk(
+    config: StudyConfig, estimate, basis: MultiIndexBasis, i_xi: int, i_eta: int, reps: range
+):
+    # One work unit: repetitions `reps` of grid cell (i_xi, i_eta).
     cell = i_xi * len(config.n_eta_grid) + i_eta
     n_xi = config.n_xi_grid[i_xi]
     n_eta = config.n_eta_grid[i_eta]
-    basis = total_degree_multi_indices(config.problem.d, config.n0)
     out = []
     for rep in reps:
         rng = derive_rng(config.master_seed, cell, rep)
@@ -465,8 +479,9 @@ def _rep_chunks(repetitions: int, workers: int) -> list[range]:
 
 def _run_grid(config: StudyConfig, estimate, workers: int):
     """Yield (n_xi, n_eta, [estimate by repetition]) per cell, in grid order."""
+    basis = total_degree_multi_indices(config.problem.d, config.n0)
     units = [
-        (config, estimate, i_xi, i_eta, reps)
+        (config, estimate, basis, i_xi, i_eta, reps)
         for i_xi in range(len(config.n_xi_grid))
         for i_eta in range(len(config.n_eta_grid))
         for reps in _rep_chunks(config.repetitions, workers)
@@ -474,7 +489,8 @@ def _run_grid(config: StudyConfig, estimate, workers: int):
     if workers <= 1:
         results = [_cell_chunk(*unit) for unit in units]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # A fork pool starts every worker at the first submit: no idle ones.
+        with ProcessPoolExecutor(max_workers=min(workers, len(units))) as pool:
             futures = [pool.submit(_cell_chunk, *unit) for unit in units]
             results = [f.result() for f in futures]
     cells: dict[tuple[int, int], list] = {}

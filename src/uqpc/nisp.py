@@ -164,7 +164,7 @@ def _term_sums(w: np.ndarray, t: np.ndarray, basis: MultiIndexBasis) -> np.ndarr
     # (h, j) = (row[k], last[k]), so sum_i w[h, i] t[j, i] sums the product
     # of its two factors over the samples. einsum without `optimize` never
     # calls BLAS, so the sums do not depend on the BLAS thread count.
-    _, row, last, _ = basis.split
+    _, row, last = basis.split
     return np.einsum("pi,ki->pk", w, t, optimize=False)[row, last]
 
 
@@ -178,31 +178,33 @@ def build_surrogate(
     Both come from the sums of q Psi_k and (q Psi_k)^2 over the samples,
     contracted from the (d - 1)-variable head terms and the last variable's
     Legendre table, so this fit never forms the n_xi x P basis matrix.
-    ``full_covariance`` (which needs n_xi >= 2) forms it to build the P x P
-    covariance of the estimators instead, whose diagonal is then exactly
-    ``coefficient_variance``, and for n_eta >= 2 the noise-corrected
-    covariance: the covariance the same estimators would have if every QoI
-    evaluation were noise-free. Its entries may dip below their noise-free
-    targets at finite sample counts; only the expectation is corrected.
+    ``full_covariance`` (which needs n_xi >= 2) assembles it from the same
+    two factors to build the P x P covariance of the estimators instead,
+    whose diagonal is then exactly ``coefficient_variance``, and for
+    n_eta >= 2 the noise-corrected covariance: the covariance the same
+    estimators would have if every QoI evaluation were noise-free. Its
+    entries may dip below their noise-free targets at finite sample counts;
+    only the expectation is corrected.
     """
     _check_basis_match(data, basis)
     n = data.n_xi
-    head, _, _, first = basis.split
-    if full_covariance:
-        if n < 2:
-            raise ValueError(f"need at least 2 samples to estimate covariance, got {n}")
-        psi = eval_basis_matrix(basis, data.samples)
-        head_values = psi[:, first]
-    elif head is None:
+    if full_covariance and n < 2:
+        raise ValueError(f"need at least 2 samples to estimate covariance, got {n}")
+    head, row, last = basis.split
+    if head is None:
         head_values = np.ones((n, 1))
     else:
         head_values = eval_basis_matrix(head, data.samples[:, :-1])
+    table = legendre_table(basis.total_degree, data.samples[:, -1])
     # Degree-major head and last-variable factors: q Phi_h and P_j.
     w = np.multiply(head_values.T, data.qtilde, order="C")
-    t = legendre_table(basis.total_degree, data.samples[:, -1]).T
+    t = table.T
     coefficients = _term_sums(w, t, basis) / (n * basis.norms)
     cov = noise_cov = var = None
     if full_covariance:
+        # np.take keeps the factors C-ordered, as eval_basis_matrix does, so
+        # the BLAS products below see the same layout and give the same bits.
+        psi = np.take(head_values, row, axis=1) * np.take(table, last, axis=1)
         dev = psi * (data.qtilde[:, None] / basis.norms[None, :]) - coefficients
         cov = dev.T @ dev / ((n - 1) * n)
         cov = 0.5 * (cov + cov.T)
@@ -310,30 +312,17 @@ def trim_expansion(surrogate: PceSurrogate, target_variance: float) -> PceSurrog
     return replace(surrogate, trimmed_mask=mask)
 
 
-def _eval_points(surrogate: PceSurrogate, xi) -> tuple[np.ndarray, bool]:
-    xi = np.asarray(xi, dtype=float)
-    single = xi.ndim == 1
-    pts = np.atleast_2d(xi)
-    if pts.shape[1] != surrogate.basis.dimension:
-        raise ValueError(
-            f"point dimension {pts.shape[1]} != basis dimension {surrogate.basis.dimension}"
-        )
-    return pts, single
-
-
-def predict(surrogate: PceSurrogate, xi) -> float | np.ndarray:
-    """Evaluate the retained expansion at one point (d,) or a batch (n, d)."""
-    pts, single = _eval_points(surrogate, xi)
+def predict(surrogate: PceSurrogate, xi: np.ndarray) -> np.ndarray:
+    """Evaluate the retained expansion at the points xi, shape (n, d)."""
     mask = surrogate.trimmed_mask
-    psi = eval_basis_matrix(surrogate.basis, pts)[:, mask]
-    out = psi @ surrogate.coefficients[mask]
-    return float(out[0]) if single else out
+    psi = eval_basis_matrix(surrogate.basis, xi)[:, mask]
+    return psi @ surrogate.coefficients[mask]
 
 
 def prediction_stddev(
-    surrogate: PceSurrogate, xi, use_noise_corrected: bool = False
-) -> float | np.ndarray:
-    """Stddev of the expansion value at xi induced by coefficient uncertainty.
+    surrogate: PceSurrogate, xi: np.ndarray, use_noise_corrected: bool = False
+) -> np.ndarray:
+    """Coefficient-induced stddev of the expansion at the points xi, shape (n, d).
 
     Quadratic form of the chosen covariance over retained non-mean terms
     (the mean coefficient shifts every point equally and is excluded from
@@ -348,67 +337,54 @@ def prediction_stddev(
     if cov is None:
         which = "noise_corrected_covariance" if use_noise_corrected else "coefficient_covariance"
         raise ValueError(f"prediction_stddev requires {which}")
-    pts, single = _eval_points(surrogate, xi)
     mask = _retained_tail(surrogate)
-    psi = eval_basis_matrix(surrogate.basis, pts)[:, mask]
+    psi = eval_basis_matrix(surrogate.basis, xi)[:, mask]
     sub = cov[np.ix_(mask, mask)]
     var = np.einsum("ij,jk,ik->i", psi, sub, psi)
-    out = np.sqrt(np.maximum(var, 0.0))
-    return float(out[0]) if single else out
+    return np.sqrt(np.maximum(var, 0.0))
 
 
 @dataclass(frozen=True, eq=False)
 class SobolIndices:
-    """First-order and total sensitivity indices plus per-group shares."""
+    """First-order and total sensitivity indices, one entry per variable."""
 
     first_order: np.ndarray
     total: np.ndarray
-    by_group: dict[tuple[int, ...], float]
 
 
-def sobol_indices(surrogate: PceSurrogate, use_unbiased: bool = True) -> SobolIndices:
-    """Sensitivity indices from retained expansion terms.
+def sobol_indices(surrogate: PceSurrogate) -> SobolIndices:
+    """Bias-corrected sensitivity indices from retained expansion terms.
 
-    Terms are grouped by the set of variables they carry nonzero degree in;
-    group shares are normalized per-group variance contributions, first-order
-    indices are the singleton shares, and the total index of variable i sums
-    every group containing i. Squared coefficients are bias-corrected when
-    ``use_unbiased`` is set.
+    Each retained non-mean term contributes ((beta_k)^2 - Var[beta_k]) b_k
+    to the group of variables it carries nonzero degree in. A group's share
+    is its sum over the total; first-order indices are the singleton shares,
+    and the total index of variable i sums every group containing i.
     """
+    if surrogate.coefficient_variance is None:
+        raise ValueError("bias-corrected Sobol indices require coefficient_variance")
     norms = surrogate.basis.norms
-    beta = surrogate.coefficients
-    if use_unbiased:
-        if surrogate.coefficient_variance is None:
-            raise ValueError("bias-corrected Sobol indices require coefficient_variance")
-        sq = beta**2 - surrogate.coefficient_variance
-    else:
-        sq = beta**2
+    sq = surrogate.coefficients**2 - surrogate.coefficient_variance
     mask = _retained_tail(surrogate)
     if not np.any(mask):
         raise ValueError("no retained non-mean terms; Sobol indices undefined")
     d = surrogate.basis.dimension
     # A term's group code is its row of nonzero flags read as raw bytes.
     # bincount adds the contributions in term order, as a sequential loop
-    # would; groups are listed in order of first appearance.
+    # would; groups are listed in order of first appearance, and the
+    # reductions over axis 0 add them in that order.
     active = surrogate.basis.indices[mask] != 0
     codes = np.ascontiguousarray(active).view(f"V{d}").ravel()
     _, first_term, group_of = np.unique(codes, return_index=True, return_inverse=True)
     sums = np.bincount(group_of, weights=(sq * norms)[mask])
     order = np.argsort(first_term)
-    contrib = sums[order].tolist()
-    denom = sum(contrib)
+    contrib = sums[order]
+    denom = sum(contrib.tolist())
     if denom == 0.0:
         raise ValueError("total variance contribution is zero; Sobol indices undefined")
-    by_group = {
-        tuple(np.flatnonzero(active[first_term[g]]).tolist()): v / denom
-        for g, v in zip(order, contrib)
-    }
-    first = np.array([by_group.get((i,), 0.0) for i in range(d)])
-    total = np.zeros(d)
-    for group, share in by_group.items():
-        for i in group:
-            total[i] += share
-    return SobolIndices(first_order=first, total=total, by_group=by_group)
+    members = active[first_term[order]]
+    shares = np.where(members, (contrib / denom)[:, None], 0.0)
+    first = np.add.reduce(shares[members.sum(axis=1) == 1], axis=0)
+    return SobolIndices(first_order=first, total=np.add.reduce(shares, axis=0))
 
 
 SURROGATE_FORMAT = "uqpc-surrogate-v1"

@@ -112,31 +112,34 @@ def exact_sobol(problem: SlabProblem) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _section_factor_moments(
-    problem: SlabProblem, degrees: np.ndarray, level: int
+    problem: SlabProblem, n_max: int, level: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    # Mean and variance of each section's factor X_m = g_m P_{k_m} by the
-    # level-point rule. With g_m = c_m (1 + h_m), h_m = expm1(-a_m xi) and
-    # the exact E[P_k] = [k = 0], the deviation X_m - E[X_m] is summed from
-    # terms that keep full relative precision however small a_m is.
+    # Mean and variance of each section's factor X_m = g_m P_n by the
+    # level-point rule, as (section, degree n <= n_max) tables. With
+    # g_m = c_m (1 + h_m), h_m = expm1(-a_m xi) and the exact E[P_n] = [n = 0],
+    # the deviation X_m - E[X_m] is summed from terms that keep full relative
+    # precision however small a_m is.
     nodes, weights = gauss_legendre_rule(level)
-    c = np.exp(-problem.sigma0 * problem.dx)
+    c = np.exp(-problem.sigma0 * problem.dx)[:, None]
     h = np.expm1(-np.outer(problem.sigma_delta * problem.dx, nodes))
-    p = legendre_table(int(degrees.max()), nodes).T[degrees]
-    ph = p * h
+    p = legendre_table(n_max, nodes).T
+    is_mean = (np.arange(n_max + 1) == 0)[:, None]
+    ph = p * h[:, None, :]
     mean_ph = ph @ weights
-    dev = (p - (degrees == 0)[:, None]) + (ph - mean_ph[:, None])
-    return c * ((degrees == 0) + mean_ph), c**2 * (dev**2 @ weights)
+    dev = (p - is_mean) + (ph - mean_ph[..., None])
+    return c * (is_mean.T + mean_ph), c**2 * (dev**2 @ weights)
 
 
 def coefficient_moments_exact(
-    problem: SlabProblem, basis: MultiIndexBasis, k: int, level: int | None = None
-) -> tuple[float, float]:
-    """Quadrature-exact (Var_xi[Q Psi_k], E_xi[Psi_k^2 sigma_eta^2]) for term k.
+    problem: SlabProblem, basis: MultiIndexBasis, level: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrature-exact Var_xi[Q Psi_k] and E_xi[Psi_k^2 sigma_eta^2] for every term k.
 
-    sigma_eta^2(xi) = p(1 - p) with p = exp(-tau(xi)) is the per-history
-    Bernoulli variance of the analog transport game. These are the inputs
-    the estimator-variance cost model needs. Each expectation is a product
-    of per-section ``level``-point Gauss sums (default total_degree + 8).
+    Returns two arrays over the terms of ``basis``. sigma_eta^2(xi) =
+    p(1 - p) with p = exp(-tau(xi)) is the per-history Bernoulli variance of
+    the analog transport game. These are the inputs the estimator-variance
+    cost model needs. Each expectation is a product of per-section
+    ``level``-point Gauss sums (default total_degree + 8).
     Q Psi_k is a product of independent section factors X_m with means
     E_m and variances V_m, so Var[Q Psi_k] = prod E[X_m^2] - prod E_m^2 is
     evaluated as prod E[X_m^2] * -expm1(sum log1p(-V_m / E[X_m^2])): no
@@ -146,18 +149,17 @@ def coefficient_moments_exact(
     taken as -expm1(-tau_m)), is prod A_m * -expm1(sum log1p(-C_m / A_m)),
     accurate also for nearly transparent sections, where Q is close to 1.
     """
-    if not 0 <= k < len(basis):
-        raise ValueError(f"term index {k} out of range [0, {len(basis)})")
     if level is None:
         level = basis.total_degree + 8
-    mean, var = _section_factor_moments(problem, basis.indices[k], level)
+    mean, var = _section_factor_moments(problem, basis.total_degree, level)
+    sections = np.arange(problem.d)
+    mean, var = mean[sections, basis.indices], var[sections, basis.indices]
     second = mean**2 + var
     with np.errstate(divide="ignore"):  # log1p(-1) = -inf where E_m = 0
-        log_kept = np.sum(np.log1p(-var / second))
-    var_qpsi = float(np.prod(second) * -np.expm1(log_kept))
-    a = _section_sums(problem, basis.indices[k], level, 2, lambda tau: np.exp(-tau))
+        log_kept = np.sum(np.log1p(-var / second), axis=1)
+    var_qpsi = np.prod(second, axis=1) * -np.expm1(log_kept)
+    a = _section_sums(problem, basis.indices, level, 2, lambda tau: np.exp(-tau))
     c = _section_sums(
-        problem, basis.indices[k], level, 2, lambda tau: -np.exp(-tau) * np.expm1(-tau)
+        problem, basis.indices, level, 2, lambda tau: -np.exp(-tau) * np.expm1(-tau)
     )
-    return var_qpsi, float(np.prod(a) * -np.expm1(np.sum(np.log1p(-c / a))))
-
+    return var_qpsi, np.prod(a, axis=1) * -np.expm1(np.sum(np.log1p(-c / a), axis=1))

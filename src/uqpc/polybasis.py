@@ -76,14 +76,14 @@ class MultiIndexBasis:
         return self.indices.shape[0]
 
     @cached_property
-    def split(self) -> tuple[MultiIndexBasis | None, np.ndarray, np.ndarray, np.ndarray]:
+    def split(self) -> tuple[MultiIndexBasis | None, np.ndarray, np.ndarray]:
         """Terms grouped by their head, the degrees of the first d - 1 variables.
 
-        Returns (head, row, last, first). Term k is head term ``row[k]`` times
+        Returns (head, row, last). Term k is head term ``row[k]`` times
         P_{last[k]} of the last variable. ``head`` is the basis of the heads,
         the same set and order as total_degree_multi_indices(d - 1, n0), or
-        None at d = 1, where every term has the one empty head. ``first[r]``
-        is the term of head r with last degree 0. Computed once per basis.
+        None at d = 1, where every term has the one empty head. Computed once
+        per basis.
         """
         last = self.indices[:, -1]
         first = np.flatnonzero(last == 0)
@@ -93,7 +93,7 @@ class MultiIndexBasis:
         head = None
         if self.dimension > 1:
             head = MultiIndexBasis(self.dimension - 1, self.total_degree, heads, self.norms[first])
-        return head, row, last, first
+        return head, row, last
 
 
 def total_degree_multi_indices(d: int, n0: int) -> MultiIndexBasis:

@@ -190,8 +190,8 @@ def test_criterion_5_mse_ordering(large_sample_study):
 def test_criterion_6_cost_model():
     t0 = time.perf_counter()
     basis = total_degree_multi_indices(1, 6)
-    var_qpsi, noise = coefficient_moments_exact(D1, basis, 0)
-    mom = CoefficientMoments(var_qpsi=var_qpsi, noise_term=noise, b_k=1.0)
+    var_qpsi, noise = coefficient_moments_exact(D1, basis)
+    mom = CoefficientMoments(var_qpsi=var_qpsi[0], noise_term=noise[0], b_k=1.0)
 
     def empirical_variance(cost, n_eta, reps, rng):
         # mean-term estimator: Psi_0 = 1 and b_0 = 1, so beta_0 is the plain

@@ -165,6 +165,19 @@ def test_load_config_gsa_defaults(tmp_path):
     # a response build has no methods to choose
     D1_PROBLEM + "pce: {n0: 2}\n"
     "study: {kind: response, n_xi_grid: [5], n_eta_grid: [2], methods: [pc_bias]}\n",
+    # two forms of one material: one of them would be silently dropped
+    "problem:\n  materials:\n    - {lo: 0.01, hi: 0.59, sigma0: 5.0, sigmaDelta: 0.1,"
+    " sigma_delta: 0.2, dx: 1.0}\npce: {n0: 2}\nstudy: {n_xi_grid: [5], n_eta_grid: [1]}\n",
+    "problem:\n  materials:\n    - {lo: 0.01, hi: 0.59, sigma_delta: 0.2, dx: 1.0}\n"
+    "pce: {n0: 2}\nstudy: {n_xi_grid: [5], n_eta_grid: [1]}\n",
+    "problem:\n  materials:\n    - {sigma0: 1.0, sigmaDelta: 0.1, sigma_delta: 0.9, dx: 1.0}\n"
+    "pce: {n0: 2}\nstudy: {n_xi_grid: [5], n_eta_grid: [1]}\n",
+    # arrays over the 256 MiB limit: 1.6 GB of uniforms for one tally draw,
+    # a 5.6 GB response-grid basis, 8 GB of histogram edges
+    D1_PROBLEM + "pce: {n0: 2}\nstudy: {n_xi_grid: [2000], n_eta_grid: [100000]}\n",
+    D1_PROBLEM + "pce: {n0: 6}\n"
+    "study: {kind: response, n_xi_grid: [5], n_eta_grid: [2], response_points: 100000000}\n",
+    D1_PROBLEM + "pce: {n0: 2}\nstudy: {n_xi_grid: [5], n_eta_grid: [1], bins: 1000000000}\n",
 ])
 def test_load_config_rejects(tmp_path, body):
     path = write_config(tmp_path, body)
@@ -556,6 +569,51 @@ def test_response_study_worker_invariance(tmp_path):
     assert np.array_equal(stored.noise_corrected_covariance, fit.noise_corrected_covariance)
 
 
+def test_pool_size_and_basis_follow_the_study(tmp_path, monkeypatch):
+    # A fork pool starts all its workers at the first submit, so 8 workers
+    # for 5 single-build units would leave 3 idle; and the study's one basis
+    # serves every unit. A stand-in executor records the pool size and runs
+    # each unit inline.
+    import uqpc.experiments as experiments
+    from concurrent.futures import Future
+
+    sizes, bases = [], []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    def counted_basis(d, n0):
+        bases.append((d, n0))
+        return total_degree_multi_indices(d, n0)
+
+    config = load_config(write_config(tmp_path, D1_PROBLEM, """\
+    pce: {n0: 4}
+    study: {kind: response, n_xi_grid: [50], n_eta_grid: [3], repetitions: 5,
+            response_points: 11}
+    """))
+    serial = run_study(config)
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(experiments, "total_degree_multi_indices", counted_basis)
+    pooled = run_study(config, workers=8)
+    assert sizes == [5]
+    assert bases == [(1, 4)]
+    assert pooled.summary == serial.summary
+    for a, b in zip(pooled.surrogates, serial.surrogates):
+        assert np.array_equal(a.coefficient_covariance, b.coefficient_covariance)
+
+
 # ------------------------------------------------------------------------ cli
 
 
@@ -675,6 +733,11 @@ def test_cli_config_errors(tmp_path):
      "cost: {total: 600.0, xi: 2.0, eta: 1.0, unit: s}\n"),
     # methods are parsed for a response study but never read
     (D1_PROBLEM, "study: {kind: response, n_xi_grid: [50], n_eta_grid: [2], methods: [pc_bias]}\n"),
+    # a material in two forms would lose the values of one
+    ("problem:\n  materials:\n    - {lo: 0.01, hi: 0.59, sigma0: 5.0, sigmaDelta: 0.1,"
+     " sigma_delta: 0.2, dx: 1.0}\n", "study: {n_xi_grid: [50], n_eta_grid: [1]}\n"),
+    ("problem:\n  materials:\n    - {sigma0: 1.0, sigmaDelta: 0.1, sigma_delta: 0.9, dx: 1.0}\n",
+     "study: {n_xi_grid: [50], n_eta_grid: [1]}\n"),
 ])
 def test_cli_rejects_config_before_running(tmp_path, problem, study):
     pce = "" if "pce:" in study else "pce: {n0: 2}\n"

@@ -159,14 +159,18 @@ def test_build_surrogate_field_presence(d1_problem, rng):
         build_surrogate(TrainingData(xis, qt, s2, 4), total_degree_multi_indices(2, 2))
 
 
-def test_diagonal_fit_matches_full_covariance(d3_problem, rng):
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_diagonal_fit_matches_full_covariance(d, rng):
     # The diagonal-only path sums squared deviations without BLAS, so it may
     # differ from the gemm diagonal in the last bits only; the full path
-    # reads its variances straight off the matrix.
-    basis = total_degree_multi_indices(3, 4)
+    # reads its variances straight off the matrix. The full path assembles
+    # the basis matrix from the head terms and the last variable's table,
+    # which must give the covariances of eval_basis_matrix bit for bit.
+    problem = SlabProblem(sigma0=[0.3] * d, sigma_delta=[0.29] * d, dx=[1.0] * d)
+    basis = total_degree_multi_indices(d, 4)
     for n_xi, n_eta in ((25, 1), (400, 2), (2000, 10)):
-        xis = sample_parameters(d3_problem, n_xi, rng)
-        qt, s2 = simulate_training_set(d3_problem, xis, n_eta, rng)
+        xis = sample_parameters(problem, n_xi, rng)
+        qt, s2 = simulate_training_set(problem, xis, n_eta, rng)
         data = TrainingData(xis, qt, s2, n_eta)
         full = build_surrogate(data, basis)
         diag = build_surrogate(data, basis, full_covariance=False)
@@ -174,6 +178,10 @@ def test_diagonal_fit_matches_full_covariance(d3_problem, rng):
         assert np.array_equal(full.coefficient_variance, ref)
         assert np.array_equal(diag.coefficients, full.coefficients)
         assert np.all(np.abs(diag.coefficient_variance - ref) <= 1e-14 * np.abs(ref))
+        psi = eval_basis_matrix(basis, xis)
+        dev = psi * (qt[:, None] / basis.norms) - full.coefficients
+        cov = dev.T @ dev / ((n_xi - 1) * n_xi)
+        assert np.array_equal(full.coefficient_covariance, 0.5 * (cov + cov.T))
 
 
 def _basis_matrix_fit(data, basis):
@@ -488,11 +496,12 @@ def test_trim_errors():
 def test_predict_by_hand():
     basis = total_degree_multi_indices(1, 1)
     s = make_surrogate(basis, [0.0, 1.0])
-    assert predict(s, np.array([0.3])) == pytest.approx(0.3, abs=1e-15)
     batch = predict(s, np.array([[0.3], [-0.7]]))
     assert batch == pytest.approx([0.3, -0.7], abs=1e-15)
-    with pytest.raises(ValueError):
-        predict(s, np.array([0.3, 0.4]))
+    # points come as an (n, d) batch; a lone point is refused, not guessed at
+    for bad in (np.array([0.3]), np.array([0.3, 0.4]), np.array([[0.3, 0.4]])):
+        with pytest.raises(ValueError):
+            predict(s, bad)
 
 
 def test_predict_reconstructs_square():
@@ -508,36 +517,37 @@ def test_predict_respects_trim():
     s = make_surrogate(basis, [0.25, 10.0, 2.0 / 3.0],
                        mask=np.array([True, False, True]))
     # P_2(0.5) = -0.125
-    assert predict(s, np.array([0.5])) == pytest.approx(0.25 + (2.0 / 3.0) * -0.125, abs=1e-14)
+    assert predict(s, np.array([[0.5]])) == pytest.approx([0.25 + (2.0 / 3.0) * -0.125],
+                                                          abs=1e-14)
     mean_only = make_surrogate(basis, [0.25, 10.0, 10.0],
                                mask=np.array([True, False, False]))
-    assert predict(mean_only, np.array([0.5])) == pytest.approx(0.25, abs=1e-15)
+    assert predict(mean_only, np.array([[0.5]])) == pytest.approx([0.25], abs=1e-15)
 
 
 def test_prediction_stddev_by_hand():
     basis = total_degree_multi_indices(1, 2)
     s = make_surrogate(basis, [0.5, 1.0, 1.0], cov=np.zeros((3, 3)))
-    assert prediction_stddev(s, np.array([0.5])) == 0.0
+    assert np.array_equal(prediction_stddev(s, np.array([[0.5]])), [0.0])
     s = make_surrogate(basis, [0.5, 1.0, 1.0], cov=np.eye(3))
-    # psi tail at 0.5 is (0.5, -0.125); identity covariance excludes the mean
-    assert prediction_stddev(s, np.array([0.5])) == pytest.approx(
-        np.sqrt(0.25 + 0.015625), abs=1e-14
-    )
+    # psi tail at 0.5 is (0.5, -0.125) and at 0 is (0, -0.5); identity
+    # covariance excludes the mean
     out = prediction_stddev(s, np.array([[0.5], [0.0]]))
-    assert out.shape == (2,)
+    assert out == pytest.approx([np.sqrt(0.25 + 0.015625), 0.5], abs=1e-14)
+    with pytest.raises(ValueError):
+        prediction_stddev(s, np.array([0.5]))
 
 
 def test_prediction_stddev_respects_trim():
     basis = total_degree_multi_indices(1, 2)
     s = make_surrogate(basis, [0.5, 1.0, 1.0], cov=np.eye(3),
                        mask=np.array([True, True, False]))
-    assert prediction_stddev(s, np.array([0.5])) == pytest.approx(0.5, abs=1e-14)
+    assert prediction_stddev(s, np.array([[0.5]])) == pytest.approx([0.5], abs=1e-14)
 
 
 def test_prediction_stddev_clamps_indefinite_form():
     basis = total_degree_multi_indices(1, 1)
     s = make_surrogate(basis, [0.5, 1.0], cov=np.diag([0.0, -1.0]))
-    assert prediction_stddev(s, np.array([0.5])) == 0.0
+    assert np.array_equal(prediction_stddev(s, np.array([[0.5]])), [0.0])
 
 
 def test_prediction_stddev_covariance_selection(d1_problem, rng):
@@ -545,15 +555,16 @@ def test_prediction_stddev_covariance_selection(d1_problem, rng):
     xis = sample_parameters(d1_problem, 50, rng)
     qt, s2 = simulate_training_set(d1_problem, xis, 5, rng)
     s = build_surrogate(TrainingData(xis, qt, s2, 5), basis)
-    plain = prediction_stddev(s, np.array([0.3]))
-    corrected = prediction_stddev(s, np.array([0.3]), use_noise_corrected=True)
-    assert plain != corrected
+    pts = np.array([[0.3]])
+    plain = prediction_stddev(s, pts)
+    corrected = prediction_stddev(s, pts, use_noise_corrected=True)
+    assert plain[0] != corrected[0]
     bare = make_surrogate(basis, s.coefficients)
     with pytest.raises(ValueError):
-        prediction_stddev(bare, np.array([0.3]))
+        prediction_stddev(bare, pts)
     no_corr = make_surrogate(basis, s.coefficients, cov=np.eye(3))
     with pytest.raises(ValueError):
-        prediction_stddev(no_corr, np.array([0.3]), use_noise_corrected=True)
+        prediction_stddev(no_corr, pts, use_noise_corrected=True)
 
 
 # ------------------------------------------------------------------- sobol
@@ -568,22 +579,21 @@ def test_sobol_by_hand_two_dims():
     for k, idx in enumerate(map(tuple, basis.indices)):
         if idx in shares:
             beta[k] = np.sqrt(shares[idx] / basis.norms[k])
-    s = make_surrogate(basis, beta)
-    res = sobol_indices(s, use_unbiased=False)
+    s = make_surrogate(basis, beta, var=np.zeros(len(basis)))
+    res = sobol_indices(s)
     assert res.first_order == pytest.approx([0.7, 0.22], abs=1e-12)
     assert res.total == pytest.approx([0.78, 0.3], abs=1e-12)
-    assert res.by_group == pytest.approx({(0,): 0.7, (1,): 0.22, (0, 1): 0.08}, abs=1e-12)
-    # zero covariance, so the bias-corrected path must agree exactly
+    # the variances may also come from the diagonal of a covariance matrix
     with_cov = make_surrogate(basis, beta, cov=np.zeros((len(basis),) * 2))
-    corr = sobol_indices(with_cov, use_unbiased=True)
-    assert corr.first_order == pytest.approx(res.first_order, abs=1e-15)
+    corr = sobol_indices(with_cov)
+    assert np.array_equal(corr.first_order, res.first_order)
+    assert np.array_equal(corr.total, res.total)
 
 
-def _sobol_reference(surrogate, use_unbiased):
+def _sobol_reference(surrogate):
     # The original per-term loop; sobol_indices must reproduce it bit for bit.
     norms = surrogate.basis.norms
-    beta = surrogate.coefficients
-    sq = beta**2 - surrogate.coefficient_variance if use_unbiased else beta**2
+    sq = surrogate.coefficients**2 - surrogate.coefficient_variance
     mask = surrogate.trimmed_mask.copy()
     mask[0] = False
     d = surrogate.basis.dimension
@@ -598,11 +608,11 @@ def _sobol_reference(surrogate, use_unbiased):
     for group, share in by_group.items():
         for i in group:
             total[i] += share
-    return first, total, by_group
+    return first, total
 
 
 def test_sobol_matches_per_term_loop(rng):
-    for d, n0 in ((1, 3), (2, 5), (3, 6), (4, 3)):
+    for d, n0 in ((1, 3), (2, 5), (3, 6), (4, 3), (10, 3)):
         basis = total_degree_multi_indices(d, n0)
         p1 = len(basis)
         for _ in range(20):
@@ -610,47 +620,46 @@ def test_sobol_matches_per_term_loop(rng):
             mask[0] = True
             mask[1 + rng.integers(p1 - 1)] = True
             s = make_surrogate(basis, rng.normal(size=p1), mask=mask, var=0.1 * rng.random(p1))
-            for unbiased in (True, False):
-                res = sobol_indices(s, use_unbiased=unbiased)
-                first, total, by_group = _sobol_reference(s, unbiased)
-                assert np.array_equal(res.first_order, first)
-                assert np.array_equal(res.total, total)
-                assert list(res.by_group.items()) == list(by_group.items())
+            res = sobol_indices(s)
+            first, total = _sobol_reference(s)
+            assert np.array_equal(res.first_order, first)
+            assert np.array_equal(res.total, total)
 
 
 def test_sobol_single_dim_is_unity():
     basis = total_degree_multi_indices(1, 3)
-    s = make_surrogate(basis, [0.5, 0.4, 0.2, 0.1])
-    res = sobol_indices(s, use_unbiased=False)
+    s = make_surrogate(basis, [0.5, 0.4, 0.2, 0.1], var=np.zeros(4))
+    res = sobol_indices(s)
     assert res.first_order == pytest.approx([1.0], abs=1e-15)
     assert res.total == pytest.approx([1.0], abs=1e-15)
 
 
 def test_sobol_additive_closure():
     basis = total_degree_multi_indices(3, 1)
-    s = make_surrogate(basis, [0.5, 0.3, 0.2, 0.1])
-    res = sobol_indices(s, use_unbiased=False)
+    s = make_surrogate(basis, [0.5, 0.3, 0.2, 0.1], var=np.zeros(4))
+    res = sobol_indices(s)
     assert res.first_order.sum() == pytest.approx(1.0, abs=1e-14)
     assert res.total == pytest.approx(res.first_order, abs=1e-15)
 
 
 def test_sobol_respects_trim():
     basis = total_degree_multi_indices(2, 1)
-    s = make_surrogate(basis, [0.5, 2.0, 1.0], mask=np.array([True, False, True]))
-    res = sobol_indices(s, use_unbiased=False)
+    s = make_surrogate(basis, [0.5, 2.0, 1.0], mask=np.array([True, False, True]),
+                       var=np.zeros(3))
+    res = sobol_indices(s)
     assert res.first_order == pytest.approx([0.0, 1.0], abs=1e-15)
 
 
 def test_sobol_errors():
     basis = total_degree_multi_indices(1, 1)
     with pytest.raises(ValueError):
-        sobol_indices(make_surrogate(basis, [0.5, 1.0]), use_unbiased=True)
-    mean_only = make_surrogate(basis, [0.5, 1.0], mask=np.array([True, False]))
+        sobol_indices(make_surrogate(basis, [0.5, 1.0]))
+    mean_only = make_surrogate(basis, [0.5, 1.0], mask=np.array([True, False]), var=np.zeros(2))
     with pytest.raises(ValueError):
-        sobol_indices(mean_only, use_unbiased=False)
-    zero_tail = make_surrogate(basis, [0.5, 0.0])
+        sobol_indices(mean_only)
+    zero_tail = make_surrogate(basis, [0.5, 0.0], var=np.zeros(2))
     with pytest.raises(ValueError):
-        sobol_indices(zero_tail, use_unbiased=False)
+        sobol_indices(zero_tail)
 
 
 # ------------------------------------------------------------ serialization
