@@ -22,6 +22,7 @@ from .nisp import (
     SobolIndices,
     TrainingData,
     build_surrogate,
+    fit_buffers,
     load_surrogate,
     pce_variance_biased,
     pce_variance_unbiased,

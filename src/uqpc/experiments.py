@@ -36,6 +36,7 @@ from .nisp import (
     PceSurrogate,
     TrainingData,
     build_surrogate,
+    fit_buffers,
     pce_variance_biased,
     pce_variance_unbiased,
     predict,
@@ -82,7 +83,9 @@ MATERIAL_KEYS = ("sigma0", "sigmaDelta", "sigma_delta", "lo", "hi", "dx")
 # matrix, only n_xi x (head terms) arrays, so for them the bound is
 # conservative. A repetition holds a few arrays of this size at once in every
 # worker, so a larger config is refused in load_config rather than running
-# out of memory part-way through a study.
+# out of memory part-way through a study. The same bound holds for the
+# result table, every recorded float of the study, which stays in memory
+# until the report is written.
 MAX_ARRAY_BYTES = 2**28
 
 
@@ -313,22 +316,6 @@ def load_config(path) -> StudyConfig:
     bins = _as_positive_int(study.get("bins", 40), "'study.bins'")
     response_points = _as_positive_int(study.get("response_points", 201), "'study.response_points'")
 
-    n_terms = basis_count(problem.d, n0)
-    response = (n_terms, response_points) if kind == "response" else ()
-    arrays = (
-        (f"basis of {n_terms} terms (d={problem.d}, n0={n0})",
-         max(max(n_xi_grid), problem.d, *response), n_terms),
-        ("tally draw", 0 if noise_free else max(n_xi_grid), max(n_eta_grid)),
-        ("'study.bins' histogram", bins + 1, 1),
-    )
-    for what, rows, cols in arrays:
-        if 8 * rows * cols > MAX_ARRAY_BYTES:
-            raise ConfigError(
-                f"{what} too large: a {rows} x {cols} float64 array of "
-                f"{8 * rows * cols / 2**20:.0f} MiB is over the "
-                f"{MAX_ARRAY_BYTES / 2**20:.0f} MiB limit"
-            )
-
     if kind == "response":
         if problem.d != 1:
             raise ConfigError("response studies support d=1 problems only")
@@ -339,7 +326,7 @@ def load_config(path) -> StudyConfig:
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ConfigError(f"'seed' must be a nonnegative integer, got {seed!r}")
 
-    return StudyConfig(
+    return _check_memory(StudyConfig(
         problem=problem,
         n0=n0,
         kind=kind,
@@ -352,14 +339,47 @@ def load_config(path) -> StudyConfig:
         noise_free=noise_free,
         bins=bins,
         response_points=response_points,
+    ))
+
+
+def _check_memory(config: StudyConfig) -> StudyConfig:
+    # Refuse a study whose arrays or result table would pass MAX_ARRAY_BYTES.
+    d = config.problem.d
+    n_terms = basis_count(d, config.n0)
+    n_xi, n_eta = max(config.n_xi_grid), max(config.n_eta_grid)
+    cells = len(config.n_xi_grid) * len(config.n_eta_grid)
+    if config.kind == "response":
+        # A build keeps its two P x P covariances and two curves of four columns.
+        response = (n_terms, config.response_points)
+        per_rep = 2 * n_terms**2 + 8 * config.response_points
+    else:
+        response = ()
+        per_rep = len(config.methods) * (2 * d if config.kind == "gsa" else 1)
+    arrays = (
+        (f"basis of {n_terms} terms (d={d}, n0={config.n0})",
+         max(n_xi, d, *response), n_terms),
+        ("tally draw", 0 if config.noise_free else n_xi, n_eta),
+        ("'study.bins' histogram", config.bins + 1, 1),
+        (f"result table of {cells} cells x {config.repetitions} repetitions",
+         cells * config.repetitions, per_rep),
     )
+    for what, rows, cols in arrays:
+        if 8 * rows * cols > MAX_ARRAY_BYTES:
+            raise ConfigError(
+                f"{what} too large: a {rows} x {cols} float64 array of "
+                f"{8 * rows * cols / 2**20:.0f} MiB is over the "
+                f"{MAX_ARRAY_BYTES / 2**20:.0f} MiB limit"
+            )
+    return config
 
 
 # ---------------------------------------------------------------------------
 # Per-repetition estimation
 #
 # An estimator maps one repetition's training data and the cell's basis to
-# what that study kind records, and fits only what it reads.
+# what that study kind records, and fits only what it reads. It fits in the
+# work unit's buffers (see fit_buffers), which the next repetition
+# overwrites, so nothing it returns may refer to them.
 
 
 def _draw_training(
@@ -393,9 +413,9 @@ def _trimmed(surrogate: PceSurrogate, deconv: float | None) -> PceSurrogate:
 
 
 def _variance_estimates(
-    config: StudyConfig, data: TrainingData, basis: MultiIndexBasis
+    config: StudyConfig, data: TrainingData, basis: MultiIndexBasis, buffers
 ) -> dict[str, float]:
-    surrogate = build_surrogate(data, basis, full_covariance=False)
+    surrogate = build_surrogate(data, basis, full_covariance=False, buffers=buffers)
     deconv = _deconvolution(data, config.methods)
     out: dict[str, float] = {}
     for method in config.methods:
@@ -421,9 +441,9 @@ def _sobol_or_nan(surrogate: PceSurrogate) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _gsa_estimates(
-    config: StudyConfig, data: TrainingData, basis: MultiIndexBasis
+    config: StudyConfig, data: TrainingData, basis: MultiIndexBasis, buffers
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    surrogate = build_surrogate(data, basis, full_covariance=False)
+    surrogate = build_surrogate(data, basis, full_covariance=False, buffers=buffers)
     deconv = _deconvolution(data, config.methods)
     out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for method in config.methods:
@@ -436,11 +456,13 @@ def _response_grid(config: StudyConfig) -> np.ndarray:
     return np.linspace(-1.0, 1.0, config.response_points)
 
 
-def _response_estimates(config: StudyConfig, data: TrainingData, basis: MultiIndexBasis):
+def _response_estimates(
+    config: StudyConfig, data: TrainingData, basis: MultiIndexBasis, buffers
+):
     # One surrogate build with its covariances, and for the fit and its
     # trim the predicted curve, the half-width of its 2-stddev band and
     # the number of retained terms.
-    surrogate = build_surrogate(data, basis)
+    surrogate = build_surrogate(data, basis, buffers=buffers)
     pts = _response_grid(config)[:, None]
     curves = []
     for fit in (surrogate, _trimmed(surrogate, _deconvolution(data, ["pc_bias_trim"]))):
@@ -455,14 +477,18 @@ def _response_estimates(config: StudyConfig, data: TrainingData, basis: MultiInd
 def _cell_chunk(
     config: StudyConfig, estimate, basis: MultiIndexBasis, i_xi: int, i_eta: int, reps: range
 ):
-    # One work unit: repetitions `reps` of grid cell (i_xi, i_eta).
+    # One work unit: repetitions `reps` of grid cell (i_xi, i_eta). They
+    # share n_xi and the basis, so every fit reuses the unit's buffers, and
+    # after the first repetition a fit touches no freshly allocated pages.
     cell = i_xi * len(config.n_eta_grid) + i_eta
     n_xi = config.n_xi_grid[i_xi]
     n_eta = config.n_eta_grid[i_eta]
+    buffers = fit_buffers(basis, n_xi)
     out = []
     for rep in reps:
         rng = derive_rng(config.master_seed, cell, rep)
-        out.append(estimate(config, _draw_training(config, n_xi, n_eta, rng), basis))
+        data = _draw_training(config, n_xi, n_eta, rng)
+        out.append(estimate(config, data, basis, buffers))
     return i_xi, i_eta, out
 
 
@@ -731,5 +757,5 @@ def apply_overrides(
     if repetitions is not None:
         if repetitions < 1:
             raise ConfigError(f"repetitions must be >= 1, got {repetitions}")
-        config = replace(config, repetitions=repetitions)
+        config = _check_memory(replace(config, repetitions=repetitions))
     return config

@@ -23,6 +23,7 @@ __all__ = [
     "SobolIndices",
     "TrainingData",
     "build_surrogate",
+    "fit_buffers",
     "load_surrogate",
     "pce_variance_biased",
     "pce_variance_unbiased",
@@ -168,8 +169,22 @@ def _term_sums(w: np.ndarray, t: np.ndarray, basis: MultiIndexBasis) -> np.ndarr
     return np.einsum("pi,ki->pk", w, t, optimize=False)[row, last]
 
 
+def fit_buffers(basis: MultiIndexBasis, n_xi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two empty (head terms, n_xi) arrays for build_surrogate to work in.
+
+    Fits with the same basis and sample count may share one pair, one fit
+    at a time; each fit overwrites both. A d = 1 basis has one empty head.
+    """
+    head, _, _ = basis.split
+    shape = (1 if head is None else len(head), n_xi)
+    return np.empty(shape), np.empty(shape)
+
+
 def build_surrogate(
-    data: TrainingData, basis: MultiIndexBasis, full_covariance: bool = True
+    data: TrainingData,
+    basis: MultiIndexBasis,
+    full_covariance: bool = True,
+    buffers: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> PceSurrogate:
     """Fit coefficients and their estimator uncertainty in one pass.
 
@@ -185,33 +200,42 @@ def build_surrogate(
     estimators would have if every QoI evaluation were noise-free. Its
     entries may dip below their noise-free targets at finite sample counts;
     only the expectation is corrected.
+
+    The head terms are worked on in ``buffers``, a pair from fit_buffers
+    for this basis and n_xi, allocated per call when not given. A
+    repetition loop that passes one pair to every fit allocates no head
+    arrays after the first; the surrogate never refers to the buffers.
     """
     _check_basis_match(data, basis)
     n = data.n_xi
     if full_covariance and n < 2:
         raise ValueError(f"need at least 2 samples to estimate covariance, got {n}")
     head, row, last = basis.split
+    rows, spare = fit_buffers(basis, n) if buffers is None else buffers
     if head is None:
-        head_values = np.ones((n, 1))
+        rows.fill(1.0)
+        head_values = rows.T
     else:
-        head_values = eval_basis_matrix(head, data.samples[:, :-1])
+        head_values = eval_basis_matrix(head, data.samples[:, :-1], rows, spare)
     table = legendre_table(basis.total_degree, data.samples[:, -1])
-    # Degree-major head and last-variable factors: q Phi_h and P_j.
-    w = np.multiply(head_values.T, data.qtilde, order="C")
+    cov = noise_cov = var = psi = None
+    if full_covariance:
+        # np.take returns C-ordered factors whatever the layout of its input,
+        # so the BLAS products below always see the same layout and bits.
+        psi = np.take(head_values, row, axis=1) * np.take(table, last, axis=1)
+    # Degree-major head and last-variable factors: w = q Phi_h, formed in
+    # place over the head rows, and P_j.
+    w = np.multiply(rows, data.qtilde, out=rows)
     t = table.T
     coefficients = _term_sums(w, t, basis) / (n * basis.norms)
-    cov = noise_cov = var = None
     if full_covariance:
-        # np.take keeps the factors C-ordered, as eval_basis_matrix does, so
-        # the BLAS products below see the same layout and give the same bits.
-        psi = np.take(head_values, row, axis=1) * np.take(table, last, axis=1)
         dev = psi * (data.qtilde[:, None] / basis.norms[None, :]) - coefficients
         cov = dev.T @ dev / ((n - 1) * n)
         cov = 0.5 * (cov + cov.T)
         if data.sigma2eta is not None:
             noise_cov = cov - _noise_correction(data, basis, psi)
     elif n >= 2:
-        s2 = _term_sums(w * w, t * t, basis)
+        s2 = _term_sums(np.multiply(w, w, out=spare), t * t, basis)
         var = (s2 / basis.norms**2 - n * coefficients**2) / ((n - 1) * n)
         # The raw second moment cancels for the mean term of a nearly flat
         # or noise-free response; sum its squared deviations directly.

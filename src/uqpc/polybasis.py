@@ -115,23 +115,62 @@ def total_degree_multi_indices(d: int, n0: int) -> MultiIndexBasis:
     return MultiIndexBasis(dimension=d, total_degree=n0, indices=indices, norms=norms)
 
 
-def eval_basis_matrix(basis: MultiIndexBasis, xis: np.ndarray) -> np.ndarray:
+def _term_rows(buffer: np.ndarray | None, shape: tuple[int, int], name: str) -> np.ndarray:
+    # A caller's buffer must take the rows as they are gathered: float64,
+    # C-ordered, one row per term.
+    if buffer is None:
+        return np.empty(shape)
+    if not (
+        isinstance(buffer, np.ndarray)
+        and buffer.dtype == np.float64
+        and buffer.shape == shape
+        and buffer.flags.c_contiguous
+        and buffer.flags.writeable
+    ):
+        raise ValueError(
+            f"{name} must be a writeable C-ordered float64 array of shape {shape}, got "
+            f"{getattr(buffer, 'dtype', type(buffer).__name__)} {np.shape(buffer)}"
+        )
+    return buffer
+
+
+def eval_basis_matrix(
+    basis: MultiIndexBasis,
+    xis: np.ndarray,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
     """Evaluate the basis at many points; returns shape (n_points, n_terms).
 
     Entry (i, k) is prod_j P_{k_j}(xis[i, j]), with k_j the degrees of term k.
+    Like legendre_table, the result is the transposed view of a degree-major
+    array: ``.T`` holds each term in one contiguous row. The rows are written
+    into ``out`` when given, a C-ordered float64 array of shape
+    (n_terms, n_points), and at dimension >= 2 each further variable's
+    factors are gathered into ``scratch`` of the same shape; either is
+    allocated when not given. The values do not depend on the buffers.
     """
     xis = np.asarray(xis, dtype=float)
     if xis.ndim != 2 or xis.shape[1] != basis.dimension:
         raise ValueError(
             f"samples have shape {xis.shape}, expected (n, {basis.dimension})"
         )
+    shape = (len(basis), xis.shape[0])
+    rows = _term_rows(out, shape, "out")
     n_max = int(basis.indices.max(initial=0))
-    # np.take keeps the gathered factors C-ordered; table[:, idx] would be
-    # F-ordered, and the layout changes the last bits of later BLAS products.
-    out = np.take(legendre_table(n_max, xis[:, 0]), basis.indices[:, 0], axis=1)
-    for j in range(1, basis.dimension):
-        out *= np.take(legendre_table(n_max, xis[:, j]), basis.indices[:, j], axis=1)
-    return out
+    # Gather whole degree rows of each variable's table. mode="clip" writes
+    # straight into the target; the default mode buffers through a copy.
+    np.take(legendre_table(n_max, xis[:, 0]).T, basis.indices[:, 0], axis=0, out=rows,
+            mode="clip")
+    if basis.dimension > 1:
+        factor = _term_rows(scratch, shape, "scratch")
+        if np.may_share_memory(rows, factor):
+            raise ValueError("out and scratch must not overlap")
+        for j in range(1, basis.dimension):
+            np.take(legendre_table(n_max, xis[:, j]).T, basis.indices[:, j], axis=0,
+                    out=factor, mode="clip")
+            rows *= factor
+    return rows.T
 
 
 def gauss_legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:

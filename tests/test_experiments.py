@@ -178,6 +178,14 @@ def test_load_config_gsa_defaults(tmp_path):
     D1_PROBLEM + "pce: {n0: 6}\n"
     "study: {kind: response, n_xi_grid: [5], n_eta_grid: [2], response_points: 100000000}\n",
     D1_PROBLEM + "pce: {n0: 2}\nstudy: {n_xi_grid: [5], n_eta_grid: [1], bins: 1000000000}\n",
+    # result tables over the limit, 8 B per recorded float: 3.2 GB of
+    # variance estimates, 320 MB of GSA indices (2 methods x 2d floats per
+    # repetition), and 5 response builds of two 2001^2 covariances each
+    D1_PROBLEM + "pce: {n0: 2}\nstudy: {n_xi_grid: [5], n_eta_grid: [1], repetitions: 100000000}\n",
+    D1_PROBLEM
+    + "pce: {n0: 2}\nstudy: {kind: gsa, n_xi_grid: [5], n_eta_grid: [1], repetitions: 10000000}\n",
+    D1_PROBLEM + "pce: {n0: 2000}\n"
+    "study: {kind: response, n_xi_grid: [5], n_eta_grid: [2], repetitions: 5}\n",
 ])
 def test_load_config_rejects(tmp_path, body):
     path = write_config(tmp_path, body)
@@ -236,6 +244,9 @@ def test_apply_overrides(tmp_path):
     assert (changed.master_seed, changed.repetitions) == (1, 3)
     with pytest.raises(ConfigError):
         apply_overrides(config, repetitions=0)
+    # 4 methods x 10^8 repetitions: a 3.2 GB result table
+    with pytest.raises(ConfigError):
+        apply_overrides(config, repetitions=10**8)
 
 
 # ------------------------------------------------------------ rng and density
@@ -614,6 +625,73 @@ def test_pool_size_and_basis_follow_the_study(tmp_path, monkeypatch):
         assert np.array_equal(a.coefficient_covariance, b.coefficient_covariance)
 
 
+# ------------------------------------------------------------ buffer reuse
+
+
+@pytest.mark.parametrize("d, n0, n_xi, n_eta", [(1, 4, 60, 2), (3, 6, 400, 1), (10, 3, 300, 2)])
+def test_unit_fits_equal_fresh_fits(tmp_path, d, n0, n_xi, n_eta):
+    # The repetitions of a work unit fit in the unit's shared buffers. Each
+    # must equal an independent fresh fit of its draw, and a surrogate
+    # returned early must not change while later repetitions reuse them.
+    import uqpc.experiments as experiments
+    from uqpc.nisp import build_surrogate
+
+    materials = "".join(
+        f"    - {{sigma0: {0.2 + 0.1 * i:.1f}, sigmaDelta: 0.15, dx: 0.5}}\n" for i in range(d)
+    )
+    config = load_config(write_config(
+        tmp_path,
+        "problem:\n  materials:\n" + materials + f"pce: {{n0: {n0}}}\n"
+        f"study: {{n_xi_grid: [{n_xi}], n_eta_grid: [{n_eta}], repetitions: 5}}\nseed: 41\n",
+    ))
+    basis = total_degree_multi_indices(d, n0)
+    returned = []
+
+    def estimate(config, data, basis, buffers):
+        fit = build_surrogate(data, basis, full_covariance=False, buffers=buffers)
+        returned.append((fit.coefficients.copy(), fit.coefficient_variance.copy()))
+        return fit
+
+    _, _, fits = experiments._cell_chunk(config, estimate, basis, 0, 0, range(5))
+    for rep, (fit, (beta, var)) in enumerate(zip(fits, returned)):
+        assert np.array_equal(fit.coefficients, beta)
+        assert np.array_equal(fit.coefficient_variance, var)
+        rng = derive_rng(config.master_seed, 0, rep)
+        data = experiments._draw_training(config, n_xi, n_eta, rng)
+        fresh = build_surrogate(data, basis, full_covariance=False)
+        assert np.array_equal(fit.coefficients, fresh.coefficients)
+        assert np.array_equal(fit.coefficient_variance, fresh.coefficient_variance)
+
+
+def test_gsa_csv_independent_of_unit_split(tmp_path):
+    # One unit of 10 repetitions per cell at 1 worker, five units of 2 at 2
+    # workers: a unit's buffers must carry nothing from one fit to the next.
+    from uqpc.experiments import _rep_chunks
+
+    path = write_config(tmp_path, """\
+    problem:
+      materials:
+        - {sigma0: 0.3, sigmaDelta: 0.29, dx: 1.0}
+        - {sigma0: 0.5, sigmaDelta: 0.2, dx: 0.5}
+        - {sigma0: 0.3, sigmaDelta: 0.29, dx: 1.0}
+    pce: {n0: 4}
+    study:
+      kind: gsa
+      n_xi_grid: [150, 300]
+      n_eta_grid: [1, 2]
+      repetitions: 10
+    seed: 37
+    """)
+    assert len(_rep_chunks(10, 1)) == 1
+    assert len(_rep_chunks(10, 2)) == 5
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}"
+        code, _, _ = run_cli("run", "--config", str(path), "--out", str(out),
+                             "--workers", str(workers))
+        assert code == 0
+    assert (tmp_path / "w1" / "gsa.csv").read_bytes() == (tmp_path / "w2" / "gsa.csv").read_bytes()
+
+
 # ------------------------------------------------------------------------ cli
 
 
@@ -747,6 +825,17 @@ def test_cli_rejects_config_before_running(tmp_path, problem, study):
     assert code == 2
     assert stderr.startswith("config error:")
     assert stdout == ""
+    assert not out.exists()
+
+
+def test_cli_refuses_repetitions_over_the_result_table_limit(tmp_path):
+    path = write_config(tmp_path, D1_PROBLEM, "pce: {n0: 2}\n",
+                        "study: {n_xi_grid: [5], n_eta_grid: [1]}\n")
+    out = tmp_path / "out"
+    code, stdout, stderr = run_cli("run", "--config", str(path), "--out", str(out),
+                                   "--repetitions", str(10**8))
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith("config error: result table")
     assert not out.exists()
 
 

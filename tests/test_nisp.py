@@ -5,6 +5,7 @@ from uqpc.nisp import (
     PceSurrogate,
     TrainingData,
     build_surrogate,
+    fit_buffers,
     load_surrogate,
     pce_variance_biased,
     pce_variance_unbiased,
@@ -250,6 +251,29 @@ def test_fit_layout_belongs_to_its_basis(d1_problem, d3_problem, rng):
         beta, scale, var = _basis_matrix_fit(data, total_degree_multi_indices(data.d, 4))
         assert np.all(np.abs(coefficients - beta) <= 1e-13 * scale)
         assert np.all(np.abs(variance - var) <= 1e-13 * var)
+
+
+def test_steady_state_fit_allocates_no_head_arrays(d3_problem, rng):
+    # With warmed buffers a fit allocates only Legendre tables and small
+    # temporaries, well under two of its (28 head terms) x 2000 arrays.
+    import tracemalloc
+
+    basis = total_degree_multi_indices(3, 6)
+    xis = sample_parameters(d3_problem, 2000, rng)
+    qt, _ = simulate_training_set(d3_problem, xis, 1, rng)
+    data = TrainingData(xis, qt, None, 1)
+    buffers = fit_buffers(basis, 2000)
+    head_array = 28 * 2000 * 8
+    assert buffers[0].nbytes == buffers[1].nbytes == head_array
+    build_surrogate(data, basis, full_covariance=False, buffers=buffers)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        build_surrogate(data, basis, full_covariance=False, buffers=buffers)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * head_array
 
 
 # -------------------------------------------------- statistical calibration

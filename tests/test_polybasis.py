@@ -91,7 +91,8 @@ def test_eval_basis_matrix_is_exact_product(rng):
     basis = total_degree_multi_indices(3, 5)
     xis = rng.uniform(-1.0, 1.0, size=(300, 3))
     psi = eval_basis_matrix(basis, xis)
-    assert psi.flags.c_contiguous
+    # The transposed view of degree-major rows, as legendre_table returns.
+    assert psi.T.flags.c_contiguous
     ref = np.ones((300, len(basis)))
     for j in range(3):
         ref = ref * legendre_table(5, xis[:, j])[:, basis.indices[:, j]]
@@ -122,6 +123,43 @@ def test_legendre_table_degree_major(rng):
     table = legendre_table(4, x)
     assert table.shape == (50, 5)
     assert table.T.flags.c_contiguous
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_eval_basis_matrix_into_buffers(d, rng):
+    # Given buffers, the values are the default path's bit for bit, as the
+    # transposed view of `out`; reused buffers keep nothing of the last call.
+    basis = total_degree_multi_indices(d, 4)
+    out, scratch = np.full((len(basis), 70), np.nan), np.full((len(basis), 70), np.nan)
+    for _ in range(2):
+        xis = rng.uniform(-1.0, 1.0, size=(70, d))
+        psi = eval_basis_matrix(basis, xis, out, scratch)
+        assert psi.base is out
+        assert psi.shape == (70, len(basis))
+        assert np.array_equal(psi, eval_basis_matrix(basis, xis))
+
+
+def test_eval_basis_matrix_rejects_bad_buffers():
+    basis = total_degree_multi_indices(3, 2)
+    xis = np.zeros((5, 3))
+    good = np.empty((len(basis), 5))
+    frozen = np.empty_like(good)
+    frozen.flags.writeable = False
+    bad = [
+        np.empty((5, len(basis))),  # the returned (n_points, n_terms) shape
+        np.empty((len(basis), 5), dtype=np.float32),
+        np.empty((len(basis), 5), order="F"),
+        np.empty((len(basis), 10))[:, ::2],
+        frozen,
+        good.tolist(),
+    ]
+    for buffer in bad:
+        with pytest.raises(ValueError):
+            eval_basis_matrix(basis, xis, buffer, good)
+        with pytest.raises(ValueError):
+            eval_basis_matrix(basis, xis, good, buffer)
+    with pytest.raises(ValueError):
+        eval_basis_matrix(basis, xis, good, good)
 
 
 def test_eval_basis_dimension_check():
