@@ -22,9 +22,7 @@ identical for any worker count.
 
 from __future__ import annotations
 
-import csv
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -140,23 +138,28 @@ class DensityHistogram:
 
 @dataclass(frozen=True, eq=False)
 class ResponseCurve:
+    """One build's predicted curve and band on the study's response grid."""
+
     sample_index: int
     trimmed: bool
-    xi: np.ndarray
     predict: np.ndarray
     band_lo: np.ndarray
     band_hi: np.ndarray
-    analytic: np.ndarray
     n_retained: int
 
 
 @dataclass(eq=False)
 class StudyReport:
+    """Everything a study writes. A response study also keeps its grid and
+    the analytic curve on it, which every ResponseCurve shares."""
+
     config: StudyConfig
     summary: dict
     records: list[Record] = field(default_factory=list)
     densities: dict[tuple[int, int, str], DensityHistogram] = field(default_factory=dict)
     gsa_records: list[GsaRecord] = field(default_factory=list)
+    response_grid: np.ndarray | None = None
+    response_analytic: np.ndarray | None = None
     response_curves: list[ResponseCurve] = field(default_factory=list)
     surrogates: list[PceSurrogate] = field(default_factory=list)
 
@@ -496,25 +499,32 @@ def _cell_chunk(
 # Study runner
 
 
-def _rep_chunks(repetitions: int, workers: int) -> list[range]:
-    # Small chunks keep the pool busy; chunking never affects results because
-    # streams are derived per (cell, repetition).
-    size = repetitions if workers <= 1 else max(1, -(-repetitions // (workers * 4)))
+def _rep_chunks(repetitions: int, workers: int, cells: int) -> list[range]:
+    # About four units per worker over the whole grid keep the pool busy;
+    # larger units reuse their fit buffers over more repetitions. Chunking
+    # never affects results because streams are derived per (cell, repetition).
+    size = repetitions
+    if workers > 1:
+        size = min(repetitions, -(-repetitions * cells // (workers * 4)))
     return [range(lo, min(lo + size, repetitions)) for lo in range(0, repetitions, size)]
 
 
 def _run_grid(config: StudyConfig, estimate, workers: int):
     """Yield (n_xi, n_eta, [estimate by repetition]) per cell, in grid order."""
     basis = total_degree_multi_indices(config.problem.d, config.n0)
+    cells = len(config.n_xi_grid) * len(config.n_eta_grid)
     units = [
         (config, estimate, basis, i_xi, i_eta, reps)
         for i_xi in range(len(config.n_xi_grid))
         for i_eta in range(len(config.n_eta_grid))
-        for reps in _rep_chunks(config.repetitions, workers)
+        for reps in _rep_chunks(config.repetitions, workers, cells)
     ]
     if workers <= 1:
         results = [_cell_chunk(*unit) for unit in units]
     else:
+        # Imported here: a serial run never loads multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         # A fork pool starts every worker at the first submit: no idle ones.
         with ProcessPoolExecutor(max_workers=min(workers, len(units))) as pool:
             futures = [pool.submit(_cell_chunk, *unit) for unit in units]
@@ -625,14 +635,14 @@ def _gsa_cell(report: StudyReport, n_xi: int, n_eta: int, estimates: list) -> di
 
 def _response_cell(report: StudyReport, n_xi: int, n_eta: int, estimates: list) -> dict:
     # Repetition s is build s, drawn from stream (master_seed, 0, s).
-    config = report.config
-    grid = _response_grid(config)
-    analytic = transmittance_batch(config.problem, grid[:, None])
+    grid = _response_grid(report.config)
+    report.response_grid = grid
+    report.response_analytic = transmittance_batch(report.config.problem, grid[:, None])
     builds = []
     for sample, (surrogate, curves) in enumerate(estimates):
         report.surrogates.append(surrogate)
         report.response_curves.extend(
-            ResponseCurve(sample, trimmed, grid, mid, mid - half, mid + half, analytic, kept)
+            ResponseCurve(sample, trimmed, mid, mid - half, mid + half, kept)
             for trimmed, (mid, half, kept) in zip((False, True), curves)
         )
         (_, _, full), (_, _, trim) = curves
@@ -665,26 +675,71 @@ def run_study(config: StudyConfig, workers: int = 1) -> StudyReport:
 # File emission
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    # csv writes a float as its repr, which keeps full precision, so reruns
-    # are byte-identical. Rows must hold Python scalars: a numpy float would
-    # be written as "np.float64(...)".
+# Rows of records.csv and gsa.csv formatted per write. A formatted row costs
+# a few hundred bytes, so a table is never held as strings in full.
+BLOCK_ROWS = 1024
+
+
+def _column(values) -> list[str]:
+    # A float's str is its repr, the shortest string that reads back to the
+    # same float, so reruns are byte-identical. tolist() turns numpy scalars
+    # into Python ones, whose str has no "np.float64(...)" wrapper.
+    return list(map(str, np.asarray(values).tolist()))
+
+
+def _write_csv(path: Path, header: list[str], blocks) -> None:
+    # Each block is a list of columns already formatted as strings, and is
+    # written in one call. Every field is a number or a method name, so
+    # nothing needs quoting; lines end in "\r\n" as in csv's excel dialect.
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\r\n")
+        for columns in blocks:
+            fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
+
+
+def _in_blocks(rows: list, format_columns):
+    # format_columns(rows) formats a slice of rows as a list of columns.
+    for lo in range(0, len(rows), BLOCK_ROWS):
+        yield format_columns(rows[lo : lo + BLOCK_ROWS])
+
+
+def _record_columns(records: list[Record]) -> list[list[str]]:
+    return [
+        _column([r.n_xi for r in records]),
+        _column([r.n_eta for r in records]),
+        [r.method for r in records],
+        _column([r.repetition for r in records]),
+        _column([r.estimate for r in records]),
+    ]
+
+
+def _gsa_columns(records: list[GsaRecord]) -> list[list[str]]:
+    indices = np.hstack((
+        np.array([g.first_order for g in records]), np.array([g.total for g in records])
+    ))
+    return [
+        _column([g.n_xi for g in records]),
+        _column([g.n_eta for g in records]),
+        [g.method for g in records],
+        _column([g.repetition for g in records]),
+        *map(_column, indices.T),
+    ]
 
 
 def write_report(report: StudyReport, out_dir) -> list[Path]:
-    """Write the report's files into out_dir; returns the paths written."""
+    """Write the report's files into out_dir; returns the paths written.
+
+    Each CSV is written column by column, and a value shared by several
+    columns or files (density bin edges, the response grid and analytic
+    curve) is formatted once.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
 
     summary_path = out / "summary.json"
     with open(summary_path, "w", encoding="utf-8") as fh:
-        json.dump(report.summary, fh, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps(report.summary, indent=1) + "\n")
     written.append(summary_path)
 
     if report.records:
@@ -692,16 +747,17 @@ def write_report(report: StudyReport, out_dir) -> list[Path]:
         _write_csv(
             path,
             ["n_xi", "n_eta", "method", "repetition", "estimate"],
-            ((r.n_xi, r.n_eta, r.method, r.repetition, r.estimate) for r in report.records),
+            _in_blocks(report.records, _record_columns),
         )
         written.append(path)
 
     for (n_xi, n_eta, method), hist in report.densities.items():
         path = out / f"density_{n_xi}x{n_eta}_{method}.csv"
+        edges = _column(hist.edges)
         _write_csv(
             path,
             ["bin_left", "bin_right", "density"],
-            np.column_stack((hist.edges[:-1], hist.edges[1:], hist.density)).tolist(),
+            [[edges[:-1], edges[1:], _column(hist.density)]],
         )
         written.append(path)
 
@@ -713,28 +769,22 @@ def write_report(report: StudyReport, out_dir) -> list[Path]:
             + [f"st{i + 1}" for i in range(d)]
         )
         path = out / "gsa.csv"
-        _write_csv(
-            path,
-            header,
-            (
-                [g.n_xi, g.n_eta, g.method, g.repetition]
-                + g.first_order.tolist()
-                + g.total.tolist()
-                for g in report.gsa_records
-            ),
-        )
+        _write_csv(path, header, _in_blocks(report.gsa_records, _gsa_columns))
         written.append(path)
 
-    for curve in report.response_curves:
-        suffix = "_trim" if curve.trimmed else ""
-        path = out / f"response_{curve.sample_index}{suffix}.csv"
-        columns = (curve.xi, curve.predict, curve.band_lo, curve.band_hi, curve.analytic)
-        _write_csv(
-            path,
-            ["xi", "predict", "band_lo", "band_hi", "analytic"],
-            np.column_stack(columns).tolist(),
-        )
-        written.append(path)
+    if report.response_curves:
+        grid = _column(report.response_grid)
+        analytic = _column(report.response_analytic)
+        for curve in report.response_curves:
+            suffix = "_trim" if curve.trimmed else ""
+            path = out / f"response_{curve.sample_index}{suffix}.csv"
+            _write_csv(
+                path,
+                ["xi", "predict", "band_lo", "band_hi", "analytic"],
+                [[grid, _column(curve.predict), _column(curve.band_lo),
+                  _column(curve.band_hi), analytic]],
+            )
+            written.append(path)
 
     for index, surrogate in enumerate(report.surrogates):
         path = out / f"surrogate_{index}.json"

@@ -440,9 +440,9 @@ def save_surrogate(surrogate: PceSurrogate, path) -> None:
         # A stored matrix carries the variances on its diagonal.
         var = surrogate.coefficient_variance
         payload["coefficient_variance"] = None if var is None else var.tolist()
+    # One write: json.dump with indent makes one write call per token.
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=1) + "\n")
 
 
 def load_surrogate(path) -> PceSurrogate:

@@ -585,8 +585,10 @@ def test_pool_size_and_basis_follow_the_study(tmp_path, monkeypatch):
     # for 5 single-build units would leave 3 idle; and the study's one basis
     # serves every unit. A stand-in executor records the pool size and runs
     # each unit inline.
-    import uqpc.experiments as experiments
+    import concurrent.futures
     from concurrent.futures import Future
+
+    import uqpc.experiments as experiments
 
     sizes, bases = [], []
 
@@ -615,7 +617,7 @@ def test_pool_size_and_basis_follow_the_study(tmp_path, monkeypatch):
             response_points: 11}
     """))
     serial = run_study(config)
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(experiments, "total_degree_multi_indices", counted_basis)
     pooled = run_study(config, workers=8)
     assert sizes == [5]
@@ -663,9 +665,22 @@ def test_unit_fits_equal_fresh_fits(tmp_path, d, n0, n_xi, n_eta):
         assert np.array_equal(fit.coefficient_variance, fresh.coefficient_variance)
 
 
+def test_rep_chunks_size_units_over_the_grid():
+    # About four units per worker over all cells, never more than a cell's
+    # repetitions in one unit, and one unit per cell without a pool.
+    from uqpc.experiments import _rep_chunks
+
+    assert _rep_chunks(200, 1, 30) == [range(200)]
+    assert _rep_chunks(5, 2, 30) == [range(5)]
+    assert _rep_chunks(300, 2, 1) == [range(lo, min(lo + 38, 300)) for lo in range(0, 300, 38)]
+    assert len(_rep_chunks(200, 2, 1)) == 8
+    assert _rep_chunks(10, 2, 4) == [range(0, 5), range(5, 10)]
+
+
 def test_gsa_csv_independent_of_unit_split(tmp_path):
-    # One unit of 10 repetitions per cell at 1 worker, five units of 2 at 2
-    # workers: a unit's buffers must carry nothing from one fit to the next.
+    # One unit of 10 repetitions per cell at 1 worker, two units of 5 per
+    # cell at 2 workers: a unit's buffers must carry nothing from one fit to
+    # the next.
     from uqpc.experiments import _rep_chunks
 
     path = write_config(tmp_path, """\
@@ -682,14 +697,120 @@ def test_gsa_csv_independent_of_unit_split(tmp_path):
       repetitions: 10
     seed: 37
     """)
-    assert len(_rep_chunks(10, 1)) == 1
-    assert len(_rep_chunks(10, 2)) == 5
+    assert len(_rep_chunks(10, 1, 4)) == 1
+    assert len(_rep_chunks(10, 2, 4)) == 2
     for workers in (1, 2):
         out = tmp_path / f"w{workers}"
         code, _, _ = run_cli("run", "--config", str(path), "--out", str(out),
                              "--workers", str(workers))
         assert code == 0
     assert (tmp_path / "w1" / "gsa.csv").read_bytes() == (tmp_path / "w2" / "gsa.csv").read_bytes()
+
+
+# -------------------------------------------------------------- report writer
+
+
+def csv_module_text(header, rows) -> bytes:
+    # The reference rendering: the standard library's csv.writer in its
+    # default (excel) dialect, encoded as the report files are.
+    import csv
+
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode("utf-8")
+
+
+def test_write_csv_matches_csv_module(tmp_path):
+    # Non-finite values, signed zero, subnormals, large and inexact floats,
+    # ints and every method name render as csv.writer renders them.
+    from uqpc.experiments import _column, _write_csv
+
+    floats = [float("nan"), float("inf"), float("-inf"), -0.0, 1e-05, 5e-324, 1e16, 0.1 + 0.2]
+    ints = [0, 1, -7, 2000, 10**12, 3, 200, 42]
+    methods = list(METHODS) + list(GSA_METHODS) + ["pc_mc21", "var_deconv"]
+    header = ["method", "count", "value"]
+    columns = [methods, _column(np.array(ints)), _column(np.array(floats))]
+    path = tmp_path / "columns.csv"
+    _write_csv(path, header, [columns])
+    assert path.read_bytes() == csv_module_text(header, zip(methods, ints, floats))
+    # Blocks of rows join into the same file.
+    _write_csv(path, header, [[c[:3] for c in columns], [c[3:] for c in columns]])
+    assert path.read_bytes() == csv_module_text(header, zip(methods, ints, floats))
+
+
+def test_records_and_density_csv_match_csv_module(tiny_variance_config, tmp_path, monkeypatch):
+    # Blocks of 5 rows split records.csv over several writes.
+    import uqpc.experiments as experiments
+
+    monkeypatch.setattr(experiments, "BLOCK_ROWS", 5)
+    report = run_study(tiny_variance_config)
+    assert len(report.records) > 2 * 5
+    out = tmp_path / "report"
+    write_report(report, out)
+    rows = [(r.n_xi, r.n_eta, r.method, r.repetition, r.estimate) for r in report.records]
+    header = ["n_xi", "n_eta", "method", "repetition", "estimate"]
+    assert (out / "records.csv").read_bytes() == csv_module_text(header, rows)
+    for (n_xi, n_eta, method), hist in report.densities.items():
+        rows = np.column_stack((hist.edges[:-1], hist.edges[1:], hist.density)).tolist()
+        text = csv_module_text(["bin_left", "bin_right", "density"], rows)
+        assert (out / f"density_{n_xi}x{n_eta}_{method}.csv").read_bytes() == text
+
+
+def test_gsa_csv_with_undefined_draws_matches_csv_module(tmp_path):
+    # Few samples at n0 = 2 make the trim keep only the mean in some draws,
+    # whose indices are recorded as NaN.
+    path = write_config(tmp_path, """\
+    problem:
+      materials:
+        - {sigma0: 0.3, sigmaDelta: 0.29, dx: 1.0}
+        - {sigma0: 0.5, sigmaDelta: 0.2, dx: 0.5}
+        - {sigma0: 0.3, sigmaDelta: 0.29, dx: 1.0}
+    pce: {n0: 2}
+    study:
+      kind: gsa
+      n_xi_grid: [10, 40]
+      n_eta_grid: [1, 2]
+      repetitions: 6
+    seed: 5
+    """)
+    report = run_study(load_config(path))
+    undefined = [np.isnan(g.first_order).all() for g in report.gsa_records]
+    assert any(undefined) and not all(undefined)
+    out = tmp_path / "gsa_report"
+    write_report(report, out)
+    header = ["n_xi", "n_eta", "method", "repetition", "s1", "s2", "s3", "st1", "st2", "st3"]
+    rows = (
+        [g.n_xi, g.n_eta, g.method, g.repetition] + g.first_order.tolist() + g.total.tolist()
+        for g in report.gsa_records
+    )
+    assert (out / "gsa.csv").read_bytes() == csv_module_text(header, rows)
+
+
+def test_response_csv_matches_csv_module(tmp_path):
+    # The study's grid and analytic curve are formatted once and shared by
+    # every response file.
+    config = load_config(write_config(tmp_path, D1_PROBLEM, """\
+    pce: {n0: 4}
+    study: {kind: response, n_xi_grid: [60], n_eta_grid: [2], repetitions: 3,
+            response_points: 17}
+    seed: 29
+    """))
+    report = run_study(config)
+    assert np.array_equal(report.response_grid, np.linspace(-1.0, 1.0, 17))
+    out = tmp_path / "resp"
+    write_report(report, out)
+    header = ["xi", "predict", "band_lo", "band_hi", "analytic"]
+    assert len(report.response_curves) == 6
+    for curve in report.response_curves:
+        suffix = "_trim" if curve.trimmed else ""
+        rows = np.column_stack((
+            report.response_grid, curve.predict, curve.band_lo, curve.band_hi,
+            report.response_analytic,
+        )).tolist()
+        text = csv_module_text(header, rows)
+        assert (out / f"response_{curve.sample_index}{suffix}.csv").read_bytes() == text
 
 
 # ------------------------------------------------------------------------ cli

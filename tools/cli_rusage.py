@@ -7,12 +7,14 @@ tree, alternating which tree goes first, so a drift in machine speed hits
 every tree alike. A run is a fresh `python -c "uqpc.cli.main()"` subprocess
 with PYTHONPATH set to the tree's src/; its figures come from the wait4
 rusage of the child, which includes the pool workers it waited for. The
-report files go to a temporary directory; records.csv and gsa.csv are
-hashed, and a run whose hashes differ between trees or rounds is flagged.
+report files go to a temporary directory. Every report file is hashed: the
+run's digest is the sha256 of its sorted (file name, sha256) pairs, so any
+changed, added or missing file changes it. A run whose digest differs
+between trees or rounds is flagged.
 
 Prints one JSON object: per tree, config and worker count, the median and
 quartiles of wall_s, user_s, sys_s, minflt and maxrss_mb over the rounds,
-plus the sha256 of the hashed files.
+the report digest, and the sha256 of records.csv and gsa.csv where written.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import time
 from pathlib import Path
 
 CONFIGS = ("d1_oracle", "d1_response", "d3_gsa", "d3_variance")
-HASHED = ("records.csv", "gsa.csv")
+NAMED = ("records.csv", "gsa.csv")
 CLI_CODE = "import sys; from uqpc.cli import main; sys.exit(main())"
 
 
@@ -45,10 +47,9 @@ def run_once(tree: Path, config: str, workers: int) -> dict:
         wall = time.perf_counter() - start
         if os.waitstatus_to_exitcode(status) != 0:
             raise RuntimeError(f"{' '.join(argv)} failed")
-        hashes = {
-            name: hashlib.sha256((Path(out) / name).read_bytes()).hexdigest()
-            for name in HASHED
-            if (Path(out) / name).is_file()
+        files = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in Path(out).iterdir()
         }
     return {
         "wall_s": wall,
@@ -56,8 +57,15 @@ def run_once(tree: Path, config: str, workers: int) -> dict:
         "sys_s": usage.ru_stime,
         "minflt": usage.ru_minflt,
         "maxrss_mb": usage.ru_maxrss / 1024.0,
-        "sha256": hashes,
+        "report_digest": report_digest(files),
+        "sha256": {name: files[name] for name in NAMED if name in files},
     }
+
+
+def report_digest(files: dict[str, str]) -> str:
+    """sha256 of the sorted (file name, sha256) pairs of a report directory."""
+    lines = "".join(f"{name} {digest}\n" for name, digest in sorted(files.items()))
+    return hashlib.sha256(lines.encode("utf-8")).hexdigest()
 
 
 def spread(values: list[float]) -> dict:
@@ -89,9 +97,10 @@ def main(argv=None) -> int:
             name: spread([f[name] for f in figures])
             for name in ("wall_s", "user_s", "sys_s", "minflt", "maxrss_mb")
         }
+        entry["report_digest"] = figures[0]["report_digest"]
         entry["sha256"] = figures[0]["sha256"]
-        reference = runs[(0, config, 1)][0]["sha256"]
-        if any(f["sha256"] != reference for f in figures):
+        reference = runs[(0, config, 1)][0]["report_digest"]
+        if any(f["report_digest"] != reference for f in figures):
             mismatches.append(f"{trees[i]} {config} --workers {workers}")
         result.setdefault(str(trees[i]), {})[f"{config}_w{workers}"] = entry
     print(json.dumps({"rounds": args.rounds, "trees": result, "sha256_mismatches": mismatches},
