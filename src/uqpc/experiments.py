@@ -22,7 +22,6 @@ identical for any worker count.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -35,6 +34,7 @@ from .nisp import (
     TrainingData,
     build_surrogate,
     fit_buffers,
+    json_text,
     pce_variance_biased,
     pce_variance_unbiased,
     predict,
@@ -379,32 +379,33 @@ def _check_memory(config: StudyConfig) -> StudyConfig:
 # ---------------------------------------------------------------------------
 # Per-repetition estimation
 #
-# An estimator maps one repetition's training data and the cell's basis to
-# what that study kind records, and fits only what it reads. It fits in the
-# work unit's buffers (see fit_buffers), which the next repetition
-# overwrites, so nothing it returns may refer to them.
+# An estimator maps a block of repetitions' training data (see TrainingData)
+# and the cell's basis to a list of what that study kind records, one entry
+# per repetition, and fits only what it reads. It fits in the work unit's
+# buffers (see fit_buffers), which the next block overwrites, so nothing it
+# returns may refer to them.
 
 
 def _draw_training(
     config: StudyConfig, n_xi: int, n_eta: int, rng: np.random.Generator
-) -> TrainingData:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    # One repetition's samples, tallies and (n_eta >= 2) per-sample noise
+    # variances, drawn from its own generator in the documented order.
     problem = config.problem
     xis = sample_parameters(problem, n_xi, rng)
     if config.noise_free:
         qtilde = transmittance_batch(problem, xis)
-        sigma2 = np.zeros(n_xi) if n_eta >= 2 else None
-    else:
-        qtilde, sigma2 = simulate_training_set(problem, xis, n_eta, rng)
-    return TrainingData(xis, qtilde, sigma2, n_eta)
+        return xis, qtilde, np.zeros(n_xi) if n_eta >= 2 else None
+    return xis, *simulate_training_set(problem, xis, n_eta, rng)
 
 
-def _deconvolution(data: TrainingData, methods) -> float | None:
+def _deconvolution(data: TrainingData, methods) -> list[float] | list[None]:
     # Variance deconvolution is the var_deconv estimate and, where the
     # per-sample noise variance is observable (n_eta >= 2), the trim target
-    # of pc_bias_trim; it runs once per repetition, and only if read.
+    # of pc_bias_trim; it runs once per block, and only if read.
     if data.sigma2eta is None or not {"var_deconv", "pc_bias_trim"} & set(methods):
-        return None
-    return variance_deconvolution(data)
+        return [None] * len(data.qtilde)
+    return variance_deconvolution(data).tolist()
 
 
 def _trimmed(surrogate: PceSurrogate, deconv: float | None) -> PceSurrogate:
@@ -417,20 +418,22 @@ def _trimmed(surrogate: PceSurrogate, deconv: float | None) -> PceSurrogate:
 
 def _variance_estimates(
     config: StudyConfig, data: TrainingData, basis: MultiIndexBasis, buffers
-) -> dict[str, float]:
-    surrogate = build_surrogate(data, basis, full_covariance=False, buffers=buffers)
-    deconv = _deconvolution(data, config.methods)
-    out: dict[str, float] = {}
-    for method in config.methods:
-        if method == "pc_mc21":
-            out[method] = pce_variance_biased(surrogate)
-        elif method == "pc_bias":
-            out[method] = pce_variance_unbiased(surrogate)
-        elif method == "pc_bias_trim":
-            out[method] = pce_variance_unbiased(_trimmed(surrogate, deconv))
-        elif deconv is not None:
-            out[method] = deconv
-    return out
+) -> list[dict[str, float]]:
+    fits = build_surrogate(data, basis, full_covariance=False, buffers=buffers).unstack()
+    estimates = []
+    for surrogate, deconv in zip(fits, _deconvolution(data, config.methods)):
+        out: dict[str, float] = {}
+        for method in config.methods:
+            if method == "pc_mc21":
+                out[method] = pce_variance_biased(surrogate)
+            elif method == "pc_bias":
+                out[method] = pce_variance_unbiased(surrogate)
+            elif method == "pc_bias_trim":
+                out[method] = pce_variance_unbiased(_trimmed(surrogate, deconv))
+            elif deconv is not None:
+                out[method] = deconv
+        estimates.append(out)
+    return estimates
 
 
 def _sobol_or_nan(surrogate: PceSurrogate) -> tuple[np.ndarray, np.ndarray]:
@@ -445,14 +448,17 @@ def _sobol_or_nan(surrogate: PceSurrogate) -> tuple[np.ndarray, np.ndarray]:
 
 def _gsa_estimates(
     config: StudyConfig, data: TrainingData, basis: MultiIndexBasis, buffers
-) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    surrogate = build_surrogate(data, basis, full_covariance=False, buffers=buffers)
-    deconv = _deconvolution(data, config.methods)
-    out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    for method in config.methods:
-        fit = surrogate if method == "pc_bias" else _trimmed(surrogate, deconv)
-        out[method] = _sobol_or_nan(fit)
-    return out
+) -> list[dict[str, tuple[np.ndarray, np.ndarray]]]:
+    # Sobol indices stay per repetition: the order of their sums is part of
+    # their bits.
+    fits = build_surrogate(data, basis, full_covariance=False, buffers=buffers).unstack()
+    estimates = []
+    for surrogate, deconv in zip(fits, _deconvolution(data, config.methods)):
+        estimates.append({
+            method: _sobol_or_nan(surrogate if method == "pc_bias" else _trimmed(surrogate, deconv))
+            for method in config.methods
+        })
+    return estimates
 
 
 def _response_grid(config: StudyConfig) -> np.ndarray:
@@ -462,16 +468,35 @@ def _response_grid(config: StudyConfig) -> np.ndarray:
 def _response_estimates(
     config: StudyConfig, data: TrainingData, basis: MultiIndexBasis, buffers
 ):
-    # One surrogate build with its covariances, and for the fit and its
-    # trim the predicted curve, the half-width of its 2-stddev band and
-    # the number of retained terms.
-    surrogate = build_surrogate(data, basis, buffers=buffers)
+    # Per build: one surrogate with its covariances, whose BLAS products
+    # are per training set, and for the fit and its trim the predicted
+    # curve, the half-width of its 2-stddev band and the number of retained
+    # terms.
     pts = _response_grid(config)[:, None]
-    curves = []
-    for fit in (surrogate, _trimmed(surrogate, _deconvolution(data, ["pc_bias_trim"]))):
-        half = 2.0 * prediction_stddev(fit, pts, use_noise_corrected=data.n_eta >= 2)
-        curves.append((predict(fit, pts), half, fit.n_retained))
-    return surrogate, curves
+    estimates = []
+    for single, deconv in zip(data.unstack(), _deconvolution(data, ["pc_bias_trim"])):
+        surrogate = build_surrogate(single, basis, buffers=buffers)
+        curves = []
+        for fit in (surrogate, _trimmed(surrogate, deconv)):
+            half = 2.0 * prediction_stddev(fit, pts, use_noise_corrected=data.n_eta >= 2)
+            curves.append((predict(fit, pts), half, fit.n_retained))
+        estimates.append((surrogate, curves))
+    return estimates
+
+
+# Bound on a block's largest arrays: its two head-term buffers and the
+# Legendre tables of its R x n_xi points. 512 KiB is about one fit of
+# 2000 samples with the 28 head terms of d = 3, n0 = 6 (448 kB), so a block
+# never needs more memory than one such fit, and such a cell fits one
+# repetition at a time.
+BLOCK_BYTES = 2**19
+
+
+def _block_size(basis: MultiIndexBasis, n_xi: int) -> int:
+    # Repetitions per block: the most whose arrays stay within BLOCK_BYTES.
+    head, _, _ = basis.split
+    width = max(0 if head is None else len(head), (basis.total_degree + 1) * basis.dimension)
+    return max(1, BLOCK_BYTES // (8 * n_xi * width))
 
 
 # Worker functions are module-level so process pools can pickle them.
@@ -480,18 +505,30 @@ def _response_estimates(
 def _cell_chunk(
     config: StudyConfig, estimate, basis: MultiIndexBasis, i_xi: int, i_eta: int, reps: range
 ):
-    # One work unit: repetitions `reps` of grid cell (i_xi, i_eta). They
-    # share n_xi and the basis, so every fit reuses the unit's buffers, and
-    # after the first repetition a fit touches no freshly allocated pages.
+    # One work unit: repetitions `reps` of grid cell (i_xi, i_eta), fitted
+    # in blocks of up to _block_size repetitions. Each repetition is drawn
+    # from its own stream into the block's arrays; the blocks share n_xi
+    # and the basis, so every fit reuses the unit's arrays and buffers, and
+    # after the first block a fit touches no freshly allocated pages.
     cell = i_xi * len(config.n_eta_grid) + i_eta
     n_xi = config.n_xi_grid[i_xi]
     n_eta = config.n_eta_grid[i_eta]
-    buffers = fit_buffers(basis, n_xi)
+    size = min(len(reps), _block_size(basis, n_xi))
+    buffers = fit_buffers(basis, size * n_xi)
+    samples = np.empty((size, n_xi, config.problem.d))
+    qtilde = np.empty((size, n_xi))
+    sigma2 = np.empty((size, n_xi)) if n_eta >= 2 else None
     out = []
-    for rep in reps:
-        rng = derive_rng(config.master_seed, cell, rep)
-        data = _draw_training(config, n_xi, n_eta, rng)
-        out.append(estimate(config, data, basis, buffers))
+    for lo in range(0, len(reps), size):
+        block = reps[lo : lo + size]
+        for r, rep in enumerate(block):
+            rng = derive_rng(config.master_seed, cell, rep)
+            samples[r], qtilde[r], s2 = _draw_training(config, n_xi, n_eta, rng)
+            if sigma2 is not None:
+                sigma2[r] = s2
+        k = len(block)
+        data = TrainingData(samples[:k], qtilde[:k], None if sigma2 is None else sigma2[:k], n_eta)
+        out.extend(estimate(config, data, basis, buffers))
     return i_xi, i_eta, out
 
 
@@ -739,7 +776,7 @@ def write_report(report: StudyReport, out_dir) -> list[Path]:
 
     summary_path = out / "summary.json"
     with open(summary_path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(report.summary, indent=1) + "\n")
+        fh.write(json_text(report.summary) + "\n")
     written.append(summary_path)
 
     if report.records:

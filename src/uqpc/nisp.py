@@ -12,7 +12,8 @@ indices), and propagates it (pointwise prediction bands).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -24,6 +25,7 @@ __all__ = [
     "TrainingData",
     "build_surrogate",
     "fit_buffers",
+    "json_text",
     "load_surrogate",
     "pce_variance_biased",
     "pce_variance_unbiased",
@@ -38,11 +40,14 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class TrainingData:
-    """Per-sample QoI estimates from a sampling run.
+    """Per-sample QoI estimates from a sampling run, or a block of runs.
 
     ``qtilde[i]`` is the n_eta-history average at ``samples[i]`` and
     ``sigma2eta[i]`` its unbiased per-history variance estimate, available
-    only when n_eta >= 2 (None otherwise).
+    only when n_eta >= 2 (None otherwise). A block stacks R runs of the same
+    n_xi and n_eta along a leading axis: ``samples`` of shape (R, n_xi, d)
+    and ``qtilde``, ``sigma2eta`` of shape (R, n_xi). Every check covers the
+    whole block.
     """
 
     samples: np.ndarray
@@ -55,11 +60,11 @@ class TrainingData:
         qtilde = np.asarray(self.qtilde, dtype=float)
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "qtilde", qtilde)
-        if qtilde.ndim != 1 or qtilde.shape[0] != samples.shape[0]:
+        if samples.ndim > 3 or qtilde.shape != samples.shape[:-1]:
             raise ValueError(
-                f"qtilde shape {qtilde.shape} does not match {samples.shape[0]} samples"
+                f"qtilde shape {qtilde.shape} does not match samples of shape {samples.shape}"
             )
-        if samples.shape[0] < 1:
+        if qtilde.size < 1:
             raise ValueError("need at least one sample")
         if self.n_eta < 1:
             raise ValueError(f"n_eta must be >= 1, got {self.n_eta}")
@@ -78,11 +83,18 @@ class TrainingData:
 
     @property
     def n_xi(self) -> int:
-        return self.samples.shape[0]
+        return self.samples.shape[-2]
 
     @property
     def d(self) -> int:
-        return self.samples.shape[1]
+        return self.samples.shape[-1]
+
+    def unstack(self) -> list[TrainingData]:
+        """The runs of a block, one TrainingData each (views of its rows)."""
+        if self.qtilde.ndim != 2:
+            raise ValueError("unstack needs a block of runs")
+        s2 = [None] * len(self.qtilde) if self.sigma2eta is None else self.sigma2eta
+        return [TrainingData(x, q, s, self.n_eta) for x, q, s in zip(self.samples, self.qtilde, s2)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,7 +109,10 @@ class PceSurrogate:
     are optional. When the variances are not given they default to the
     diagonal of ``coefficient_covariance``.
     ``trimmed_mask[k]`` is True for retained terms; the mean term is never
-    trimmed.
+    trimmed. A block of fits, one per repetition of a TrainingData block,
+    stacks ``coefficients``, ``coefficient_variance`` and ``trimmed_mask``
+    along a leading axis, carries no covariance matrices, and is read
+    through ``unstack``.
     """
 
     basis: MultiIndexBasis
@@ -115,16 +130,19 @@ class PceSurrogate:
         object.__setattr__(self, "coefficients", coefficients)
         object.__setattr__(self, "trimmed_mask", mask)
         p1 = len(self.basis)
-        if coefficients.shape != (p1,):
+        if coefficients.shape[-1:] != (p1,) or coefficients.ndim > 2:
             raise ValueError(f"expected {p1} coefficients, got shape {coefficients.shape}")
-        if mask.shape != (p1,):
+        if mask.shape != coefficients.shape:
             raise ValueError(f"expected {p1} mask entries, got shape {mask.shape}")
-        if not mask[0]:
+        first = mask[..., 0]
+        if not (first.all() if first.ndim else first):
             raise ValueError("the mean term must always be retained")
         for name in ("coefficient_covariance", "noise_corrected_covariance"):
             c = getattr(self, name)
             if c is None:
                 continue
+            if coefficients.ndim != 1:
+                raise ValueError(f"a block of fits carries no {name}")
             c = np.asarray(c, dtype=float)
             object.__setattr__(self, name, c)
             if c.shape != (p1, p1):
@@ -135,12 +153,27 @@ class PceSurrogate:
         if var is not None:
             var = np.asarray(var, dtype=float)
             object.__setattr__(self, "coefficient_variance", var)
-            if var.shape != (p1,):
-                raise ValueError(f"coefficient_variance shape {var.shape} != ({p1},)")
+            if var.shape != coefficients.shape:
+                raise ValueError(
+                    f"coefficient_variance shape {var.shape} != {coefficients.shape}"
+                )
 
     @property
     def n_retained(self) -> int:
         return int(self.trimmed_mask.sum())
+
+    def unstack(self) -> list[PceSurrogate]:
+        """The fits of a block, one PceSurrogate per repetition (views of its rows)."""
+        if self.coefficients.ndim != 2:
+            raise ValueError("unstack needs a block of fits")
+        var = self.coefficient_variance
+        return [
+            PceSurrogate(self.basis, beta, None, None, mask, self.n_xi, self.n_eta, v)
+            for beta, mask, v in zip(
+                self.coefficients, self.trimmed_mask,
+                [None] * len(self.coefficients) if var is None else var,
+            )
+        ]
 
 
 def _check_basis_match(data: TrainingData, basis: MultiIndexBasis) -> None:
@@ -162,21 +195,27 @@ def _noise_correction(
 
 def _term_sums(w: np.ndarray, t: np.ndarray, basis: MultiIndexBasis) -> np.ndarray:
     # Sum factorization: term k is Phi_h(xi_head) P_j(xi_last) with
-    # (h, j) = (row[k], last[k]), so sum_i w[h, i] t[j, i] sums the product
-    # of its two factors over the samples. einsum without `optimize` never
-    # calls BLAS, so the sums do not depend on the BLAS thread count.
-    _, row, last = basis.split
-    return np.einsum("pi,ki->pk", w, t, optimize=False)[row, last]
+    # (h, j) = (row[k], last[k]), so sum_i w[h, r, i] t[j, r, i] sums the
+    # product of its two factors over the samples of repetition r. Only the
+    # (h, j) pairs that are terms are contracted: each run of heads of one
+    # degree with the last-variable degrees it pairs with (see head_runs).
+    # einsum without `optimize` never calls BLAS, so the sums do not depend
+    # on the BLAS thread count, and on these C-ordered operands it adds each
+    # pair's products in the order of a fit of that repetition alone.
+    runs, order = basis.head_runs
+    sums = [np.einsum("pri,kri->rpk", w[lo:hi], t[:k], optimize=False) for lo, hi, k in runs]
+    return np.concatenate([s.reshape(len(s), -1) for s in sums], axis=1)[:, order]
 
 
-def fit_buffers(basis: MultiIndexBasis, n_xi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two empty (head terms, n_xi) arrays for build_surrogate to work in.
+def fit_buffers(basis: MultiIndexBasis, n_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two empty (head terms, n_points) arrays for build_surrogate to work in.
 
-    Fits with the same basis and sample count may share one pair, one fit
-    at a time; each fit overwrites both. A d = 1 basis has one empty head.
+    A fit of R repetitions of n_xi samples needs n_points >= R n_xi. Fits
+    with the same basis may share one pair, one fit at a time; each fit
+    overwrites the part it uses. A d = 1 basis has one empty head.
     """
     head, _, _ = basis.split
-    shape = (1 if head is None else len(head), n_xi)
+    shape = (1 if head is None else len(head), n_points)
     return np.empty(shape), np.empty(shape)
 
 
@@ -201,52 +240,76 @@ def build_surrogate(
     entries may dip below their noise-free targets at finite sample counts;
     only the expectation is corrected.
 
+    A block of R training sets is fitted in the same pass: one head-basis
+    evaluation over all R n_xi points, one Legendre recurrence for the last
+    variable and, per sum, one contraction per run of equal-degree heads
+    (MultiIndexBasis.head_runs). It returns a block of R fits,
+    each bit for bit the fit of its training set alone; a single training
+    set is the R = 1 case. The covariance matrices are built for a single
+    training set only.
+
     The head terms are worked on in ``buffers``, a pair from fit_buffers
-    for this basis and n_xi, allocated per call when not given. A
-    repetition loop that passes one pair to every fit allocates no head
-    arrays after the first; the surrogate never refers to the buffers.
+    for this basis and at least R n_xi points, allocated per call when not
+    given. A repetition loop that passes one pair to every fit allocates no
+    head arrays after the first; the surrogate never refers to the buffers.
     """
     _check_basis_match(data, basis)
     n = data.n_xi
+    block = data.qtilde.ndim == 2
+    if full_covariance and block:
+        raise ValueError("full covariance needs a single training set, not a block")
     if full_covariance and n < 2:
         raise ValueError(f"need at least 2 samples to estimate covariance, got {n}")
+    samples = data.samples.reshape(-1, n, data.d)
+    qtilde = data.qtilde.reshape(-1, n)
+    reps, points = len(qtilde), qtilde.size
     head, row, last = basis.split
-    rows, spare = fit_buffers(basis, n) if buffers is None else buffers
+    h = 1 if head is None else len(head)
+    if buffers is None:
+        buffers = fit_buffers(basis, points)
+    if any(b.size < h * points for b in buffers):
+        raise ValueError(f"buffers hold fewer than the {h} x {points} head values of this fit")
+    # Leading parts of the buffers: one degree-major row per head term.
+    rows, spare = (b.reshape(-1)[: h * points].reshape(h, points) for b in buffers)
     if head is None:
         rows.fill(1.0)
-        head_values = rows.T
     else:
-        head_values = eval_basis_matrix(head, data.samples[:, :-1], rows, spare)
-    table = legendre_table(basis.total_degree, data.samples[:, -1])
+        eval_basis_matrix(head, samples[..., :-1].reshape(points, -1), rows, spare)
+    # Degree-major Legendre table of the last variable: P_j of repetition
+    # r's samples in t[j, r].
+    table = legendre_table(basis.total_degree, samples[..., -1].ravel()).T
+    t = table.reshape(-1, reps, n)
     cov = noise_cov = var = psi = None
     if full_covariance:
         # np.take returns C-ordered factors whatever the layout of its input,
         # so the BLAS products below always see the same layout and bits.
-        psi = np.take(head_values, row, axis=1) * np.take(table, last, axis=1)
-    # Degree-major head and last-variable factors: w = q Phi_h, formed in
-    # place over the head rows, and P_j.
-    w = np.multiply(rows, data.qtilde, out=rows)
-    t = table.T
+        psi = np.take(rows.T, row, axis=1) * np.take(table.T, last, axis=1)
+    # Degree-major head factors w = q Phi_h, formed in place over the rows.
+    w = np.multiply(rows.reshape(h, reps, n), qtilde, out=rows.reshape(h, reps, n))
     coefficients = _term_sums(w, t, basis) / (n * basis.norms)
     if full_covariance:
-        dev = psi * (data.qtilde[:, None] / basis.norms[None, :]) - coefficients
+        beta = coefficients[0]
+        dev = psi * (data.qtilde[:, None] / basis.norms[None, :]) - beta
         cov = dev.T @ dev / ((n - 1) * n)
         cov = 0.5 * (cov + cov.T)
         if data.sigma2eta is not None:
             noise_cov = cov - _noise_correction(data, basis, psi)
     elif n >= 2:
-        s2 = _term_sums(np.multiply(w, w, out=spare), t * t, basis)
+        s2 = _term_sums(np.multiply(w, w, out=spare.reshape(h, reps, n)), t * t, basis)
         var = (s2 / basis.norms**2 - n * coefficients**2) / ((n - 1) * n)
         # The raw second moment cancels for the mean term of a nearly flat
         # or noise-free response; sum its squared deviations directly.
-        dev = data.qtilde - coefficients[0]
-        var[0] = np.sum(dev * dev) / ((n - 1) * n)
+        dev = qtilde - coefficients[:, :1]
+        var[:, 0] = np.sum(dev * dev, axis=1) / ((n - 1) * n)
+    if not block:
+        coefficients = coefficients[0]
+        var = None if var is None else var[0]
     return PceSurrogate(
         basis=basis,
         coefficients=coefficients,
         coefficient_covariance=cov,
         noise_corrected_covariance=noise_cov,
-        trimmed_mask=np.ones(len(basis), dtype=bool),
+        trimmed_mask=np.ones(coefficients.shape, dtype=bool),
         n_xi=n,
         n_eta=data.n_eta,
         coefficient_variance=var,
@@ -285,20 +348,23 @@ def pce_variance_unbiased(surrogate: PceSurrogate) -> float:
     return float(np.sum((beta**2 - var_beta) * surrogate.basis.norms[mask]))
 
 
-def variance_deconvolution(data: TrainingData) -> float:
+def variance_deconvolution(data: TrainingData) -> float | np.ndarray:
     """Parametric-only output variance by subtracting the mean noise share.
 
     Returns s^2(qtilde) - mean(sigma2eta)/n_eta with s^2 the unbiased sample
     variance; requires n_eta >= 2 so the per-sample noise variance is
-    observable. May be negative on individual draws.
+    observable. May be negative on individual draws. A block of training
+    sets gives one estimate per set, as an array, each bit for bit the
+    estimate of that set alone.
     """
     if data.sigma2eta is None:
         raise ValueError("variance deconvolution requires n_eta >= 2")
     if data.n_xi < 2:
         raise ValueError(f"need at least 2 samples, got {data.n_xi}")
-    total = float(np.var(data.qtilde, ddof=1))
-    noise = float(np.mean(data.sigma2eta)) / data.n_eta
-    return total - noise
+    total = np.var(data.qtilde, axis=-1, ddof=1)
+    noise = np.mean(data.sigma2eta, axis=-1) / data.n_eta
+    estimate = total - noise
+    return float(estimate) if estimate.ndim == 0 else estimate
 
 
 def trim_expansion(surrogate: PceSurrogate, target_variance: float) -> PceSurrogate:
@@ -333,7 +399,10 @@ def trim_expansion(surrogate: PceSurrogate, target_variance: float) -> PceSurrog
         if goal > 0.0:
             n_keep = int(np.argmax(cum >= goal)) + 1
             mask[1 + order[:n_keep]] = True
-    return replace(surrogate, trimmed_mask=mask)
+    return PceSurrogate(
+        surrogate.basis, beta, surrogate.coefficient_covariance,
+        surrogate.noise_corrected_covariance, mask, surrogate.n_xi, surrogate.n_eta, var_beta,
+    )
 
 
 def predict(surrogate: PceSurrogate, xi: np.ndarray) -> np.ndarray:
@@ -413,6 +482,65 @@ def sobol_indices(surrogate: PceSurrogate) -> SobolIndices:
 
 SURROGATE_FORMAT = "uqpc-surrogate-v1"
 
+# json spells the three non-finite floats as JavaScript does.
+_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_scalar(value) -> str:
+    # json's encoder converts scalars this way, checking types in this order.
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _JSON_FLOATS.get(text, text)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_lines(value, pad: str) -> str:
+    inner = pad + " "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if all(type(v) is float for v in value):
+            items = list(map(float.__repr__, value))
+            if not _JSON_FLOATS.keys().isdisjoint(items):
+                items = [_JSON_FLOATS.get(text, text) for text in items]
+        else:
+            items = (_json_lines(v, inner) for v in value)
+        open_, close = "[", "]"
+    elif isinstance(value, dict):
+        if not value:
+            return "{}"
+        if not all(isinstance(k, str) for k in value):
+            raise TypeError("json_text writes dicts with string keys only")
+        items = (
+            encode_basestring_ascii(k) + ": " + _json_lines(v, inner) for k, v in value.items()
+        )
+        open_, close = "{", "}"
+    else:
+        return _json_scalar(value)
+    return open_ + "\n" + inner + (",\n" + inner).join(items) + "\n" + pad + close
+
+
+def json_text(obj) -> str:
+    """The text of json.dumps(obj, indent=1), byte for byte, built faster.
+
+    With an indent, json.dumps runs its pure-Python encoder. This writer
+    converts each scalar as that encoder does (float.__repr__ for floats,
+    int.__repr__ for ints, json's C string encoder for strings) and lays
+    out the indented lines with string joins. Dict keys must be strings,
+    as in every file this package writes.
+    """
+    return _json_lines(obj, "")
+
 
 def save_surrogate(surrogate: PceSurrogate, path) -> None:
     """Write the surrogate as self-describing JSON (see README for fields)."""
@@ -440,9 +568,8 @@ def save_surrogate(surrogate: PceSurrogate, path) -> None:
         # A stored matrix carries the variances on its diagonal.
         var = surrogate.coefficient_variance
         payload["coefficient_variance"] = None if var is None else var.tolist()
-    # One write: json.dump with indent makes one write call per token.
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, indent=1) + "\n")
+        fh.write(json_text(payload) + "\n")
 
 
 def load_surrogate(path) -> PceSurrogate:

@@ -37,8 +37,15 @@ def legendre_table(n_max: int, x: np.ndarray) -> np.ndarray:
     table[0] = 1.0
     if n_max >= 1:
         table[1] = x
+    # P_{k+1} = ((2k + 1) x P_k - k P_{k-1}) / (k + 1), evaluated in place
+    # in that order, so no degree allocates temporaries.
+    scratch = np.empty(x.size)
     for k in range(1, n_max):
-        table[k + 1] = ((2 * k + 1) * x * table[k] - k * table[k - 1]) / (k + 1)
+        row = table[k + 1]
+        np.multiply(x, 2 * k + 1, out=row)
+        row *= table[k]
+        row -= np.multiply(table[k - 1], k, out=scratch)
+        row /= k + 1
     return table.T
 
 
@@ -94,6 +101,29 @@ class MultiIndexBasis:
         if self.dimension > 1:
             head = MultiIndexBasis(self.dimension - 1, self.total_degree, heads, self.norms[first])
         return head, row, last
+
+    @cached_property
+    def head_runs(self) -> tuple[list[tuple[int, int, int]], np.ndarray]:
+        """The terms as runs of heads that share a degree (see split).
+
+        In graded order the heads of total degree g are consecutive rows
+        lo:hi of ``head``, and each pairs with exactly the degrees
+        0 .. n0 - g of the last variable. Returns (runs, order) with one
+        (lo, hi, n0 - g + 1) per degree g. Laying out each run's head x
+        last-degree products row by row, one run after another, term k is
+        entry ``order[k]``. Computed once per basis.
+        """
+        head, row, last = self.split
+        n0 = self.total_degree
+        degree = np.zeros(1, dtype=int) if head is None else head.indices.sum(axis=1)
+        lo = np.searchsorted(degree, np.arange(n0 + 2))
+        width = n0 + 1 - np.arange(n0 + 1)
+        offset = np.concatenate(([0], np.cumsum((lo[1:] - lo[:-1]) * width)))
+        g = degree[row]
+        order = offset[g] + (row - lo[g]) * width[g] + last
+        runs = [(int(lo[k]), int(lo[k + 1]), int(width[k]))
+                for k in range(n0 + 1) if lo[k + 1] > lo[k]]
+        return runs, order
 
 
 def total_degree_multi_indices(d: int, n0: int) -> MultiIndexBasis:
@@ -155,20 +185,21 @@ def eval_basis_matrix(
         raise ValueError(
             f"samples have shape {xis.shape}, expected (n, {basis.dimension})"
         )
-    shape = (len(basis), xis.shape[0])
+    n = xis.shape[0]
+    shape = (len(basis), n)
     rows = _term_rows(out, shape, "out")
     n_max = int(basis.indices.max(initial=0))
+    # One recurrence over every variable: table[k, j] holds P_k(xis[:, j]).
+    table = legendre_table(n_max, xis.T.ravel()).T.reshape(n_max + 1, basis.dimension, n)
     # Gather whole degree rows of each variable's table. mode="clip" writes
     # straight into the target; the default mode buffers through a copy.
-    np.take(legendre_table(n_max, xis[:, 0]).T, basis.indices[:, 0], axis=0, out=rows,
-            mode="clip")
+    np.take(table[:, 0], basis.indices[:, 0], axis=0, out=rows, mode="clip")
     if basis.dimension > 1:
         factor = _term_rows(scratch, shape, "scratch")
         if np.may_share_memory(rows, factor):
             raise ValueError("out and scratch must not overlap")
         for j in range(1, basis.dimension):
-            np.take(legendre_table(n_max, xis[:, j]).T, basis.indices[:, j], axis=0,
-                    out=factor, mode="clip")
+            np.take(table[:, j], basis.indices[:, j], axis=0, out=factor, mode="clip")
             rows *= factor
     return rows.T
 

@@ -75,6 +75,11 @@ def sample_parameters(problem: SlabProblem, n: int, rng: np.random.Generator) ->
     return rng.uniform(-1.0, 1.0, size=(n, problem.d))
 
 
+# Uniforms drawn per step of a tally draw: 256 KiB, so the draw's memory
+# does not grow with n_xi x n_eta.
+DRAW_BLOCK = 2**15
+
+
 def simulate_training_set(
     problem: SlabProblem, xis: np.ndarray, n_eta: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray | None]:
@@ -88,7 +93,9 @@ def simulate_training_set(
     so an outcome is Bernoulli with success probability exp(-tau(xi)).
     Every history consumes exactly one uniform from ``rng``, in sample-major
     order, so splitting a batch over consecutive calls on one generator
-    gives the same tallies.
+    gives the same tallies. The uniforms are drawn and counted in
+    consecutive steps of at most DRAW_BLOCK values (whole samples where
+    n_eta allows), which keeps that order and bounds the memory of a draw.
 
     Returns (qtilde, sigma2eta) arrays over the samples: the mean of the 0/1
     outcomes and their unbiased (n_eta - 1 divisor) sample variance, None
@@ -100,9 +107,23 @@ def simulate_training_set(
         raise ValueError(f"samples have shape {xis.shape}, expected (n, {problem.d})")
     if n_eta < 1:
         raise ValueError(f"n_eta must be >= 1, got {n_eta}")
-    p = transmittance_batch(problem, xis)
-    u = rng.random((xis.shape[0], n_eta))
-    leaked = np.count_nonzero(u < p[:, None], axis=1)
+    p = transmittance_batch(problem, xis)[:, None]
+    n = xis.shape[0]
+    # Whole samples per step, or one sample in several steps when n_eta
+    # alone passes DRAW_BLOCK. Every step reuses the same two arrays, so a
+    # draw touches no fresh pages after its first step.
+    rows, cols = max(1, DRAW_BLOCK // n_eta), min(n_eta, DRAW_BLOCK)
+    u = np.empty((min(rows, n), cols))
+    leaks = np.empty(u.shape, dtype=bool)
+    leaked = np.zeros(n, dtype=np.intp)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        for c in range(0, n_eta, cols):
+            step = np.s_[: hi - lo, : min(cols, n_eta - c)]
+            np.less(rng.random(out=u[step]), p[lo:hi], out=leaks[step])
+            # Row sums of the 0/1 outcomes; einsum adds short rows faster
+            # than count_nonzero(axis=1), and integer sums are exact.
+            leaked[lo:hi] += np.einsum("ij->i", leaks[step].view(np.uint8), dtype=np.intp)
     qtilde = leaked / n_eta
     if n_eta == 1:
         return qtilde, None

@@ -630,39 +630,171 @@ def test_pool_size_and_basis_follow_the_study(tmp_path, monkeypatch):
 # ------------------------------------------------------------ buffer reuse
 
 
-@pytest.mark.parametrize("d, n0, n_xi, n_eta", [(1, 4, 60, 2), (3, 6, 400, 1), (10, 3, 300, 2)])
-def test_unit_fits_equal_fresh_fits(tmp_path, d, n0, n_xi, n_eta):
-    # The repetitions of a work unit fit in the unit's shared buffers. Each
-    # must equal an independent fresh fit of its draw, and a surrogate
-    # returned early must not change while later repetitions reuse them.
-    import uqpc.experiments as experiments
-    from uqpc.nisp import build_surrogate
-
-    materials = "".join(
+def materials_yaml(d: int) -> str:
+    # d heterogeneous sections.
+    return "problem:\n  materials:\n" + "".join(
         f"    - {{sigma0: {0.2 + 0.1 * i:.1f}, sigmaDelta: 0.15, dx: 0.5}}\n" for i in range(d)
     )
+
+
+@pytest.mark.parametrize("d, n0, n_xi, n_eta", [(1, 4, 60, 2), (3, 6, 400, 1), (10, 3, 300, 2)])
+def test_unit_fits_equal_fresh_fits(tmp_path, monkeypatch, d, n0, n_xi, n_eta):
+    # The blocks of a work unit fit in the unit's shared buffers. Each
+    # repetition must equal an independent fresh fit of its draw, and a
+    # block returned early must not change while later blocks reuse them.
+    import uqpc.experiments as experiments
+    from uqpc.nisp import TrainingData, build_surrogate
+
     config = load_config(write_config(
         tmp_path,
-        "problem:\n  materials:\n" + materials + f"pce: {{n0: {n0}}}\n"
+        materials_yaml(d) + f"pce: {{n0: {n0}}}\n"
         f"study: {{n_xi_grid: [{n_xi}], n_eta_grid: [{n_eta}], repetitions: 5}}\nseed: 41\n",
     ))
     basis = total_degree_multi_indices(d, n0)
+    # Blocks of 2, 2 and 1 repetitions.
+    monkeypatch.setattr(experiments, "BLOCK_BYTES", 2 * n_xi * 8 * max(
+        len(basis.split[0] or ()), (n0 + 1) * d))
+    assert experiments._block_size(basis, n_xi) == 2
     returned = []
 
     def estimate(config, data, basis, buffers):
         fit = build_surrogate(data, basis, full_covariance=False, buffers=buffers)
-        returned.append((fit.coefficients.copy(), fit.coefficient_variance.copy()))
-        return fit
+        returned.extend(zip(fit.coefficients.copy(), fit.coefficient_variance.copy()))
+        return fit.unstack()
 
     _, _, fits = experiments._cell_chunk(config, estimate, basis, 0, 0, range(5))
+    assert len(fits) == 5
     for rep, (fit, (beta, var)) in enumerate(zip(fits, returned)):
         assert np.array_equal(fit.coefficients, beta)
         assert np.array_equal(fit.coefficient_variance, var)
         rng = derive_rng(config.master_seed, 0, rep)
-        data = experiments._draw_training(config, n_xi, n_eta, rng)
+        data = TrainingData(*experiments._draw_training(config, n_xi, n_eta, rng), n_eta)
         fresh = build_surrogate(data, basis, full_covariance=False)
         assert np.array_equal(fit.coefficients, fresh.coefficients)
         assert np.array_equal(fit.coefficient_variance, fresh.coefficient_variance)
+
+
+def fresh_estimates(config, n_xi: int, n_eta: int, reps) -> list[dict]:
+    # Reference: each repetition drawn from its own stream and fitted alone
+    # by build_surrogate, then estimated as the README describes.
+    import uqpc.experiments as experiments
+    from uqpc.nisp import (
+        TrainingData,
+        build_surrogate,
+        pce_variance_biased,
+        pce_variance_unbiased,
+        sobol_indices,
+        trim_expansion,
+        variance_deconvolution,
+    )
+
+    basis = total_degree_multi_indices(config.problem.d, config.n0)
+    out = []
+    for rep in reps:
+        rng = derive_rng(config.master_seed, 0, rep)
+        data = TrainingData(*experiments._draw_training(config, n_xi, n_eta, rng), n_eta)
+        fit = build_surrogate(data, basis, full_covariance=False)
+        deconv = None if data.sigma2eta is None else variance_deconvolution(data)
+        target = pce_variance_unbiased(fit) if deconv is None else deconv
+        trimmed = trim_expansion(fit, target)
+        if config.kind == "variance":
+            entry = {"pc_mc21": pce_variance_biased(fit), "pc_bias": pce_variance_unbiased(fit),
+                     "pc_bias_trim": pce_variance_unbiased(trimmed)}
+            if deconv is not None:
+                entry["var_deconv"] = deconv
+        else:
+            entry = {}
+            for method, surrogate in (("pc_bias", fit), ("pc_bias_trim", trimmed)):
+                if surrogate.trimmed_mask[1:].any():
+                    s = sobol_indices(surrogate)
+                    entry[method] = (s.first_order, s.total)
+                else:
+                    nan = np.full(config.problem.d, np.nan)
+                    entry[method] = (nan, nan)
+        out.append(entry)
+    return out
+
+
+def assert_same_estimates(got: list[dict], want: list[dict]) -> None:
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.keys() == b.keys()
+        for method in a:
+            assert np.array_equal(a[method], b[method], equal_nan=True), method
+
+
+@pytest.mark.parametrize("kind, d, n0, n_xi, n_eta, noise_free", [
+    ("variance", 1, 5, 40, 1, False),
+    ("variance", 1, 5, 40, 3, False),
+    ("variance", 3, 6, 25, 1, False),
+    ("variance", 3, 6, 60, 2, False),
+    ("variance", 3, 6, 30, 4, True),
+    ("variance", 10, 2, 50, 2, False),
+    ("gsa", 3, 4, 50, 1, False),
+    ("gsa", 3, 4, 50, 3, False),
+    ("gsa", 10, 2, 200, 1, False),
+    ("gsa", 10, 2, 200, 2, True),
+])
+def test_stacked_estimates_equal_per_repetition_fits(
+    tmp_path, monkeypatch, kind, d, n0, n_xi, n_eta, noise_free
+):
+    # A unit fitted one repetition per block, and the same unit fitted as
+    # one block, give every estimate bit for bit as a fresh fit of each
+    # repetition alone; records.csv and gsa.csv do not change either.
+    import uqpc.experiments as experiments
+
+    reps = 9
+    config = load_config(write_config(
+        tmp_path,
+        materials_yaml(d) + f"pce: {{n0: {n0}}}\n"
+        f"study: {{kind: {kind}, n_xi_grid: [{n_xi}], n_eta_grid: [{n_eta}], "
+        f"repetitions: {reps}, noise_free: {str(noise_free).lower()}}}\nseed: 23\n",
+    ))
+    basis = total_degree_multi_indices(d, n0)
+    estimate = experiments._STUDIES[kind][0]
+    want = fresh_estimates(config, n_xi, n_eta, range(reps))
+    files = {}
+    for bound, block in ((1, 1), (2**40, reps)):
+        monkeypatch.setattr(experiments, "BLOCK_BYTES", bound)
+        assert min(reps, experiments._block_size(basis, n_xi)) == block
+        _, _, got = experiments._cell_chunk(config, estimate, basis, 0, 0, range(reps))
+        assert_same_estimates(got, want)
+        written = write_report(run_study(config), tmp_path / f"block{block}")
+        files[block] = {p.name: p.read_bytes() for p in written if p.suffix == ".csv"}
+    assert files[1] == files[reps]
+    assert ("records.csv" if kind == "variance" else "gsa.csv") in files[1]
+
+
+def test_variance_unit_memory_is_bounded(tmp_path):
+    # One (2000, 100) variance unit needs less extra memory than one draw of
+    # all its 2000 x 100 uniforms plus its two (28 head terms) x 2000 fit
+    # buffers: tally draws come in steps of transport.DRAW_BLOCK uniforms,
+    # and a block of such a unit holds one repetition.
+    import tracemalloc
+
+    import uqpc.experiments as experiments
+
+    config = load_config(write_config(tmp_path, """\
+    problem:
+      materials:
+        - {sigma0: 0.3, sigmaDelta: 0.29, dx: 1.0}
+        - {sigma0: 0.3, sigmaDelta: 0.29, dx: 1.0}
+        - {sigma0: 0.3, sigmaDelta: 0.29, dx: 1.0}
+    pce: {n0: 6}
+    study: {n_xi_grid: [2000], n_eta_grid: [100], repetitions: 2}
+    """))
+    basis = total_degree_multi_indices(3, 6)
+    assert experiments._block_size(basis, 2000) == 1
+    estimate = experiments._variance_estimates
+    experiments._cell_chunk(config, estimate, basis, 0, 0, range(1))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        experiments._cell_chunk(config, estimate, basis, 0, 0, range(2))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2000 * 100 + 2 * 28 * 2000 * 8
 
 
 def test_rep_chunks_size_units_over_the_grid():
@@ -1006,6 +1138,40 @@ def test_variance_records_independent_of_blas_threads(tmp_path):
             )
             outputs.append((out / report).read_bytes())
         assert outputs[0] == outputs[1]
+
+
+# sha256 of the report files of two shipped configs at a fixed seed and
+# repetition count. Every report byte is a pure function of the seed, and
+# variance and GSA fits are BLAS-free, so these hold at any worker or
+# thread count; a change that moves them changes a random stream or an
+# output and must say so.
+GOLDEN_DIGESTS = {
+    ("d3_variance.yaml", "4242", "3"): {
+        "records.csv": "8da6c90d29405d7eab7c931f0c1a5c942afc6d1e010ac8c1cdc44a5f0b1c1e18",
+        "summary.json": "80fdb0e9f6ceda9d9f67a1a9a3928c17207485ac11d9ae75b29f7857d407eda9",
+    },
+    ("d3_gsa.yaml", "4243", "8"): {
+        "gsa.csv": "e5cf62cbd6dc05a398623554d6a7924ccaaf39e4d6e1f673bfd19637a4d203a1",
+        "summary.json": "0fab709ba4f72a5887cbf5e7ff58c04c05e9f23669ff4f347f9ce3dfd0d5f4bd",
+    },
+}
+
+
+@pytest.mark.parametrize("config, seed, repetitions", sorted(GOLDEN_DIGESTS))
+def test_shipped_config_reports_match_golden_digests(tmp_path, config, seed, repetitions):
+    import hashlib
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "configs" / config
+    out = tmp_path / "out"
+    code, _, _ = run_cli("run", "--config", str(path), "--out", str(out),
+                         "--seed", seed, "--repetitions", repetitions)
+    assert code == 0
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in GOLDEN_DIGESTS[(config, seed, repetitions)]
+    }
+    assert digests == GOLDEN_DIGESTS[(config, seed, repetitions)]
 
 
 def test_cli_argument_errors(tmp_path):

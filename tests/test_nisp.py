@@ -84,6 +84,46 @@ def test_surrogate_validation():
     assert with_cov.coefficient_variance.tolist() == [0.1, 0.3]
 
 
+def test_block_containers():
+    # A block stacks runs (and fits) of one n_xi along a leading axis; its
+    # checks cover every run, and unstack returns the runs as views.
+    x = np.linspace(-1, 1, 12).reshape(2, 3, 2)
+    q = np.array([[1.0, 0.0, 0.5], [0.0, 0.0, 1.0]])
+    s2 = np.full((2, 3), 0.25)
+    block = TrainingData(x, q, s2, 4)
+    assert (block.n_xi, block.d) == (3, 2)
+    runs = block.unstack()
+    assert len(runs) == 2
+    assert np.shares_memory(runs[1].qtilde, q)
+    assert np.array_equal(runs[1].samples, x[1]) and np.array_equal(runs[1].sigma2eta, s2[1])
+    assert [r.sigma2eta for r in TrainingData(x, q, None, 1).unstack()] == [None, None]
+    bad_s2 = s2.copy()
+    bad_s2[1, 2] = -0.1
+    for args in ((x, q[:, :2], s2, 4), (x, q, bad_s2, 4), (x, q, s2[0], 4),
+                 (x[None], q[None], None, 1), (x[:0], q[:0], None, 1)):
+        with pytest.raises(ValueError):
+            TrainingData(*args)
+    with pytest.raises(ValueError):
+        runs[0].unstack()
+
+    basis = total_degree_multi_indices(1, 1)
+    beta = np.array([[1.0, 2.0], [3.0, 4.0]])
+    fits = make_surrogate(basis, beta, var=np.full((2, 2), 0.5),
+                          mask=np.ones((2, 2), dtype=bool)).unstack()
+    assert [f.coefficients.tolist() for f in fits] == beta.tolist()
+    assert all(f.coefficient_variance.tolist() == [0.5, 0.5] for f in fits)
+    with pytest.raises(ValueError):
+        make_surrogate(basis, beta, mask=np.array([[True, True], [False, True]]))
+    with pytest.raises(ValueError):
+        make_surrogate(basis, beta, mask=np.ones(2, dtype=bool))
+    with pytest.raises(ValueError):
+        make_surrogate(basis, beta, mask=np.ones((2, 2), dtype=bool), cov=np.eye(2))
+    with pytest.raises(ValueError):
+        make_surrogate(basis, beta, mask=np.ones((2, 2), dtype=bool), var=np.ones(2))
+    with pytest.raises(ValueError):
+        fits[0].unstack()
+
+
 # ------------------------------------------------------------------- fitting
 
 
@@ -251,6 +291,33 @@ def test_fit_layout_belongs_to_its_basis(d1_problem, d3_problem, rng):
         beta, scale, var = _basis_matrix_fit(data, total_degree_multi_indices(data.d, 4))
         assert np.all(np.abs(coefficients - beta) <= 1e-13 * scale)
         assert np.all(np.abs(variance - var) <= 1e-13 * var)
+
+
+def test_block_fit_equals_fits_of_its_runs(d3_problem, rng):
+    # One pass over a block of runs gives each run's fit bit for bit; the
+    # deconvolution is per run too. Full covariances need one run, and the
+    # buffers must hold the block's head values.
+    basis = total_degree_multi_indices(3, 4)
+    x = sample_parameters(d3_problem, 4 * 30, rng).reshape(4, 30, 3)
+    tallies = [simulate_training_set(d3_problem, xi, 3, rng) for xi in x]
+    block = TrainingData(x, np.stack([q for q, _ in tallies]),
+                         np.stack([s for _, s in tallies]), 3)
+    fits = build_surrogate(block, basis, full_covariance=False).unstack()
+    deconv = variance_deconvolution(block)
+    assert deconv.shape == (4,)
+    for run, fit, dec in zip(block.unstack(), fits, deconv):
+        alone = build_surrogate(run, basis, full_covariance=False)
+        assert np.array_equal(fit.coefficients, alone.coefficients)
+        assert np.array_equal(fit.coefficient_variance, alone.coefficient_variance)
+        assert dec == variance_deconvolution(run)
+        assert fit.n_xi == 30 and fit.n_eta == 3
+    with pytest.raises(ValueError):
+        build_surrogate(block, basis)
+    with pytest.raises(ValueError):
+        build_surrogate(block, basis, full_covariance=False, buffers=fit_buffers(basis, 119))
+    # Larger buffers serve smaller fits from their leading part.
+    big = build_surrogate(block, basis, full_covariance=False, buffers=fit_buffers(basis, 500))
+    assert np.array_equal(np.stack([f.coefficients for f in fits]), big.coefficients)
 
 
 def test_steady_state_fit_allocates_no_head_arrays(d3_problem, rng):
@@ -750,3 +817,58 @@ def test_load_rejects_tampered_files(tmp_path):
     bad_idx.write_text(json.dumps(payload))
     with pytest.raises(ValueError):
         load_surrogate(bad_idx)
+
+
+# ---------------------------------------------------------------------- json
+
+
+@pytest.mark.parametrize("value", [
+    [], {}, None, True, False, 0, -7, 2**70, 1.5, -0.0, 1e300, 5e-324,
+    float("nan"), float("inf"), float("-inf"), "text", "\u00fcn\u00efc\u00f6d\u00e9 \"q\"\n",
+    [[], [1, [2.0, None, []]], {}],
+    {"a": {}, "b": [True, None, {"c": [[]]}], "d": -1.25},
+    (1, (2.0, "x")),
+])
+def test_json_text_matches_json_dumps(value):
+    import json
+
+    from uqpc.nisp import json_text
+
+    assert json_text(value) == json.dumps(value, indent=1)
+
+
+def test_json_text_refuses_what_json_refuses():
+    import json
+
+    from uqpc.nisp import json_text
+
+    for value in ({(1, 2): 3}, {1j: 0}, [object()], np.float32(1.0)):
+        with pytest.raises(TypeError):
+            json.dumps(value, indent=1)
+        with pytest.raises(TypeError):
+            json_text(value)
+    # Non-string keys, which json converts, are refused.
+    with pytest.raises(TypeError):
+        json_text({"a": {1: 2}})
+
+
+def test_report_json_files_match_json_dumps(tmp_path):
+    # Every shipped config's summary and surrogate files, at a few
+    # repetitions, read back and re-encoded by json.dumps, give the bytes
+    # that were written.
+    import json
+    from pathlib import Path
+
+    from uqpc.experiments import apply_overrides, load_config, run_study, write_report
+
+    configs = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"))
+    assert len(configs) == 4
+    checked = 0
+    for path in configs:
+        config = apply_overrides(load_config(path), repetitions=3)
+        for file in write_report(run_study(config), tmp_path / path.stem):
+            if file.suffix == ".json":
+                text = file.read_text(encoding="utf-8")
+                assert text == json.dumps(json.loads(text), indent=1) + "\n"
+                checked += 1
+    assert checked == 4 + 3

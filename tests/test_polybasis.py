@@ -118,6 +118,20 @@ def test_basis_split_into_heads(d):
         assert np.array_equal(row[last == 0], np.arange(len(head)))
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 10])
+def test_head_runs_cover_each_term_once(d):
+    # Laying out each run's (head, last degree) pairs one run after another,
+    # entry order[k] is the pair of term k, and every pair is a term.
+    for n0 in range(5):
+        basis = total_degree_multi_indices(d, n0)
+        _, row, last = basis.split
+        runs, order = basis.head_runs
+        assert basis.head_runs is basis.head_runs
+        pairs = [(h, j) for lo, hi, k in runs for h in range(lo, hi) for j in range(k)]
+        assert len(pairs) == len(basis)
+        assert [pairs[i] for i in order] == list(zip(row.tolist(), last.tolist()))
+
+
 def test_legendre_table_degree_major(rng):
     x = rng.uniform(-1.0, 1.0, 50)
     table = legendre_table(4, x)

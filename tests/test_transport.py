@@ -161,3 +161,26 @@ def test_tally_statistics_from_counts(d3_problem, n_eta):
     ref = f.var(axis=1, ddof=1)
     assert np.array_equal(s2 == 0.0, ref == 0.0)
     assert np.all(np.abs(s2 - ref) <= 1e-15 * ref)
+
+
+@pytest.mark.parametrize("block", [1, 5, 16, 2**15])
+@pytest.mark.parametrize("n_eta", [1, 3, 7, 40])
+def test_stepped_draw_keeps_the_stream(d3_problem, monkeypatch, block, n_eta):
+    # The uniforms are drawn in steps of at most DRAW_BLOCK values: whole
+    # samples when n_eta fits in a step, else one sample in several steps.
+    # Any step size leaves the stream, the tallies and the generator's
+    # state as one draw of every uniform would.
+    import uqpc.transport as transport
+
+    xis = sample_parameters(d3_problem, 37, np.random.default_rng(8))
+    monkeypatch.setattr(transport, "DRAW_BLOCK", block)
+    rng = np.random.default_rng(9)
+    qt, s2 = simulate_training_set(d3_problem, xis, n_eta, rng)
+    ref = np.random.default_rng(9)
+    leaked = np.count_nonzero(
+        ref.random((37, n_eta)) < transmittance_batch(d3_problem, xis)[:, None], axis=1
+    )
+    assert np.array_equal(qt, leaked / n_eta)
+    if n_eta > 1:
+        assert np.array_equal(s2, leaked * (n_eta - leaked) / (n_eta * (n_eta - 1)))
+    assert rng.random() == ref.random()
