@@ -21,6 +21,7 @@ from .nisp import (
     PceSurrogate,
     SobolIndices,
     TrainingData,
+    UndefinedIndicesError,
     build_surrogate,
     fit_buffers,
     load_surrogate,

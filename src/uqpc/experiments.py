@@ -22,8 +22,11 @@ identical for any worker count.
 
 from __future__ import annotations
 
+import os
+import pickle
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 import yaml
@@ -32,6 +35,7 @@ from .costmodel import CostModel
 from .nisp import (
     PceSurrogate,
     TrainingData,
+    UndefinedIndicesError,
     build_surrogate,
     fit_buffers,
     json_text,
@@ -437,12 +441,14 @@ def _variance_estimates(
 
 
 def _sobol_or_nan(surrogate: PceSurrogate) -> tuple[np.ndarray, np.ndarray]:
-    # A draw can trim everything but the mean; its indices are 0/0 and are
-    # recorded as NaN instead of aborting the study.
-    if not surrogate.trimmed_mask[1:].any():
+    # A draw can trim everything but the mean, or its retained terms can
+    # contribute exactly 0 in total (all-zero single-history tallies). Its
+    # indices are 0/0 and are recorded as NaN instead of aborting the study.
+    try:
+        s = sobol_indices(surrogate)
+    except UndefinedIndicesError:
         nan = np.full(surrogate.basis.dimension, np.nan)
         return nan, nan
-    s = sobol_indices(surrogate)
     return s.first_order, s.total
 
 
@@ -499,12 +505,9 @@ def _block_size(basis: MultiIndexBasis, n_xi: int) -> int:
     return max(1, BLOCK_BYTES // (8 * n_xi * width))
 
 
-# Worker functions are module-level so process pools can pickle them.
-
-
 def _cell_chunk(
     config: StudyConfig, estimate, basis: MultiIndexBasis, i_xi: int, i_eta: int, reps: range
-):
+) -> list:
     # One work unit: repetitions `reps` of grid cell (i_xi, i_eta), fitted
     # in blocks of up to _block_size repetitions. Each repetition is drawn
     # from its own stream into the block's arrays; the blocks share n_xi
@@ -529,47 +532,137 @@ def _cell_chunk(
         k = len(block)
         data = TrainingData(samples[:k], qtilde[:k], None if sigma2 is None else sigma2[:k], n_eta)
         out.extend(estimate(config, data, basis, buffers))
-    return i_xi, i_eta, out
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Study runner
 
 
-def _rep_chunks(repetitions: int, workers: int, cells: int) -> list[range]:
-    # About four units per worker over the whole grid keep the pool busy;
-    # larger units reuse their fit buffers over more repetitions. Chunking
-    # never affects results because streams are derived per (cell, repetition).
-    size = repetitions
-    if workers > 1:
-        size = min(repetitions, -(-repetitions * cells // (workers * 4)))
-    return [range(lo, min(lo + size, repetitions)) for lo in range(0, repetitions, size)]
+def _share(part: int, shares: int, cell: int, repetitions: int) -> range:
+    # The repetitions of grid cell `cell` that share `part` of `shares`
+    # runs: every shares-th one. Where they do not divide evenly, the
+    # extra repetitions go to the shares from `part = cell` on, so they
+    # rotate over the shares from cell to cell.
+    return range((part - cell) % shares, repetitions, shares)
+
+
+def _child(task, part: int, pipe) -> NoReturn:
+    # Runs in a forked child and never returns: sends (True, result) or
+    # (False, exception) through the pipe, then ends with os._exit, so the
+    # child neither unwinds into the parent's frames nor flushes its stdio
+    # buffers or runs its atexit handlers.
+    status = 1
+    try:
+        try:
+            payload = pickle.dumps((True, task(part)), pickle.HIGHEST_PROTOCOL)
+        except BaseException as exc:
+            payload = _pickled_error(exc)
+        pipe.write(payload)
+        pipe.close()
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _pickled_error(exc: BaseException) -> bytes:
+    # The child's exception, carrying its traceback as a note, or a
+    # RuntimeError with that traceback if the exception does not survive
+    # a pickle round trip.
+    import traceback
+
+    text = "".join(traceback.format_exception(exc))
+    try:
+        if hasattr(exc, "add_note"):
+            exc.add_note(f"raised in worker process {os.getpid()}:\n{text}")
+        payload = pickle.dumps((False, exc), pickle.HIGHEST_PROTOCOL)
+        pickle.loads(payload)
+        return payload
+    except Exception:
+        error = RuntimeError(f"worker process {os.getpid()} failed:\n{text}")
+        return pickle.dumps((False, error), pickle.HIGHEST_PROTOCOL)
+
+
+def _in_children(task, parts: int) -> list:
+    """[task(part) for part in range(parts)], each part run in its own forked
+    child; the parent only forks and collects.
+
+    A child's exception is re-raised here with its type, and a child that
+    ends without a complete result raises RuntimeError. However this ends,
+    no child is left running or unreaped.
+    """
+    import signal
+
+    pids, pipes, reaped = [], [], set()
+    try:
+        for part in range(parts):
+            read_end, write_end = os.pipe()
+            pipes.append(open(read_end, "rb"))
+            # The with block closes the parent's write end once the child
+            # holds its copy, so the parent's read ends at the child's exit.
+            with open(write_end, "wb") as pipe:
+                pid = os.fork()
+                if pid == 0:
+                    _child(task, part, pipe)
+            pids.append(pid)
+        results = []
+        for pid, pipe in zip(pids, pipes):
+            # Read to EOF before waiting: a child blocks on a full pipe
+            # until its payload is read.
+            payload = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            reaped.add(pid)
+            if status < 0:
+                raise RuntimeError(
+                    f"worker process {pid} was killed by {signal.Signals(-status).name}"
+                )
+            if status > 0:
+                raise RuntimeError(f"worker process {pid} exited with status {status}")
+            ok, value = pickle.loads(payload)
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            if pid not in reaped:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def _run_grid(config: StudyConfig, estimate, workers: int):
-    """Yield (n_xi, n_eta, [estimate by repetition]) per cell, in grid order."""
-    basis = total_degree_multi_indices(config.problem.d, config.n0)
-    cells = len(config.n_xi_grid) * len(config.n_eta_grid)
-    units = [
-        (config, estimate, basis, i_xi, i_eta, reps)
-        for i_xi in range(len(config.n_xi_grid))
-        for i_eta in range(len(config.n_eta_grid))
-        for reps in _rep_chunks(config.repetitions, workers, cells)
-    ]
-    if workers <= 1:
-        results = [_cell_chunk(*unit) for unit in units]
-    else:
-        # Imported here: a serial run never loads multiprocessing.
-        from concurrent.futures import ProcessPoolExecutor
+    """Yield (n_xi, n_eta, [estimate by repetition]) per cell, in grid order.
 
-        # A fork pool starts every worker at the first submit: no idle ones.
-        with ProcessPoolExecutor(max_workers=min(workers, len(units))) as pool:
-            futures = [pool.submit(_cell_chunk, *unit) for unit in units]
-            results = [f.result() for f in futures]
-    cells: dict[tuple[int, int], list] = {}
-    for i_xi, i_eta, estimates in results:
-        cells.setdefault((i_xi, i_eta), []).extend(estimates)
-    for (i_xi, i_eta), estimates in cells.items():
+    The repetitions of every cell are split into N = min(workers,
+    repetitions) shares (_share). With N > 1 each share runs in its own
+    forked child, which inherits the config and the study's one basis, and
+    the parent reassembles each cell's estimates in repetition order.
+    Streams are derived per (cell, repetition), so the split never affects
+    results.
+    """
+    if workers > 1 and not hasattr(os, "fork"):
+        raise ConfigError("--workers above 1 needs os.fork, which this platform lacks")
+    basis = total_degree_multi_indices(config.problem.d, config.n0)
+    grid = [(i_xi, i_eta) for i_xi in range(len(config.n_xi_grid))
+            for i_eta in range(len(config.n_eta_grid))]
+    repetitions = config.repetitions
+    shares = min(workers, repetitions)
+
+    def run_share(part: int) -> list[list]:
+        return [
+            _cell_chunk(config, estimate, basis, i_xi, i_eta,
+                        _share(part, shares, cell, repetitions))
+            for cell, (i_xi, i_eta) in enumerate(grid)
+        ]
+
+    results = [run_share(0)] if shares == 1 else _in_children(run_share, shares)
+    for cell, (i_xi, i_eta) in enumerate(grid):
+        estimates = [None] * repetitions
+        for part, result in enumerate(results):
+            reps = _share(part, shares, cell, repetitions)
+            estimates[reps.start :: reps.step] = result[cell]
         yield config.n_xi_grid[i_xi], config.n_eta_grid[i_eta], estimates
 
 

@@ -23,6 +23,7 @@ __all__ = [
     "PceSurrogate",
     "SobolIndices",
     "TrainingData",
+    "UndefinedIndicesError",
     "build_surrogate",
     "fit_buffers",
     "json_text",
@@ -437,6 +438,10 @@ def prediction_stddev(
     return np.sqrt(np.maximum(var, 0.0))
 
 
+class UndefinedIndicesError(ValueError):
+    """Sobol indices of a surrogate whose retained terms contribute nothing."""
+
+
 @dataclass(frozen=True, eq=False)
 class SobolIndices:
     """First-order and total sensitivity indices, one entry per variable."""
@@ -451,7 +456,9 @@ def sobol_indices(surrogate: PceSurrogate) -> SobolIndices:
     Each retained non-mean term contributes ((beta_k)^2 - Var[beta_k]) b_k
     to the group of variables it carries nonzero degree in. A group's share
     is its sum over the total; first-order indices are the singleton shares,
-    and the total index of variable i sums every group containing i.
+    and the total index of variable i sums every group containing i. Where
+    no non-mean term is retained or the total is exactly 0, every index is
+    0/0 and UndefinedIndicesError is raised.
     """
     if surrogate.coefficient_variance is None:
         raise ValueError("bias-corrected Sobol indices require coefficient_variance")
@@ -459,22 +466,21 @@ def sobol_indices(surrogate: PceSurrogate) -> SobolIndices:
     sq = surrogate.coefficients**2 - surrogate.coefficient_variance
     mask = _retained_tail(surrogate)
     if not np.any(mask):
-        raise ValueError("no retained non-mean terms; Sobol indices undefined")
-    d = surrogate.basis.dimension
-    # A term's group code is its row of nonzero flags read as raw bytes.
+        raise UndefinedIndicesError("no retained non-mean terms; Sobol indices undefined")
     # bincount adds the contributions in term order, as a sequential loop
-    # would; groups are listed in order of first appearance, and the
-    # reductions over axis 0 add them in that order.
-    active = surrogate.basis.indices[mask] != 0
-    codes = np.ascontiguousarray(active).view(f"V{d}").ravel()
-    _, first_term, group_of = np.unique(codes, return_index=True, return_inverse=True)
-    sums = np.bincount(group_of, weights=(sq * norms)[mask])
-    order = np.argsort(first_term)
+    # would; groups are listed in order of their first retained term, and
+    # the reductions over axis 0 add them in that order.
+    labels, flags = surrogate.basis.sobol_groups
+    retained = labels[mask]
+    sums = np.bincount(retained, weights=(sq * norms)[mask], minlength=len(flags))
+    order = list(dict.fromkeys(retained.tolist()))
     contrib = sums[order]
     denom = sum(contrib.tolist())
     if denom == 0.0:
-        raise ValueError("total variance contribution is zero; Sobol indices undefined")
-    members = active[first_term[order]]
+        raise UndefinedIndicesError(
+            "total variance contribution is zero; Sobol indices undefined"
+        )
+    members = flags[order]
     shares = np.where(members, (contrib / denom)[:, None], 0.0)
     first = np.add.reduce(shares[members.sum(axis=1) == 1], axis=0)
     return SobolIndices(first_order=first, total=np.add.reduce(shares, axis=0))

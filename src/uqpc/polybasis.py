@@ -125,6 +125,24 @@ class MultiIndexBasis:
                 for k in range(n0 + 1) if lo[k + 1] > lo[k]]
         return runs, order
 
+    @cached_property
+    def sobol_groups(self) -> tuple[np.ndarray, np.ndarray]:
+        """The terms grouped by the set of variables they have nonzero degree in.
+
+        Returns (labels, flags). Term k belongs to group ``labels[k]``, with
+        groups numbered 0, 1, ... in order of first appearance; the mean
+        term, which has no variables, is labelled -1. ``flags[g]`` marks the
+        variables of group g. Computed once per basis.
+        """
+        active = self.indices != 0
+        first: dict[bytes, int] = {}
+        for k, row in enumerate(active):
+            if row.any():
+                first.setdefault(row.tobytes(), k)
+        group = {key: g for g, key in enumerate(first)}
+        labels = np.array([group.get(row.tobytes(), -1) for row in active])
+        return labels, active[list(first.values())]
+
 
 def total_degree_multi_indices(d: int, n0: int) -> MultiIndexBasis:
     """All multi-indices with total degree <= n0, in deterministic order.

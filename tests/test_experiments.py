@@ -1,6 +1,8 @@
 import contextlib
 import io
 import json
+import os
+import sys
 import textwrap
 
 import numpy as np
@@ -580,32 +582,20 @@ def test_response_study_worker_invariance(tmp_path):
     assert np.array_equal(stored.noise_corrected_covariance, fit.noise_corrected_covariance)
 
 
-def test_pool_size_and_basis_follow_the_study(tmp_path, monkeypatch):
-    # A fork pool starts all its workers at the first submit, so 8 workers
-    # for 5 single-build units would leave 3 idle; and the study's one basis
-    # serves every unit. A stand-in executor records the pool size and runs
-    # each unit inline.
-    import concurrent.futures
-    from concurrent.futures import Future
-
+def test_forks_and_basis_follow_the_study(tmp_path, monkeypatch):
+    # min(workers, repetitions) children: 8 workers for 5 builds fork 5, and
+    # a serial run forks none. The study builds its one basis in the parent,
+    # before any fork, and every child inherits it.
     import uqpc.experiments as experiments
 
-    sizes, bases = [], []
+    forks, bases = [], []
+    fork = os.fork
 
-    class InlinePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            future = Future()
-            future.set_result(fn(*args))
-            return future
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
 
     def counted_basis(d, n0):
         bases.append((d, n0))
@@ -616,15 +606,159 @@ def test_pool_size_and_basis_follow_the_study(tmp_path, monkeypatch):
     study: {kind: response, n_xi_grid: [50], n_eta_grid: [3], repetitions: 5,
             response_points: 11}
     """))
-    serial = run_study(config)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "fork", counted_fork)
     monkeypatch.setattr(experiments, "total_degree_multi_indices", counted_basis)
-    pooled = run_study(config, workers=8)
-    assert sizes == [5]
-    assert bases == [(1, 4)]
-    assert pooled.summary == serial.summary
-    for a, b in zip(pooled.surrogates, serial.surrogates):
+    serial = run_study(config)
+    assert forks == [] and bases == [(1, 4)]
+    forked = run_study(config, workers=8)
+    assert len(forks) == 5
+    assert bases == [(1, 4)] * 2
+    assert forked.summary == serial.summary
+    for a, b in zip(forked.surrogates, serial.surrogates):
         assert np.array_equal(a.coefficient_covariance, b.coefficient_covariance)
+
+
+def test_shares_split_every_cell():
+    # Every repetition of every cell falls in exactly one share, and the
+    # shares of a cell differ by at most one repetition. The extra ones
+    # rotate from cell to cell, so over the grid the shares stay even.
+    from uqpc.experiments import _share
+
+    for repetitions in (1, 2, 3, 5, 7, 30):
+        for shares in range(1, min(repetitions, 4) + 1):
+            totals = [0] * shares
+            for cell in range(12):
+                parts = [_share(part, shares, cell, repetitions) for part in range(shares)]
+                assert sorted(rep for reps in parts for rep in reps) == list(range(repetitions))
+                sizes = [len(reps) for reps in parts]
+                assert max(sizes) - min(sizes) <= 1
+                totals = [t + n for t, n in zip(totals, sizes)]
+            assert totals == [12 * repetitions // shares] * shares
+    assert _share(0, 1, 5, 200) == range(200)
+    assert [list(_share(part, 2, 1, 5)) for part in (0, 1)] == [[1, 3], [0, 2, 4]]
+
+
+@pytest.mark.parametrize("study, repetitions", [
+    ("{kind: variance, n_xi_grid: [20, 40], n_eta_grid: [1, 3], bins: 5}", 5),
+    ("{kind: variance, n_xi_grid: [30], n_eta_grid: [2], bins: 5}", 2),
+    ("{kind: gsa, n_xi_grid: [40, 80], n_eta_grid: [1, 2]}", 7),
+    ("{kind: gsa, n_xi_grid: [40], n_eta_grid: [1]}", 1),
+    ("{kind: response, n_xi_grid: [60], n_eta_grid: [3], response_points: 11}", 2),
+    ("{kind: response, n_xi_grid: [60], n_eta_grid: [3], response_points: 11}", 4),
+])
+def test_reports_identical_at_any_worker_count(tmp_path, study, repetitions):
+    # Every report byte is the same at 1, 2 and 3 workers, with odd
+    # repetitions and with fewer repetitions than workers, and a finished
+    # run leaves no child behind.
+    problem = D1_PROBLEM if "response" in study else materials_yaml(3)
+    path = write_config(tmp_path, problem + f"pce: {{n0: 3}}\nstudy: {study}\nseed: 3\n")
+    config = apply_overrides(load_config(path), repetitions=repetitions)
+    files = {}
+    for workers in (1, 2, 3):
+        written = write_report(run_study(config, workers=workers), tmp_path / f"w{workers}")
+        files[workers] = {p.name: p.read_bytes() for p in written}
+        assert_no_child_left()
+    assert files[1] == files[2] == files[3]
+
+
+def test_large_child_payloads_arrive_whole():
+    # Each child's payload is far over a pipe's 64 KiB buffer; the parent
+    # reads it whole before it waits for the child.
+    import uqpc.experiments as experiments
+
+    results = experiments._in_children(lambda part: np.full(2**17, float(part)), 3)
+    assert [r.tolist() for r in results] == [[float(part)] * 2**17 for part in range(3)]
+    assert_no_child_left()
+
+
+class ShareFailure(Exception):
+    pass
+
+
+def failing_study(tmp_path, monkeypatch, fail):
+    # A two-share study whose repetition 0 calls fail() in its child, while
+    # the other child would run for a minute unless it is stopped.
+    import time
+
+    import uqpc.experiments as experiments
+
+    derive = experiments.derive_rng
+
+    def derive_rng(seed, cell, rep):
+        if rep == 0:
+            fail()
+        elif rep == 1:
+            time.sleep(60)
+        return derive(seed, cell, rep)
+
+    monkeypatch.setattr(experiments, "derive_rng", derive_rng)
+    return load_config(write_config(tmp_path, D1_PROBLEM, """\
+    pce: {n0: 2}
+    study: {n_xi_grid: [20], n_eta_grid: [2], repetitions: 4}
+    """))
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_child_exception_reaches_the_caller(tmp_path, monkeypatch):
+    # The child's exception arrives with its type and its traceback as a
+    # note; the other child is killed and reaped at once.
+    import time
+
+    def fail():
+        raise ShareFailure("repetition 0")
+
+    config = failing_study(tmp_path, monkeypatch, fail)
+    start = time.perf_counter()
+    with pytest.raises(ShareFailure, match="repetition 0") as info:
+        run_study(config, workers=2)
+    assert time.perf_counter() - start < 30
+    if sys.version_info >= (3, 11):
+        assert any("raised in worker process" in note for note in info.value.__notes__)
+    assert_no_child_left()
+
+
+def test_unpicklable_child_exception_becomes_runtime_error(tmp_path, monkeypatch):
+    class LocalFailure(Exception):
+        pass
+
+    def fail():
+        raise LocalFailure("cannot be pickled by reference")
+
+    config = failing_study(tmp_path, monkeypatch, fail)
+    with pytest.raises(RuntimeError, match="LocalFailure: cannot be pickled by reference"):
+        run_study(config, workers=2)
+    assert_no_child_left()
+
+
+def test_child_killed_by_a_signal(tmp_path, monkeypatch):
+    import signal
+
+    def fail():
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    config = failing_study(tmp_path, monkeypatch, fail)
+    with pytest.raises(RuntimeError, match=r"worker process \d+ was killed by SIGKILL"):
+        run_study(config, workers=2)
+    assert_no_child_left()
+
+
+def test_workers_need_fork(tmp_path, monkeypatch):
+    path = write_config(tmp_path, D1_PROBLEM, """\
+    pce: {n0: 2}
+    study: {n_xi_grid: [20], n_eta_grid: [2], repetitions: 4}
+    """)
+    monkeypatch.delattr(os, "fork")
+    out = tmp_path / "out"
+    code, _, stderr = run_cli("run", "--config", str(path), "--out", str(out), "--workers", "2")
+    assert code == 2
+    assert "os.fork" in stderr
+    assert not out.exists()
+    code, _, _ = run_cli("run", "--config", str(path), "--out", str(out), "--workers", "1")
+    assert code == 0
 
 
 # ------------------------------------------------------------ buffer reuse
@@ -662,7 +796,7 @@ def test_unit_fits_equal_fresh_fits(tmp_path, monkeypatch, d, n0, n_xi, n_eta):
         returned.extend(zip(fit.coefficients.copy(), fit.coefficient_variance.copy()))
         return fit.unstack()
 
-    _, _, fits = experiments._cell_chunk(config, estimate, basis, 0, 0, range(5))
+    fits = experiments._cell_chunk(config, estimate, basis, 0, 0, range(5))
     assert len(fits) == 5
     for rep, (fit, (beta, var)) in enumerate(zip(fits, returned)):
         assert np.array_equal(fit.coefficients, beta)
@@ -757,7 +891,7 @@ def test_stacked_estimates_equal_per_repetition_fits(
     for bound, block in ((1, 1), (2**40, reps)):
         monkeypatch.setattr(experiments, "BLOCK_BYTES", bound)
         assert min(reps, experiments._block_size(basis, n_xi)) == block
-        _, _, got = experiments._cell_chunk(config, estimate, basis, 0, 0, range(reps))
+        got = experiments._cell_chunk(config, estimate, basis, 0, 0, range(reps))
         assert_same_estimates(got, want)
         written = write_report(run_study(config), tmp_path / f"block{block}")
         files[block] = {p.name: p.read_bytes() for p in written if p.suffix == ".csv"}
@@ -797,24 +931,10 @@ def test_variance_unit_memory_is_bounded(tmp_path):
     assert peak < 8 * 2000 * 100 + 2 * 28 * 2000 * 8
 
 
-def test_rep_chunks_size_units_over_the_grid():
-    # About four units per worker over all cells, never more than a cell's
-    # repetitions in one unit, and one unit per cell without a pool.
-    from uqpc.experiments import _rep_chunks
-
-    assert _rep_chunks(200, 1, 30) == [range(200)]
-    assert _rep_chunks(5, 2, 30) == [range(5)]
-    assert _rep_chunks(300, 2, 1) == [range(lo, min(lo + 38, 300)) for lo in range(0, 300, 38)]
-    assert len(_rep_chunks(200, 2, 1)) == 8
-    assert _rep_chunks(10, 2, 4) == [range(0, 5), range(5, 10)]
-
-
 def test_gsa_csv_independent_of_unit_split(tmp_path):
-    # One unit of 10 repetitions per cell at 1 worker, two units of 5 per
-    # cell at 2 workers: a unit's buffers must carry nothing from one fit to
-    # the next.
-    from uqpc.experiments import _rep_chunks
-
+    # All 10 repetitions of a cell in one run of _cell_chunk at 1 worker,
+    # every other one in each of two shares at 2 workers: the buffers must
+    # carry nothing from one fit to the next.
     path = write_config(tmp_path, """\
     problem:
       materials:
@@ -829,8 +949,6 @@ def test_gsa_csv_independent_of_unit_split(tmp_path):
       repetitions: 10
     seed: 37
     """)
-    assert len(_rep_chunks(10, 1, 4)) == 1
-    assert len(_rep_chunks(10, 2, 4)) == 2
     for workers in (1, 2):
         out = tmp_path / f"w{workers}"
         code, _, _ = run_cli("run", "--config", str(path), "--out", str(out),
@@ -918,6 +1036,29 @@ def test_gsa_csv_with_undefined_draws_matches_csv_module(tmp_path):
         for g in report.gsa_records
     )
     assert (out / "gsa.csv").read_bytes() == csv_module_text(header, rows)
+
+
+def test_gsa_draws_with_zero_total_contribution_are_undefined(tmp_path):
+    # At n_xi = 40, n_eta = 1 some draws have every tally 0, so every
+    # coefficient and variance is 0 and the indices are 0/0. They are
+    # recorded as NaN, as mean-only trims are, and the study completes.
+    import uqpc.experiments as experiments
+
+    config = load_config(write_config(
+        tmp_path,
+        materials_yaml(10) + "pce: {n0: 2}\n"
+        "study: {kind: gsa, n_xi_grid: [40], n_eta_grid: [1], repetitions: 200}\nseed: 23\n",
+    ))
+    report = run_study(config)
+    zero = [
+        not experiments._draw_training(config, 40, 1, derive_rng(23, 0, rep))[1].any()
+        for rep in range(200)
+    ]
+    assert 0 < sum(zero) < 200
+    untrimmed = [g for g in report.gsa_records if g.method == "pc_bias"]
+    assert [np.isnan(g.first_order).all() for g in untrimmed] == zero
+    assert all(np.isfinite(g.total).all() for g, z in zip(untrimmed, zero) if not z)
+    assert report.summary["cells"][0]["methods"]["pc_bias"]["n_defined"] == 200 - sum(zero)
 
 
 def test_response_csv_matches_csv_module(tmp_path):

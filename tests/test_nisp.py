@@ -4,6 +4,7 @@ import pytest
 from uqpc.nisp import (
     PceSurrogate,
     TrainingData,
+    UndefinedIndicesError,
     build_surrogate,
     fit_buffers,
     load_surrogate,
@@ -751,6 +752,22 @@ def test_sobol_errors():
     zero_tail = make_surrogate(basis, [0.5, 0.0], var=np.zeros(2))
     with pytest.raises(ValueError):
         sobol_indices(zero_tail)
+
+
+def test_sobol_undefined_indices_error():
+    # 0/0 indices raise their own ValueError subclass; a missing variance is
+    # a plain ValueError.
+    basis = total_degree_multi_indices(2, 2)
+    mean_only = make_surrogate(basis, np.ones(6), mask=np.eye(1, 6, dtype=bool)[0],
+                               var=np.zeros(6))
+    cancelling = make_surrogate(basis, [0.5, 1.0, 0.0, 0.0, 0.0, 0.0],
+                                var=[0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
+    for surrogate in (mean_only, cancelling):
+        with pytest.raises(UndefinedIndicesError):
+            sobol_indices(surrogate)
+    with pytest.raises(ValueError) as info:
+        sobol_indices(make_surrogate(basis, np.ones(6)))
+    assert not isinstance(info.value, UndefinedIndicesError)
 
 
 # ------------------------------------------------------------ serialization

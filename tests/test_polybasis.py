@@ -132,6 +132,24 @@ def test_head_runs_cover_each_term_once(d):
         assert [pairs[i] for i in order] == list(zip(row.tolist(), last.tolist()))
 
 
+def test_sobol_groups_by_first_appearance():
+    # d=2, n0=2: (0,0), (1,0), (0,1), (2,0), (1,1), (0,2).
+    basis = total_degree_multi_indices(2, 2)
+    labels, flags = basis.sobol_groups
+    assert basis.sobol_groups is basis.sobol_groups
+    assert labels.tolist() == [-1, 0, 1, 0, 2, 1]
+    assert flags.tolist() == [[True, False], [False, True], [True, True]]
+    for d, n0 in ((1, 4), (3, 6), (10, 3)):
+        basis = total_degree_multi_indices(d, n0)
+        labels, flags = basis.sobol_groups
+        active = basis.indices != 0
+        assert labels[0] == -1 and (labels[1:] >= 0).all()
+        assert np.array_equal(flags[labels[1:]], active[1:])
+        firsts = [labels.tolist().index(g) for g in range(len(flags))]
+        assert firsts == sorted(firsts)
+        assert len({row.tobytes() for row in flags}) == len(flags)
+
+
 def test_legendre_table_degree_major(rng):
     x = rng.uniform(-1.0, 1.0, 50)
     table = legendre_table(4, x)
