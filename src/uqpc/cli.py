@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -45,6 +47,14 @@ def _cmd_run(args) -> int:
     config = apply_overrides(
         load_config(args.config), seed=args.seed, repetitions=args.repetitions
     )
+    if args.workers > 1 and not hasattr(os, "fork"):
+        raise ConfigError("--workers above 1 needs os.fork, which this platform lacks")
+    # Fail on an unusable output path before the study runs, not after.
+    try:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
     report = run_study(config, workers=args.workers)
     written = write_report(report, args.out)
     print(f"{config.kind} study: {config.repetitions} repetitions, seed {config.master_seed}")

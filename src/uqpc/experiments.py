@@ -22,6 +22,7 @@ identical for any worker count.
 
 from __future__ import annotations
 
+import json
 import os
 import pickle
 from dataclasses import dataclass, field, replace
@@ -38,7 +39,6 @@ from .nisp import (
     UndefinedIndicesError,
     build_surrogate,
     fit_buffers,
-    json_text,
     pce_variance_biased,
     pce_variance_unbiased,
     predict,
@@ -80,14 +80,15 @@ STUDY_KEYS = ("kind", "n_xi_grid", "n_eta_grid", "repetitions", "methods", "nois
 MATERIAL_KEYS = ("sigma0", "sigmaDelta", "sigma_delta", "lo", "hi", "dx")
 # Bound on the largest float64 array a study may need: the n_xi x P basis
 # matrix, a response build's P x P covariance and response_points x P grid
-# basis, the P x d multi-index table, a tally draw's n_xi x n_eta uniforms
-# and the histogram edges. Variance and GSA fits never build the basis
-# matrix, only n_xi x (head terms) arrays, so for them the bound is
-# conservative. A repetition holds a few arrays of this size at once in every
-# worker, so a larger config is refused in load_config rather than running
-# out of memory part-way through a study. The same bound holds for the
-# result table, every recorded float of the study, which stays in memory
-# until the report is written.
+# basis, the P x d multi-index table and the histogram edges. A tally draw
+# holds at most transport.DRAW_BLOCK uniforms at any n_eta, so it is not
+# bounded here. Variance and GSA fits never build the basis matrix, only
+# n_xi x (head terms) arrays, so for them the bound is conservative. A
+# repetition holds a few arrays of this size at once in every worker, so a
+# larger config is refused in load_config rather than running out of memory
+# part-way through a study. The same bound holds for the result table, every
+# recorded float of the study, which stays in memory until the report is
+# written.
 MAX_ARRAY_BYTES = 2**28
 
 
@@ -218,6 +219,9 @@ def _as_int_grid(value, context: str, minimum: int = 1) -> tuple[int, ...]:
     grid = tuple(_as_positive_int(v, f"{context} entry") for v in value)
     if min(grid) < minimum:
         raise ConfigError(f"{context} entries must be >= {minimum}, got {min(grid)}")
+    # A repeated entry would run its cells twice under one report key.
+    if len(set(grid)) != len(grid):
+        raise ConfigError(f"{context} lists an entry twice: {list(grid)}")
     return grid
 
 
@@ -353,7 +357,7 @@ def _check_memory(config: StudyConfig) -> StudyConfig:
     # Refuse a study whose arrays or result table would pass MAX_ARRAY_BYTES.
     d = config.problem.d
     n_terms = basis_count(d, config.n0)
-    n_xi, n_eta = max(config.n_xi_grid), max(config.n_eta_grid)
+    n_xi = max(config.n_xi_grid)
     cells = len(config.n_xi_grid) * len(config.n_eta_grid)
     if config.kind == "response":
         # A build keeps its two P x P covariances and two curves of four columns.
@@ -365,7 +369,6 @@ def _check_memory(config: StudyConfig) -> StudyConfig:
     arrays = (
         (f"basis of {n_terms} terms (d={d}, n0={config.n0})",
          max(n_xi, d, *response), n_terms),
-        ("tally draw", 0 if config.noise_free else n_xi, n_eta),
         ("'study.bins' histogram", config.bins + 1, 1),
         (f"result table of {cells} cells x {config.repetitions} repetitions",
          cells * config.repetitions, per_rep),
@@ -642,8 +645,6 @@ def _run_grid(config: StudyConfig, estimate, workers: int):
     Streams are derived per (cell, repetition), so the split never affects
     results.
     """
-    if workers > 1 and not hasattr(os, "fork"):
-        raise ConfigError("--workers above 1 needs os.fork, which this platform lacks")
     basis = total_degree_multi_indices(config.problem.d, config.n0)
     grid = [(i_xi, i_eta) for i_xi in range(len(config.n_xi_grid))
             for i_eta in range(len(config.n_eta_grid))]
@@ -869,7 +870,7 @@ def write_report(report: StudyReport, out_dir) -> list[Path]:
 
     summary_path = out / "summary.json"
     with open(summary_path, "w", encoding="utf-8") as fh:
-        fh.write(json_text(report.summary) + "\n")
+        fh.write(json.dumps(report.summary, indent=1) + "\n")
     written.append(summary_path)
 
     if report.records:

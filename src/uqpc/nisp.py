@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -26,7 +25,6 @@ __all__ = [
     "UndefinedIndicesError",
     "build_surrogate",
     "fit_buffers",
-    "json_text",
     "load_surrogate",
     "pce_variance_biased",
     "pce_variance_unbiased",
@@ -488,65 +486,6 @@ def sobol_indices(surrogate: PceSurrogate) -> SobolIndices:
 
 SURROGATE_FORMAT = "uqpc-surrogate-v1"
 
-# json spells the three non-finite floats as JavaScript does.
-_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_scalar(value) -> str:
-    # json's encoder converts scalars this way, checking types in this order.
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        text = float.__repr__(value)
-        return _JSON_FLOATS.get(text, text)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _json_lines(value, pad: str) -> str:
-    inner = pad + " "
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        if all(type(v) is float for v in value):
-            items = list(map(float.__repr__, value))
-            if not _JSON_FLOATS.keys().isdisjoint(items):
-                items = [_JSON_FLOATS.get(text, text) for text in items]
-        else:
-            items = (_json_lines(v, inner) for v in value)
-        open_, close = "[", "]"
-    elif isinstance(value, dict):
-        if not value:
-            return "{}"
-        if not all(isinstance(k, str) for k in value):
-            raise TypeError("json_text writes dicts with string keys only")
-        items = (
-            encode_basestring_ascii(k) + ": " + _json_lines(v, inner) for k, v in value.items()
-        )
-        open_, close = "{", "}"
-    else:
-        return _json_scalar(value)
-    return open_ + "\n" + inner + (",\n" + inner).join(items) + "\n" + pad + close
-
-
-def json_text(obj) -> str:
-    """The text of json.dumps(obj, indent=1), byte for byte, built faster.
-
-    With an indent, json.dumps runs its pure-Python encoder. This writer
-    converts each scalar as that encoder does (float.__repr__ for floats,
-    int.__repr__ for ints, json's C string encoder for strings) and lays
-    out the indented lines with string joins. Dict keys must be strings,
-    as in every file this package writes.
-    """
-    return _json_lines(obj, "")
-
 
 def save_surrogate(surrogate: PceSurrogate, path) -> None:
     """Write the surrogate as self-describing JSON (see README for fields)."""
@@ -575,7 +514,7 @@ def save_surrogate(surrogate: PceSurrogate, path) -> None:
         var = surrogate.coefficient_variance
         payload["coefficient_variance"] = None if var is None else var.tolist()
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json_text(payload) + "\n")
+        fh.write(json.dumps(payload, indent=1) + "\n")
 
 
 def load_surrogate(path) -> PceSurrogate:

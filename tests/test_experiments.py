@@ -174,9 +174,8 @@ def test_load_config_gsa_defaults(tmp_path):
     "pce: {n0: 2}\nstudy: {n_xi_grid: [5], n_eta_grid: [1]}\n",
     "problem:\n  materials:\n    - {sigma0: 1.0, sigmaDelta: 0.1, sigma_delta: 0.9, dx: 1.0}\n"
     "pce: {n0: 2}\nstudy: {n_xi_grid: [5], n_eta_grid: [1]}\n",
-    # arrays over the 256 MiB limit: 1.6 GB of uniforms for one tally draw,
-    # a 5.6 GB response-grid basis, 8 GB of histogram edges
-    D1_PROBLEM + "pce: {n0: 2}\nstudy: {n_xi_grid: [2000], n_eta_grid: [100000]}\n",
+    # arrays over the 256 MiB limit: a 5.6 GB response-grid basis, 8 GB of
+    # histogram edges
     D1_PROBLEM + "pce: {n0: 6}\n"
     "study: {kind: response, n_xi_grid: [5], n_eta_grid: [2], response_points: 100000000}\n",
     D1_PROBLEM + "pce: {n0: 2}\nstudy: {n_xi_grid: [5], n_eta_grid: [1], bins: 1000000000}\n",
@@ -188,11 +187,24 @@ def test_load_config_gsa_defaults(tmp_path):
     + "pce: {n0: 2}\nstudy: {kind: gsa, n_xi_grid: [5], n_eta_grid: [1], repetitions: 10000000}\n",
     D1_PROBLEM + "pce: {n0: 2000}\n"
     "study: {kind: response, n_xi_grid: [5], n_eta_grid: [2], repetitions: 5}\n",
+    # a repeated grid entry would run its cells twice under one report key
+    D1_PROBLEM + "pce: {n0: 2}\nstudy: {n_xi_grid: [25, 25], n_eta_grid: [2]}\n",
+    D1_PROBLEM + "pce: {n0: 2}\nstudy: {n_xi_grid: [25], n_eta_grid: [1, 4, 1]}\n",
 ])
 def test_load_config_rejects(tmp_path, body):
     path = write_config(tmp_path, body)
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+def test_load_config_takes_any_n_eta(tmp_path):
+    # A tally draw holds at most DRAW_BLOCK uniforms, so n_eta is not bounded
+    # by the array limit: 2000 x 100000 uniforms would be 1.6 GB at once.
+    path = write_config(
+        tmp_path, D1_PROBLEM + "pce: {n0: 2}\nstudy: {n_xi_grid: [2000], n_eta_grid: [100000]}\n"
+    )
+    config = load_config(path)
+    assert (config.n_xi_grid, config.n_eta_grid) == ((2000,), (100000,))
 
 
 def test_load_config_nearly_flat_slab(tmp_path):
@@ -1174,6 +1186,9 @@ def test_cli_config_errors(tmp_path):
     (D1_PROBLEM, "study: {n_xi_grid: [50, 1], n_eta_grid: [1]}\n"),
     # a repeated method would duplicate its rows of records.csv
     (D1_PROBLEM, "study: {n_xi_grid: [50], n_eta_grid: [1], methods: [pc_bias, pc_bias]}\n"),
+    # a repeated grid entry would duplicate its rows and lose its densities
+    (D1_PROBLEM, "study: {n_xi_grid: [25, 25], n_eta_grid: [2]}\n"),
+    (D1_PROBLEM, "study: {n_xi_grid: [25], n_eta_grid: [2, 2]}\n"),
     # NaN passes every ordering check of the problem
     ("problem:\n  materials:\n    - {sigma0: .nan, sigmaDelta: 0.5, dx: 1.0}\n",
      "study: {n_xi_grid: [50], n_eta_grid: [1]}\n"),
@@ -1231,6 +1246,26 @@ def test_cli_refuses_repetitions_over_the_result_table_limit(tmp_path):
     assert (code, stdout) == (2, "")
     assert stderr.startswith("config error: result table")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("blocker", ["file", "parent_file"])
+def test_cli_refuses_unusable_out_before_running(tmp_path, monkeypatch, blocker):
+    # An output path that cannot be a directory fails before the study runs.
+    import uqpc.cli
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the study ran")
+
+    monkeypatch.setattr(uqpc.cli, "run_study", fail)
+    path = write_config(tmp_path, D1_PROBLEM, "pce: {n0: 2}\n",
+                        "study: {n_xi_grid: [5], n_eta_grid: [1], repetitions: 2}\n")
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    out = taken if blocker == "file" else taken / "out"
+    code, stdout, stderr = run_cli("run", "--config", str(path), "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith("output error:")
+    assert taken.read_text() == ""
 
 
 def test_variance_records_independent_of_blas_threads(tmp_path):

@@ -839,36 +839,6 @@ def test_load_rejects_tampered_files(tmp_path):
 # ---------------------------------------------------------------------- json
 
 
-@pytest.mark.parametrize("value", [
-    [], {}, None, True, False, 0, -7, 2**70, 1.5, -0.0, 1e300, 5e-324,
-    float("nan"), float("inf"), float("-inf"), "text", "\u00fcn\u00efc\u00f6d\u00e9 \"q\"\n",
-    [[], [1, [2.0, None, []]], {}],
-    {"a": {}, "b": [True, None, {"c": [[]]}], "d": -1.25},
-    (1, (2.0, "x")),
-])
-def test_json_text_matches_json_dumps(value):
-    import json
-
-    from uqpc.nisp import json_text
-
-    assert json_text(value) == json.dumps(value, indent=1)
-
-
-def test_json_text_refuses_what_json_refuses():
-    import json
-
-    from uqpc.nisp import json_text
-
-    for value in ({(1, 2): 3}, {1j: 0}, [object()], np.float32(1.0)):
-        with pytest.raises(TypeError):
-            json.dumps(value, indent=1)
-        with pytest.raises(TypeError):
-            json_text(value)
-    # Non-string keys, which json converts, are refused.
-    with pytest.raises(TypeError):
-        json_text({"a": {1: 2}})
-
-
 def test_report_json_files_match_json_dumps(tmp_path):
     # Every shipped config's summary and surrogate files, at a few
     # repetitions, read back and re-encoded by json.dumps, give the bytes

@@ -184,3 +184,23 @@ def test_stepped_draw_keeps_the_stream(d3_problem, monkeypatch, block, n_eta):
     if n_eta > 1:
         assert np.array_equal(s2, leaked * (n_eta - leaked) / (n_eta * (n_eta - 1)))
     assert rng.random() == ref.random()
+
+
+def test_draw_memory_is_bounded_by_the_step(d1_problem):
+    # At n_eta past DRAW_BLOCK a draw takes its uniforms in steps, so its
+    # extra peak is one step of float64 uniforms and bool outcomes (9 B per
+    # value), not the 4 x n_eta array of 3.5 MB.
+    import tracemalloc
+
+    from uqpc.transport import DRAW_BLOCK
+
+    xis = sample_parameters(d1_problem, 4, np.random.default_rng(3))
+    rng = np.random.default_rng(4)
+    tracemalloc.start()
+    try:
+        qt, s2 = simulate_training_set(d1_problem, xis, 3 * DRAW_BLOCK + 5, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert qt.shape == s2.shape == (4,)
+    assert peak < 2 * DRAW_BLOCK * 9

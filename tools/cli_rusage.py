@@ -6,11 +6,11 @@ Each round runs every shipped config at --workers 1 and 2 once per source
 tree, alternating which tree goes first, so a drift in machine speed hits
 every tree alike. A run is a fresh `python -c "uqpc.cli.main()"` subprocess
 with PYTHONPATH set to the tree's src/; its figures come from the wait4
-rusage of the child, which includes the pool workers it waited for. The
-report files go to a temporary directory. Every report file is hashed: the
-run's digest is the sha256 of its sorted (file name, sha256) pairs, so any
-changed, added or missing file changes it. A run whose digest differs
-between trees or rounds is flagged.
+rusage of the child, which includes the children it forks and reaps at
+--workers above 1. The report files go to a temporary directory. Every
+report file is hashed: the run's digest is the sha256 of its sorted (file
+name, sha256) pairs, so any changed, added or missing file changes it. A
+run whose digest differs between trees or rounds is flagged.
 
 Prints one JSON object: per tree, config and worker count, the median and
 quartiles of wall_s, user_s, sys_s, minflt and maxrss_mb over the rounds,
