@@ -1268,6 +1268,19 @@ def test_cli_refuses_unusable_out_before_running(tmp_path, monkeypatch, blocker)
     assert taken.read_text() == ""
 
 
+def test_cli_writes_into_an_existing_out_directory(tmp_path):
+    # Creating --out before the study runs still accepts a directory that
+    # is already there.
+    path = write_config(tmp_path, D1_PROBLEM, "pce: {n0: 2}\n",
+                        "study: {n_xi_grid: [5], n_eta_grid: [1], repetitions: 2}\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    code, stdout, stderr = run_cli("run", "--config", str(path), "--out", str(out))
+    assert (code, stderr) == (0, "")
+    assert (out / "summary.json").is_file()
+    assert (out / "records.csv").is_file()
+
+
 def test_variance_records_independent_of_blas_threads(tmp_path):
     import os
     import subprocess

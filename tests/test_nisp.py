@@ -839,6 +839,42 @@ def test_load_rejects_tampered_files(tmp_path):
 # ---------------------------------------------------------------------- json
 
 
+@pytest.mark.parametrize("value", [
+    0.0, -0.0, 1.5, -1.25, 0.1, 1 / 3, 2.0**70, 1e300, -1e300, 5e-324,
+    float("nan"), float("inf"), float("-inf"),
+])
+def test_surrogate_file_keeps_every_float(tmp_path, value):
+    # Coefficients and covariances come back bit for bit, signed zeros,
+    # subnormals and json's NaN/Infinity spellings included.
+    basis = total_degree_multi_indices(1, 1)
+    cov = np.array([[value, 0.5], [0.5, value]])
+    s = make_surrogate(basis, [1.0, value], cov=cov, noise_cov=2 * cov, n_eta=2)
+    path = tmp_path / "surrogate.json"
+    save_surrogate(s, path)
+    back = load_surrogate(path)
+    assert back.coefficients.tobytes() == s.coefficients.tobytes()
+    assert back.coefficient_covariance.tobytes() == cov.tobytes()
+    assert back.noise_corrected_covariance.tobytes() == (2 * cov).tobytes()
+    assert back.coefficient_variance.tobytes() == s.coefficient_variance.tobytes()
+
+
+def test_save_surrogate_text(tmp_path):
+    # The file is json.dumps(payload, indent=1) and a newline; a surrogate
+    # without covariance matrices stores its variances on their own.
+    basis = total_degree_multi_indices(1, 1)
+    s = make_surrogate(basis, [0.5, -0.25], var=[0.125, float("inf")], n_xi=7, n_eta=3)
+    path = tmp_path / "surrogate.json"
+    save_surrogate(s, path)
+    assert path.read_text(encoding="utf-8") == (
+        '{\n "format": "uqpc-surrogate-v1",\n "dimension": 1,\n "total_degree": 1,\n'
+        ' "multi_indices": [\n  [\n   0\n  ],\n  [\n   1\n  ]\n ],\n'
+        ' "coefficients": [\n  0.5,\n  -0.25\n ],\n'
+        ' "coefficient_covariance": null,\n "noise_corrected_covariance": null,\n'
+        ' "trimmed_mask": [\n  true,\n  true\n ],\n "n_xi": 7,\n "n_eta": 3,\n'
+        ' "coefficient_variance": [\n  0.125,\n  Infinity\n ]\n}\n'
+    )
+
+
 def test_report_json_files_match_json_dumps(tmp_path):
     # Every shipped config's summary and surrogate files, at a few
     # repetitions, read back and re-encoded by json.dumps, give the bytes
