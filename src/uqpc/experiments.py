@@ -8,8 +8,9 @@ its per-repetition estimator and in how a cell's repetitions are reported:
   MSE against the exact value, plus estimator density histograms.
 - ``gsa``: repeated Sobol-index estimation (first-order and total).
 - ``response``: independent surrogate builds on one grid cell (build s is
-  repetition s of cell 0), each emitting the predicted curve with a
-  2-stddev coefficient-uncertainty band next to the analytic curve, with and
+  repetition s of cell 0). Each build keeps its fit and its trim, and the
+  report derives from them the predicted curve with a 2-stddev
+  coefficient-uncertainty band next to the analytic curve, with and
   without trim.
 
 Randomness: the work unit (grid cell g, repetition r) consumes exactly one
@@ -32,6 +33,7 @@ from typing import NoReturn
 import numpy as np
 import yaml
 
+from . import nisp
 from .costmodel import CostModel
 from .nisp import (
     PceSurrogate,
@@ -62,7 +64,6 @@ __all__ = [
     "DensityHistogram",
     "GsaRecord",
     "Record",
-    "ResponseCurve",
     "StudyConfig",
     "StudyReport",
     "derive_rng",
@@ -79,16 +80,17 @@ STUDY_KEYS = ("kind", "n_xi_grid", "n_eta_grid", "repetitions", "methods", "nois
               "bins", "response_points")
 MATERIAL_KEYS = ("sigma0", "sigmaDelta", "sigma_delta", "lo", "hi", "dx")
 # Bound on the largest float64 array a study may need: the n_xi x P basis
-# matrix, a response build's P x P covariance and response_points x P grid
-# basis, the P x d multi-index table and the histogram edges. A tally draw
-# holds at most transport.DRAW_BLOCK uniforms at any n_eta, so it is not
-# bounded here. Variance and GSA fits never build the basis matrix, only
-# n_xi x (head terms) arrays, so for them the bound is conservative. A
-# repetition holds a few arrays of this size at once in every worker, so a
-# larger config is refused in load_config rather than running out of memory
-# part-way through a study. The same bound holds for the result table, every
-# recorded float of the study, which stays in memory until the report is
-# written.
+# matrix, a response build's P x P covariance, the response_points x P grid
+# basis a response study evaluates once, the P x d multi-index table and the
+# histogram edges. A tally draw holds at most transport.DRAW_BLOCK uniforms
+# at any n_eta, so it is not bounded here. Variance and GSA fits never build
+# the basis matrix, only n_xi x (head terms) arrays, so for them the bound is
+# conservative. A repetition holds a few arrays of this size at once in every
+# worker, so a larger config is refused in load_config rather than running
+# out of memory part-way through a study. The same bound holds for the
+# result table, every recorded float of the study, which stays in memory
+# until the report is written: for a response study, each build's fit and
+# trim mask, from which the report writer derives one curve at a time.
 MAX_ARRAY_BYTES = 2**28
 
 
@@ -141,22 +143,12 @@ class DensityHistogram:
     density: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class ResponseCurve:
-    """One build's predicted curve and band on the study's response grid."""
-
-    sample_index: int
-    trimmed: bool
-    predict: np.ndarray
-    band_lo: np.ndarray
-    band_hi: np.ndarray
-    n_retained: int
-
-
 @dataclass(eq=False)
 class StudyReport:
-    """Everything a study writes. A response study also keeps its grid and
-    the analytic curve on it, which every ResponseCurve shares."""
+    """Everything a study writes. A response study keeps each build's fit
+    (``surrogates``) and the retained-term mask of its trim
+    (``trimmed_masks``), and for all of its curves one grid, the analytic
+    curve and the basis evaluated on it."""
 
     config: StudyConfig
     summary: dict
@@ -165,8 +157,9 @@ class StudyReport:
     gsa_records: list[GsaRecord] = field(default_factory=list)
     response_grid: np.ndarray | None = None
     response_analytic: np.ndarray | None = None
-    response_curves: list[ResponseCurve] = field(default_factory=list)
+    response_basis: np.ndarray | None = None
     surrogates: list[PceSurrogate] = field(default_factory=list)
+    trimmed_masks: list[np.ndarray] = field(default_factory=list)
 
 
 def derive_rng(master_seed: int, *path: int) -> np.random.Generator:
@@ -274,6 +267,30 @@ def _parse_cost(section) -> CostModel | None:
         raise ConfigError(f"invalid cost model: {exc}") from exc
 
 
+def _check_references(problem: SlabProblem) -> None:
+    # The summary compares every estimate with the exact mean and variance,
+    # and its exact Sobol indices divide by the variance. Extreme inputs
+    # overflow them to inf or NaN, so they are evaluated with floating-point
+    # warnings off and refused unless finite; a deterministic output leaves
+    # a study nothing to estimate.
+    with np.errstate(all="ignore"):
+        mean, variance = exact_mean(problem), exact_variance(problem)
+        if not (np.isfinite(mean) and np.isfinite(variance)):
+            raise ConfigError(
+                f"problem is out of floating-point range: the exact transmittance mean "
+                f"is {mean} and its variance {variance}"
+            )
+        if not variance > 0.0:
+            raise ConfigError(
+                "problem has no uncertainty: the transmittance variance is 0 "
+                "(every sigmaDelta is 0 or too small to resolve)"
+            )
+        if not all(np.isfinite(s).all() for s in exact_sobol(problem)):
+            raise ConfigError(
+                "problem is out of floating-point range: its exact Sobol indices are not finite"
+            )
+
+
 def load_config(path) -> StudyConfig:
     """Parse and validate a YAML study config; raises ConfigError on any problem."""
     try:
@@ -287,13 +304,7 @@ def load_config(path) -> StudyConfig:
     _mapping(raw, ("problem", "pce", "study", "cost", "seed"), "config root")
 
     problem = _parse_problem(_require(raw, "problem", "config"))
-    # The exact Sobol indices of the summary divide by the output variance,
-    # and a deterministic output leaves a study nothing to estimate.
-    if exact_variance(problem) <= 0.0:
-        raise ConfigError(
-            "problem has no uncertainty: the transmittance variance is 0 "
-            "(every sigmaDelta is 0 or too small to resolve)"
-        )
+    _check_references(problem)
     pce = _mapping(_require(raw, "pce", "config"), ("n0",), "'pce'")
     n0 = _require(pce, "n0", "'pce'")
     if not isinstance(n0, int) or isinstance(n0, bool) or n0 < 0:
@@ -360,9 +371,10 @@ def _check_memory(config: StudyConfig) -> StudyConfig:
     n_xi = max(config.n_xi_grid)
     cells = len(config.n_xi_grid) * len(config.n_eta_grid)
     if config.kind == "response":
-        # A build keeps its two P x P covariances and two curves of four columns.
+        # A build keeps its two P x P covariances and four P-vectors: its
+        # coefficients, their variances and the masks of the fit and its trim.
         response = (n_terms, config.response_points)
-        per_rep = 2 * n_terms**2 + 8 * config.response_points
+        per_rep = 2 * n_terms**2 + 4 * n_terms
     else:
         response = ()
         per_rep = len(config.methods) * (2 * d if config.kind == "gsa" else 1)
@@ -470,26 +482,17 @@ def _gsa_estimates(
     return estimates
 
 
-def _response_grid(config: StudyConfig) -> np.ndarray:
-    return np.linspace(-1.0, 1.0, config.response_points)
-
-
 def _response_estimates(
     config: StudyConfig, data: TrainingData, basis: MultiIndexBasis, buffers
 ):
     # Per build: one surrogate with its covariances, whose BLAS products
-    # are per training set, and for the fit and its trim the predicted
-    # curve, the half-width of its 2-stddev band and the number of retained
-    # terms.
-    pts = _response_grid(config)[:, None]
+    # are per training set, and the retained-term mask of its trim. Nothing
+    # is evaluated on the response grid here; write_report derives the
+    # curves of both fits from these.
     estimates = []
     for single, deconv in zip(data.unstack(), _deconvolution(data, ["pc_bias_trim"])):
         surrogate = build_surrogate(single, basis, buffers=buffers)
-        curves = []
-        for fit in (surrogate, _trimmed(surrogate, deconv)):
-            half = 2.0 * prediction_stddev(fit, pts, use_noise_corrected=data.n_eta >= 2)
-            curves.append((predict(fit, pts), half, fit.n_retained))
-        estimates.append((surrogate, curves))
+        estimates.append((surrogate, _trimmed(surrogate, deconv).trimmed_mask))
     return estimates
 
 
@@ -765,19 +768,22 @@ def _gsa_cell(report: StudyReport, n_xi: int, n_eta: int, estimates: list) -> di
 
 
 def _response_cell(report: StudyReport, n_xi: int, n_eta: int, estimates: list) -> dict:
-    # Repetition s is build s, drawn from stream (master_seed, 0, s).
-    grid = _response_grid(report.config)
+    # Repetition s is build s, drawn from stream (master_seed, 0, s). The
+    # grid basis is evaluated once for every curve of the study. It is
+    # called through the nisp module, as the fits' own basis evaluations
+    # are, so that a tracer wrapping nisp.eval_basis_matrix sees it too
+    # (perfbench/trace_study.py).
+    grid = np.linspace(-1.0, 1.0, report.config.response_points)
     report.response_grid = grid
     report.response_analytic = transmittance_batch(report.config.problem, grid[:, None])
+    basis = estimates[0][0].basis
+    report.response_basis = nisp.eval_basis_matrix(basis, grid[:, None])
     builds = []
-    for sample, (surrogate, curves) in enumerate(estimates):
+    for sample, (surrogate, mask) in enumerate(estimates):
         report.surrogates.append(surrogate)
-        report.response_curves.extend(
-            ResponseCurve(sample, trimmed, mid, mid - half, mid + half, kept)
-            for trimmed, (mid, half, kept) in zip((False, True), curves)
-        )
-        (_, _, full), (_, _, trim) = curves
-        builds.append({"sample": sample, "n_retained_full": full, "n_retained_trimmed": trim})
+        report.trimmed_masks.append(mask)
+        builds.append({"sample": sample, "n_retained_full": surrogate.n_retained,
+                       "n_retained_trimmed": int(mask.sum())})
     return {"n_xi": n_xi, "n_eta": n_eta, "builds": builds}
 
 
@@ -862,7 +868,8 @@ def write_report(report: StudyReport, out_dir) -> list[Path]:
 
     Each CSV is written column by column, and a value shared by several
     columns or files (density bin edges, the response grid and analytic
-    curve) is formatted once.
+    curve) is formatted once. A response build's two curves are derived
+    from its fit and trim mask just before their files are written.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -903,19 +910,21 @@ def write_report(report: StudyReport, out_dir) -> list[Path]:
         _write_csv(path, header, _in_blocks(report.gsa_records, _gsa_columns))
         written.append(path)
 
-    if report.response_curves:
+    if report.response_basis is not None:
         grid = _column(report.response_grid)
         analytic = _column(report.response_analytic)
-        for curve in report.response_curves:
-            suffix = "_trim" if curve.trimmed else ""
-            path = out / f"response_{curve.sample_index}{suffix}.csv"
-            _write_csv(
-                path,
-                ["xi", "predict", "band_lo", "band_hi", "analytic"],
-                [[grid, _column(curve.predict), _column(curve.band_lo),
-                  _column(curve.band_hi), analytic]],
-            )
-            written.append(path)
+        psi = report.response_basis
+        for sample, (surrogate, mask) in enumerate(zip(report.surrogates, report.trimmed_masks)):
+            for suffix, fit in (("", surrogate), ("_trim", replace(surrogate, trimmed_mask=mask))):
+                mid = predict(fit, psi)
+                half = 2.0 * prediction_stddev(fit, psi, use_noise_corrected=fit.n_eta >= 2)
+                path = out / f"response_{sample}{suffix}.csv"
+                _write_csv(
+                    path,
+                    ["xi", "predict", "band_lo", "band_hi", "analytic"],
+                    [[grid, _column(mid), _column(mid - half), _column(mid + half), analytic]],
+                )
+                written.append(path)
 
     for index, surrogate in enumerate(report.surrogates):
         path = out / f"surrogate_{index}.json"

@@ -404,17 +404,30 @@ def trim_expansion(surrogate: PceSurrogate, target_variance: float) -> PceSurrog
     )
 
 
-def predict(surrogate: PceSurrogate, xi: np.ndarray) -> np.ndarray:
-    """Evaluate the retained expansion at the points xi, shape (n, d)."""
+def _basis_values(surrogate: PceSurrogate, psi: np.ndarray) -> np.ndarray:
+    psi = np.asarray(psi, dtype=float)
+    p1 = len(surrogate.basis)
+    if psi.ndim != 2 or psi.shape[1] != p1:
+        raise ValueError(f"expected basis values of shape (n, {p1}), got shape {psi.shape}")
+    return psi
+
+
+def predict(surrogate: PceSurrogate, psi: np.ndarray) -> np.ndarray:
+    """Evaluate the retained expansion at n points, given the basis there.
+
+    ``psi`` is eval_basis_matrix(surrogate.basis, xi) for points xi of shape
+    (n, d), so fits of one basis evaluate it once for any number of curves
+    on the same points.
+    """
     mask = surrogate.trimmed_mask
-    psi = eval_basis_matrix(surrogate.basis, xi)[:, mask]
-    return psi @ surrogate.coefficients[mask]
+    return _basis_values(surrogate, psi)[:, mask] @ surrogate.coefficients[mask]
 
 
 def prediction_stddev(
-    surrogate: PceSurrogate, xi: np.ndarray, use_noise_corrected: bool = False
+    surrogate: PceSurrogate, psi: np.ndarray, use_noise_corrected: bool = False
 ) -> np.ndarray:
-    """Coefficient-induced stddev of the expansion at the points xi, shape (n, d).
+    """Coefficient-induced stddev of the expansion at n points, given the
+    basis there as in predict.
 
     Quadratic form of the chosen covariance over retained non-mean terms
     (the mean coefficient shifts every point equally and is excluded from
@@ -430,7 +443,7 @@ def prediction_stddev(
         which = "noise_corrected_covariance" if use_noise_corrected else "coefficient_covariance"
         raise ValueError(f"prediction_stddev requires {which}")
     mask = _retained_tail(surrogate)
-    psi = eval_basis_matrix(surrogate.basis, xi)[:, mask]
+    psi = _basis_values(surrogate, psi)[:, mask]
     sub = cov[np.ix_(mask, mask)]
     var = np.einsum("ij,jk,ik->i", psi, sub, psi)
     return np.sqrt(np.maximum(var, 0.0))

@@ -27,7 +27,7 @@ from uqpc.costmodel import (
 from uqpc.experiments import METHODS, StudyConfig, run_study, write_report
 from uqpc.nisp import TrainingData, build_surrogate, predict, prediction_stddev
 from uqpc.oracle import coefficient_moments_exact, exact_sobol, exact_variance
-from uqpc.polybasis import total_degree_multi_indices
+from uqpc.polybasis import eval_basis_matrix, total_degree_multi_indices
 from uqpc.transport import (
     SlabProblem,
     sample_parameters,
@@ -242,6 +242,7 @@ def test_criterion_7_prediction_band_calibration():
     t0 = time.perf_counter()
     basis = total_degree_multi_indices(1, 6)
     points = np.array([[-0.96], [-0.44], [-0.36], [-0.28], [-0.20]])
+    psi = eval_basis_matrix(basis, points)
     rng = np.random.default_rng(424250)
     reps = 10_000
     preds = np.empty((reps, len(points)))
@@ -250,8 +251,8 @@ def test_criterion_7_prediction_band_calibration():
         xis = sample_parameters(D1, 2000, rng)
         qt, s2 = simulate_training_set(D1, xis, 50, rng)
         s = build_surrogate(TrainingData(xis, qt, s2, 50), basis)
-        preds[r] = predict(s, points)
-        stddevs[r] = prediction_stddev(s, points)
+        preds[r] = predict(s, psi)
+        stddevs[r] = prediction_stddev(s, psi)
     rel = np.abs(stddevs.mean(axis=0) / preds.std(axis=0, ddof=1) - 1.0)
     elapsed = time.perf_counter() - t0
     _report(

@@ -4,6 +4,7 @@ import json
 import os
 import sys
 import textwrap
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,9 +22,9 @@ from uqpc.experiments import (
     run_study,
     write_report,
 )
-from uqpc.nisp import load_surrogate, predict
+from uqpc.nisp import load_surrogate, predict, prediction_stddev
 from uqpc.oracle import exact_mean, exact_sobol, exact_variance, quadrature_coefficients
-from uqpc.polybasis import total_degree_multi_indices
+from uqpc.polybasis import eval_basis_matrix, total_degree_multi_indices
 from uqpc.transport import transmittance_batch
 
 D1_PROBLEM = """\
@@ -151,6 +152,10 @@ def test_load_config_gsa_defaults(tmp_path):
     D1_PROBLEM + "pce: {n0: 2}\nstudy: {n_xi_grid: [5], n_eta_grid: [1]}\nseed: -1\n",
     # no uncertainty: the output variance is 0
     "problem:\n  materials:\n    - {sigma0: 0.3, sigmaDelta: 0.0, dx: 1.0}\npce: {n0: 2}\n"
+    "study: {n_xi_grid: [5], n_eta_grid: [1]}\n",
+    # exact references that overflow to NaN next to an ordinary section
+    "problem:\n  materials:\n    - {sigma0: 1.0e200, sigmaDelta: 1.0e200, dx: 1.0e200}\n"
+    "    - {sigma0: 1.0, sigmaDelta: 0.5, dx: 1.0}\npce: {n0: 2}\n"
     "study: {n_xi_grid: [5], n_eta_grid: [1]}\n",
     # a response build holds the P x P covariance: 6001^2 float64 is 275 MiB
     D1_PROBLEM + "pce: {n0: 6000}\nstudy: {kind: response, n_xi_grid: [5], n_eta_grid: [2]}\n",
@@ -553,7 +558,8 @@ def test_response_study(tmp_path):
     assert np.all(lo <= mid) and np.all(mid <= hi)
     # the stored surrogate reproduces the untrimmed curve bit for bit
     surrogate = load_surrogate(out / "surrogate_0.json")
-    assert np.array_equal(predict(surrogate, grid[:, None]), mid)
+    psi = eval_basis_matrix(surrogate.basis, grid[:, None])
+    assert np.array_equal(predict(surrogate, psi), mid)
     builds = report.summary["cells"][0]["builds"]
     for b in builds:
         assert b["n_retained_trimmed"] <= b["n_retained_full"]
@@ -1073,9 +1079,44 @@ def test_gsa_draws_with_zero_total_contribution_are_undefined(tmp_path):
     assert report.summary["cells"][0]["methods"]["pc_bias"]["n_defined"] == 200 - sum(zero)
 
 
+def test_response_study_holds_fits_not_curves(tmp_path):
+    # A response report holds per build its fit (two P x P covariances and
+    # a few P-vectors) and nothing per grid point: the curves are derived
+    # as their files are written. Per-point curves would hold 6 x 2001
+    # floats, 96 kB, per build.
+    import gc
+    import tracemalloc
+
+    def config(repetitions):
+        return load_config(write_config(tmp_path, D1_PROBLEM, f"""\
+        pce: {{n0: 6}}
+        study: {{kind: response, n_xi_grid: [20], n_eta_grid: [2],
+                repetitions: {repetitions}, response_points: 2001}}
+        seed: 31
+        """))
+
+    run_study(config(2))  # one-off allocations of a first study
+    builds, n_terms, points = 200, 7, 2001
+    big = config(builds)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        report = run_study(big)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert len(report.surrogates) == builds
+    # The grid basis, the grid and the analytic curve are held once.
+    grid_bytes = 8 * points * (n_terms + 2)
+    assert held < builds * (2 * n_terms**2 + 32 * n_terms) * 8 + grid_bytes
+
+
 def test_response_csv_matches_csv_module(tmp_path):
     # The study's grid and analytic curve are formatted once and shared by
-    # every response file.
+    # every response file, and each build's curves are derived from its fit
+    # and trim mask on the study's one grid basis.
     config = load_config(write_config(tmp_path, D1_PROBLEM, """\
     pce: {n0: 4}
     study: {kind: response, n_xi_grid: [60], n_eta_grid: [2], repetitions: 3,
@@ -1084,18 +1125,22 @@ def test_response_csv_matches_csv_module(tmp_path):
     """))
     report = run_study(config)
     assert np.array_equal(report.response_grid, np.linspace(-1.0, 1.0, 17))
+    basis = total_degree_multi_indices(1, 4)
+    assert np.array_equal(report.response_basis,
+                          eval_basis_matrix(basis, report.response_grid[:, None]))
     out = tmp_path / "resp"
     write_report(report, out)
     header = ["xi", "predict", "band_lo", "band_hi", "analytic"]
-    assert len(report.response_curves) == 6
-    for curve in report.response_curves:
-        suffix = "_trim" if curve.trimmed else ""
-        rows = np.column_stack((
-            report.response_grid, curve.predict, curve.band_lo, curve.band_hi,
-            report.response_analytic,
-        )).tolist()
-        text = csv_module_text(header, rows)
-        assert (out / f"response_{curve.sample_index}{suffix}.csv").read_bytes() == text
+    assert len(report.surrogates) == len(report.trimmed_masks) == 3
+    for sample, (surrogate, mask) in enumerate(zip(report.surrogates, report.trimmed_masks)):
+        for suffix, fit in (("", surrogate), ("_trim", replace(surrogate, trimmed_mask=mask))):
+            mid = predict(fit, report.response_basis)
+            half = 2.0 * prediction_stddev(fit, report.response_basis, use_noise_corrected=True)
+            rows = np.column_stack((
+                report.response_grid, mid, mid - half, mid + half, report.response_analytic,
+            )).tolist()
+            text = csv_module_text(header, rows)
+            assert (out / f"response_{sample}{suffix}.csv").read_bytes() == text
 
 
 # ------------------------------------------------------------------------ cli
@@ -1203,6 +1248,11 @@ def test_cli_config_errors(tmp_path):
      "cost: {total: [1], xi: 2.0, eta: 1.0}\n"),
     # a negative seed fails in SeedSequence only when the first stream is derived
     (D1_PROBLEM, "study: {n_xi_grid: [50], n_eta_grid: [1]}\nseed: -1\n"),
+    # the exact mean and variance overflow to NaN, which the summary would
+    # write for every bias and mse
+    ("problem:\n  materials:\n    - {sigma0: 1.0e200, sigmaDelta: 1.0e200, dx: 1.0e200}\n"
+     "    - {sigma0: 1.0, sigmaDelta: 0.5, dx: 1.0}\n",
+     "study: {n_xi_grid: [50], n_eta_grid: [1]}\n"),
     # every sigmaDelta 0: the exact Sobol indices of the summary divide by 0
     ("problem:\n  materials:\n    - {sigma0: 1.0, sigmaDelta: 0.0, dx: 1.0}\n"
      "    - {sigma0: 0.3, sigmaDelta: 0.0, dx: 1.0}\n",
@@ -1329,12 +1379,20 @@ def test_variance_records_independent_of_blas_threads(tmp_path):
         assert outputs[0] == outputs[1]
 
 
-# sha256 of the report files of two shipped configs at a fixed seed and
+# sha256 of the report files of the shipped configs at a fixed seed and
 # repetition count. Every report byte is a pure function of the seed, and
 # variance and GSA fits are BLAS-free, so these hold at any worker or
 # thread count; a change that moves them changes a random stream or an
-# output and must say so.
+# output and must say so. A response build's covariance is a BLAS product
+# of its 2000 x 7 basis matrix; its digests were the same at 1 and 2 BLAS
+# threads and at 1 and 2 workers.
 GOLDEN_DIGESTS = {
+    ("d1_response.yaml", "4244", "3"): {
+        "summary.json": "b5afa163b8d0df6ecef57ec59fe4a01615b0ecab777fe5c7b3a09f5d02ab73a9",
+        "response_0.csv": "f4053bdf54baa8bb41f88ede7bf1116a7c05fdcb79dc49678fdeb65d36f103f9",
+        "response_0_trim.csv": "05018a49e208510bb80a940900212e5f0ae11295aae6c65fc6f408356ef4c1ff",
+        "surrogate_0.json": "265a6b7e35685885d66fdcfb806be9edf1fa524fc7e4366bcd3c6032a4a43f32",
+    },
     ("d3_variance.yaml", "4242", "3"): {
         "records.csv": "8da6c90d29405d7eab7c931f0c1a5c942afc6d1e010ac8c1cdc44a5f0b1c1e18",
         "summary.json": "80fdb0e9f6ceda9d9f67a1a9a3928c17207485ac11d9ae75b29f7857d407eda9",

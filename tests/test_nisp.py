@@ -588,10 +588,11 @@ def test_trim_errors():
 def test_predict_by_hand():
     basis = total_degree_multi_indices(1, 1)
     s = make_surrogate(basis, [0.0, 1.0])
-    batch = predict(s, np.array([[0.3], [-0.7]]))
+    batch = predict(s, eval_basis_matrix(basis, np.array([[0.3], [-0.7]])))
     assert batch == pytest.approx([0.3, -0.7], abs=1e-15)
-    # points come as an (n, d) batch; a lone point is refused, not guessed at
-    for bad in (np.array([0.3]), np.array([0.3, 0.4]), np.array([[0.3, 0.4]])):
+    # basis values come as an (n, P) batch; a lone row or a basis of
+    # another size is refused, not guessed at
+    for bad in (np.array([1.0, 0.3]), np.ones((2, 3)), np.ones((2, 1))):
         with pytest.raises(ValueError):
             predict(s, bad)
 
@@ -601,7 +602,7 @@ def test_predict_reconstructs_square():
     basis = total_degree_multi_indices(1, 2)
     s = make_surrogate(basis, [1.0 / 3.0, 0.0, 2.0 / 3.0])
     x = np.linspace(-1.0, 1.0, 11)
-    assert predict(s, x[:, None]) == pytest.approx(x**2, abs=1e-10)
+    assert predict(s, eval_basis_matrix(basis, x[:, None])) == pytest.approx(x**2, abs=1e-10)
 
 
 def test_predict_respects_trim():
@@ -609,37 +610,40 @@ def test_predict_respects_trim():
     s = make_surrogate(basis, [0.25, 10.0, 2.0 / 3.0],
                        mask=np.array([True, False, True]))
     # P_2(0.5) = -0.125
-    assert predict(s, np.array([[0.5]])) == pytest.approx([0.25 + (2.0 / 3.0) * -0.125],
-                                                          abs=1e-14)
+    half = eval_basis_matrix(basis, np.array([[0.5]]))
+    assert predict(s, half) == pytest.approx([0.25 + (2.0 / 3.0) * -0.125], abs=1e-14)
     mean_only = make_surrogate(basis, [0.25, 10.0, 10.0],
                                mask=np.array([True, False, False]))
-    assert predict(mean_only, np.array([[0.5]])) == pytest.approx([0.25], abs=1e-15)
+    assert predict(mean_only, half) == pytest.approx([0.25], abs=1e-15)
 
 
 def test_prediction_stddev_by_hand():
     basis = total_degree_multi_indices(1, 2)
     s = make_surrogate(basis, [0.5, 1.0, 1.0], cov=np.zeros((3, 3)))
-    assert np.array_equal(prediction_stddev(s, np.array([[0.5]])), [0.0])
+    psi = eval_basis_matrix(basis, np.array([[0.5], [0.0]]))
+    assert np.array_equal(prediction_stddev(s, psi[:1]), [0.0])
     s = make_surrogate(basis, [0.5, 1.0, 1.0], cov=np.eye(3))
     # psi tail at 0.5 is (0.5, -0.125) and at 0 is (0, -0.5); identity
     # covariance excludes the mean
-    out = prediction_stddev(s, np.array([[0.5], [0.0]]))
+    out = prediction_stddev(s, psi)
     assert out == pytest.approx([np.sqrt(0.25 + 0.015625), 0.5], abs=1e-14)
     with pytest.raises(ValueError):
-        prediction_stddev(s, np.array([0.5]))
+        prediction_stddev(s, psi[0])
 
 
 def test_prediction_stddev_respects_trim():
     basis = total_degree_multi_indices(1, 2)
     s = make_surrogate(basis, [0.5, 1.0, 1.0], cov=np.eye(3),
                        mask=np.array([True, True, False]))
-    assert prediction_stddev(s, np.array([[0.5]])) == pytest.approx([0.5], abs=1e-14)
+    psi = eval_basis_matrix(basis, np.array([[0.5]]))
+    assert prediction_stddev(s, psi) == pytest.approx([0.5], abs=1e-14)
 
 
 def test_prediction_stddev_clamps_indefinite_form():
     basis = total_degree_multi_indices(1, 1)
     s = make_surrogate(basis, [0.5, 1.0], cov=np.diag([0.0, -1.0]))
-    assert np.array_equal(prediction_stddev(s, np.array([[0.5]])), [0.0])
+    psi = eval_basis_matrix(basis, np.array([[0.5]]))
+    assert np.array_equal(prediction_stddev(s, psi), [0.0])
 
 
 def test_prediction_stddev_covariance_selection(d1_problem, rng):
@@ -647,7 +651,7 @@ def test_prediction_stddev_covariance_selection(d1_problem, rng):
     xis = sample_parameters(d1_problem, 50, rng)
     qt, s2 = simulate_training_set(d1_problem, xis, 5, rng)
     s = build_surrogate(TrainingData(xis, qt, s2, 5), basis)
-    pts = np.array([[0.3]])
+    pts = eval_basis_matrix(basis, np.array([[0.3]]))
     plain = prediction_stddev(s, pts)
     corrected = prediction_stddev(s, pts, use_noise_corrected=True)
     assert plain[0] != corrected[0]
