@@ -16,7 +16,7 @@ its per-repetition estimator and in how a cell's repetitions are reported:
 Randomness: the work unit (grid cell g, repetition r) consumes exactly one
 generator, derived as default_rng(SeedSequence(master_seed, spawn_key=(g, r)))
 with g = i_xi * len(n_eta_grid) + i_eta. Within a unit the draw order is
-fixed (parameter samples first, then histories in sample-major order), so
+fixed (parameter samples first, then one leak count per sample), so
 every record is a pure function of (master_seed, g, r) and the output is
 identical for any worker count.
 """
@@ -82,15 +82,16 @@ MATERIAL_KEYS = ("sigma0", "sigmaDelta", "sigma_delta", "lo", "hi", "dx")
 # Bound on the largest float64 array a study may need: the n_xi x P basis
 # matrix, a response build's P x P covariance, the response_points x P grid
 # basis a response study evaluates once, the P x d multi-index table and the
-# histogram edges. A tally draw holds at most transport.DRAW_BLOCK uniforms
-# at any n_eta, so it is not bounded here. Variance and GSA fits never build
-# the basis matrix, only n_xi x (head terms) arrays, so for them the bound is
-# conservative. A repetition holds a few arrays of this size at once in every
-# worker, so a larger config is refused in load_config rather than running
-# out of memory part-way through a study. The same bound holds for the
-# result table, every recorded float of the study, which stays in memory
-# until the report is written: for a response study, each build's fit and
-# trim mask, from which the report writer derives one curve at a time.
+# histogram edges. A tally draw holds a few n_xi arrays and nothing per
+# history, so n_eta does not enter this bound. Variance and GSA fits never
+# build the basis matrix, only n_xi x (head terms) arrays, so for them the
+# bound is conservative. A repetition holds a few arrays of this size at
+# once in every worker, so a larger config is refused in load_config rather
+# than running out of memory part-way through a study. The same bound holds
+# for the result table, every recorded float of the study, which stays in
+# memory until the report is written: for a response study, each build's
+# fit and trim mask, from which the report writer derives one curve at a
+# time.
 MAX_ARRAY_BYTES = 2**28
 
 
@@ -319,6 +320,10 @@ def load_config(path) -> StudyConfig:
         _require(study, "n_xi_grid", "'study'"), "'study.n_xi_grid'", minimum=2
     )
     n_eta_grid = _as_int_grid(_require(study, "n_eta_grid", "'study'"), "'study.n_eta_grid'")
+    # Tallies take their leak counts as float64, which holds every count up
+    # to 2**53 exactly.
+    if max(n_eta_grid) > 2**53:
+        raise ConfigError(f"'study.n_eta_grid' entries must be <= 2**53, got {max(n_eta_grid)}")
     repetitions = _as_positive_int(study.get("repetitions", 200), "'study.repetitions'")
     # Response builds fit, trim and predict; they have no methods to choose.
     allowed = {"variance": METHODS, "gsa": GSA_METHODS, "response": ()}[kind]
@@ -408,8 +413,9 @@ def _check_memory(config: StudyConfig) -> StudyConfig:
 def _draw_training(
     config: StudyConfig, n_xi: int, n_eta: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    # One repetition's samples, tallies and (n_eta >= 2) per-sample noise
-    # variances, drawn from its own generator in the documented order.
+    # One repetition's samples, then its tallies and (n_eta >= 2) per-sample
+    # noise variances from one leak count per sample, drawn from its own
+    # generator in that order.
     problem = config.problem
     xis = sample_parameters(problem, n_xi, rng)
     if config.noise_free:

@@ -75,56 +75,40 @@ def sample_parameters(problem: SlabProblem, n: int, rng: np.random.Generator) ->
     return rng.uniform(-1.0, 1.0, size=(n, problem.d))
 
 
-# Uniforms drawn per step of a tally draw: 256 KiB, so the draw's memory
-# does not grow with n_xi x n_eta.
-DRAW_BLOCK = 2**15
-
-
 def simulate_training_set(
     problem: SlabProblem, xis: np.ndarray, n_eta: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Score n_eta analog histories at each of a batch of samples.
 
-    Each history draws an optical-depth budget s = -ln(u), u ~ U(0, 1), and
-    is tracked through the sections by accumulating their optical
-    thicknesses; it leaks at x = L (outcome 1) iff s exceeds the total depth
-    tau(xi), else it is absorbed (outcome 0). s > tau is tested as
-    u < exp(-tau), which avoids the logarithms without changing any outcome,
-    so an outcome is Bernoulli with success probability exp(-tau(xi)).
-    Every history consumes exactly one uniform from ``rng``, in sample-major
-    order, so splitting a batch over consecutive calls on one generator
-    gives the same tallies. The uniforms are drawn and counted in
-    consecutive steps of at most DRAW_BLOCK values (whole samples where
-    n_eta allows), which keeps that order and bounds the memory of a draw.
+    A history draws an optical-depth budget s = -ln(u), u ~ U(0, 1), and
+    leaks at x = L (outcome 1) iff s exceeds the total depth tau(xi), else
+    it is absorbed (outcome 0). Nothing scatters, so a history's outcome is
+    Bernoulli with success probability p = exp(-tau(xi)), and the n_eta
+    histories at a sample are independent. The tally statistics depend on
+    the histories only through the leak count K ~ Binomial(n_eta, p):
+    qtilde = K / n_eta is the mean of the 0/1 outcomes and
+    sigma2eta = K (n_eta - K) / (n_eta (n_eta - 1)) their unbiased
+    (n_eta - 1 divisor) sample variance. So K is drawn directly:
 
-    Returns (qtilde, sigma2eta) arrays over the samples: the mean of the 0/1
-    outcomes and their unbiased (n_eta - 1 divisor) sample variance, None
-    when n_eta == 1. Both follow from the count K of leaked histories:
-    qtilde = K / n_eta and sigma2eta = K (n_eta - K) / (n_eta (n_eta - 1)).
+    - n_eta == 1: one uniform per sample, outcome u < p (s > tau without the
+      logarithm), and sigma2eta is None;
+    - n_eta >= 2: one ``rng.binomial(n_eta, p)`` draw per sample, so the
+      bits follow NumPy's ``Generator.binomial`` and a draw costs about
+      the same at any n_eta.
+
+    Samples consume the stream in order, so splitting a batch over
+    consecutive calls on one generator gives the same tallies. K is taken
+    as float64, exact for every n_eta up to 2**53.
+
+    Returns (qtilde, sigma2eta) arrays over the samples.
     """
     xis = np.asarray(xis, dtype=float)
     if xis.ndim != 2 or xis.shape[1] != problem.d:
         raise ValueError(f"samples have shape {xis.shape}, expected (n, {problem.d})")
     if n_eta < 1:
         raise ValueError(f"n_eta must be >= 1, got {n_eta}")
-    p = transmittance_batch(problem, xis)[:, None]
-    n = xis.shape[0]
-    # Whole samples per step, or one sample in several steps when n_eta
-    # alone passes DRAW_BLOCK. Every step reuses the same two arrays, so a
-    # draw touches no fresh pages after its first step.
-    rows, cols = max(1, DRAW_BLOCK // n_eta), min(n_eta, DRAW_BLOCK)
-    u = np.empty((min(rows, n), cols))
-    leaks = np.empty(u.shape, dtype=bool)
-    leaked = np.zeros(n, dtype=np.intp)
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
-        for c in range(0, n_eta, cols):
-            step = np.s_[: hi - lo, : min(cols, n_eta - c)]
-            np.less(rng.random(out=u[step]), p[lo:hi], out=leaks[step])
-            # Row sums of the 0/1 outcomes; einsum adds short rows faster
-            # than count_nonzero(axis=1), and integer sums are exact.
-            leaked[lo:hi] += np.einsum("ij->i", leaks[step].view(np.uint8), dtype=np.intp)
-    qtilde = leaked / n_eta
+    p = transmittance_batch(problem, xis)
     if n_eta == 1:
-        return qtilde, None
-    return qtilde, leaked * (n_eta - leaked) / (n_eta * (n_eta - 1))
+        return (rng.random(p.size) < p).astype(float), None
+    leaked = rng.binomial(n_eta, p).astype(float)
+    return leaked / n_eta, leaked * (n_eta - leaked) / (n_eta * (n_eta - 1))

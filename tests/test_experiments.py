@@ -195,6 +195,10 @@ def test_load_config_gsa_defaults(tmp_path):
     # a repeated grid entry would run its cells twice under one report key
     D1_PROBLEM + "pce: {n0: 2}\nstudy: {n_xi_grid: [25, 25], n_eta_grid: [2]}\n",
     D1_PROBLEM + "pce: {n0: 2}\nstudy: {n_xi_grid: [25], n_eta_grid: [1, 4, 1]}\n",
+    # leak counts past 2**53 are not exact in float64, and past 2**63 not
+    # even an int64
+    D1_PROBLEM + f"pce: {{n0: 2}}\nstudy: {{n_xi_grid: [5], n_eta_grid: [{2**53 + 1}]}}\n",
+    D1_PROBLEM + f"pce: {{n0: 2}}\nstudy: {{n_xi_grid: [5], n_eta_grid: [2, {10**30}]}}\n",
 ])
 def test_load_config_rejects(tmp_path, body):
     path = write_config(tmp_path, body)
@@ -203,13 +207,36 @@ def test_load_config_rejects(tmp_path, body):
 
 
 def test_load_config_takes_any_n_eta(tmp_path):
-    # A tally draw holds at most DRAW_BLOCK uniforms, so n_eta is not bounded
-    # by the array limit: 2000 x 100000 uniforms would be 1.6 GB at once.
+    # A tally draw is one leak count per sample, so n_eta is not bounded by
+    # the array limit: 2000 x 100000 uniforms would be 1.6 GB at once.
     path = write_config(
         tmp_path, D1_PROBLEM + "pce: {n0: 2}\nstudy: {n_xi_grid: [2000], n_eta_grid: [100000]}\n"
     )
     config = load_config(path)
     assert (config.n_xi_grid, config.n_eta_grid) == ((2000,), (100000,))
+
+
+def test_study_at_the_largest_n_eta_is_finite(tmp_path):
+    # At n_eta = 2**53 a draw costs what it costs at 2, and the tally
+    # statistics stay float64 (an int64 K (n_eta - K) would wrap), so the
+    # run ends with finite figures and no warning.
+    path = write_config(tmp_path, D1_PROBLEM, f"""\
+    pce: {{n0: 2}}
+    study: {{n_xi_grid: [50], n_eta_grid: [{2**53}], repetitions: 3}}
+    """)
+    out = tmp_path / "out"
+    code, _, _ = run_cli("run", "--config", str(path), "--out", str(out))
+    assert code == 0
+
+    def numbers(node):
+        if isinstance(node, dict):
+            return [x for v in node.values() for x in numbers(v)]
+        if isinstance(node, list):
+            return [x for v in node for x in numbers(v)]
+        return [node] if isinstance(node, float) else []
+
+    values = numbers(json.loads((out / "summary.json").read_text()))
+    assert values and np.all(np.isfinite(values))
 
 
 def test_load_config_nearly_flat_slab(tmp_path):
@@ -920,8 +947,8 @@ def test_stacked_estimates_equal_per_repetition_fits(
 def test_variance_unit_memory_is_bounded(tmp_path):
     # One (2000, 100) variance unit needs less extra memory than one draw of
     # all its 2000 x 100 uniforms plus its two (28 head terms) x 2000 fit
-    # buffers: tally draws come in steps of transport.DRAW_BLOCK uniforms,
-    # and a block of such a unit holds one repetition.
+    # buffers: a tally draw is one leak count per sample, and a block of such
+    # a unit holds one repetition.
     import tracemalloc
 
     import uqpc.experiments as experiments
@@ -1275,6 +1302,10 @@ def test_cli_config_errors(tmp_path):
      " sigma_delta: 0.2, dx: 1.0}\n", "study: {n_xi_grid: [50], n_eta_grid: [1]}\n"),
     ("problem:\n  materials:\n    - {sigma0: 1.0, sigmaDelta: 0.1, sigma_delta: 0.9, dx: 1.0}\n",
      "study: {n_xi_grid: [50], n_eta_grid: [1]}\n"),
+    # a leak count past 2**53 is not exact in float64; past 2**63 the draw
+    # would raise OverflowError part-way through the run
+    (D1_PROBLEM, f"study: {{n_xi_grid: [50], n_eta_grid: [{2**53 + 1}]}}\n"),
+    (D1_PROBLEM, f"study: {{n_xi_grid: [50], n_eta_grid: [{10**30}]}}\n"),
 ])
 def test_cli_rejects_config_before_running(tmp_path, problem, study):
     pce = "" if "pce:" in study else "pce: {n0: 2}\n"
@@ -1385,17 +1416,19 @@ def test_variance_records_independent_of_blas_threads(tmp_path):
 # thread count; a change that moves them changes a random stream or an
 # output and must say so. A response build's covariance is a BLAS product
 # of its 2000 x 7 basis matrix; its digests were the same at 1 and 2 BLAS
-# threads and at 1 and 2 workers.
+# threads and at 1 and 2 workers. Tallies at n_eta >= 2 are NumPy
+# Generator.binomial draws, so the variance and response digests also
+# depend on the NumPy version that draws them (recorded with numpy 2.4.6).
 GOLDEN_DIGESTS = {
     ("d1_response.yaml", "4244", "3"): {
         "summary.json": "b5afa163b8d0df6ecef57ec59fe4a01615b0ecab777fe5c7b3a09f5d02ab73a9",
-        "response_0.csv": "f4053bdf54baa8bb41f88ede7bf1116a7c05fdcb79dc49678fdeb65d36f103f9",
-        "response_0_trim.csv": "05018a49e208510bb80a940900212e5f0ae11295aae6c65fc6f408356ef4c1ff",
-        "surrogate_0.json": "265a6b7e35685885d66fdcfb806be9edf1fa524fc7e4366bcd3c6032a4a43f32",
+        "response_0.csv": "f5e1d1d1acc9e257b3965324e2d80b9cd305863c147cb7185a2918f795614f0c",
+        "response_0_trim.csv": "1b5f66a4492b9710cb73156999fa2fea551b0b4026477b2cfba2ad767174742e",
+        "surrogate_0.json": "17d827d082729250b1ddcc63205e3e124b8a681ac98fb9750dfafb5aedcda9cb",
     },
     ("d3_variance.yaml", "4242", "3"): {
-        "records.csv": "8da6c90d29405d7eab7c931f0c1a5c942afc6d1e010ac8c1cdc44a5f0b1c1e18",
-        "summary.json": "80fdb0e9f6ceda9d9f67a1a9a3928c17207485ac11d9ae75b29f7857d407eda9",
+        "records.csv": "8f268e76be2dda672d720e2545b586a6475d1a70d8bcaac61e20f1cb0c0bfac2",
+        "summary.json": "fbfe1267776d5e9d3930d53e271fae0ae3ecab343df89b8a03ef40ae22740126",
     },
     ("d3_gsa.yaml", "4243", "8"): {
         "gsa.csv": "e5cf62cbd6dc05a398623554d6a7924ccaaf39e4d6e1f673bfd19637a4d203a1",

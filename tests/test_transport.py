@@ -122,7 +122,7 @@ def test_simulate_reproducible(d3_problem):
 
 
 def test_training_set_split_over_calls(d3_problem):
-    # Histories consume the stream sample-major: splitting a batch over
+    # Samples consume the stream in order: splitting a batch over
     # consecutive calls on one generator gives identical tallies.
     xis = sample_parameters(d3_problem, 8, np.random.default_rng(1))
     qt, s2 = simulate_training_set(d3_problem, xis, 16, np.random.default_rng(2))
@@ -148,59 +148,80 @@ def test_training_set_single_history(d1_problem, d3_problem, rng):
 
 @pytest.mark.parametrize("n_eta", [1, 2, 7, 100])
 def test_tally_statistics_from_counts(d3_problem, n_eta):
-    # The statistics come from the leak counts; the stream is one uniform per
-    # history, sample-major, so the same draw can be scored by hand.
+    # The statistics come from one leak count per sample: a uniform per
+    # sample at n_eta = 1, one binomial draw per sample otherwise, so the
+    # same draw can be scored by hand and leaves the generator where the
+    # reference leaves it.
     xis = sample_parameters(d3_problem, 400, np.random.default_rng(3))
-    qt, s2 = simulate_training_set(d3_problem, xis, n_eta, np.random.default_rng(4))
-    u = np.random.default_rng(4).random((400, n_eta))
-    f = u < transmittance_batch(d3_problem, xis)[:, None]
-    assert np.array_equal(qt, f.mean(axis=1))
-    if n_eta == 1:
-        assert s2 is None
-        return
-    ref = f.var(axis=1, ddof=1)
-    assert np.array_equal(s2 == 0.0, ref == 0.0)
-    assert np.all(np.abs(s2 - ref) <= 1e-15 * ref)
-
-
-@pytest.mark.parametrize("block", [1, 5, 16, 2**15])
-@pytest.mark.parametrize("n_eta", [1, 3, 7, 40])
-def test_stepped_draw_keeps_the_stream(d3_problem, monkeypatch, block, n_eta):
-    # The uniforms are drawn in steps of at most DRAW_BLOCK values: whole
-    # samples when n_eta fits in a step, else one sample in several steps.
-    # Any step size leaves the stream, the tallies and the generator's
-    # state as one draw of every uniform would.
-    import uqpc.transport as transport
-
-    xis = sample_parameters(d3_problem, 37, np.random.default_rng(8))
-    monkeypatch.setattr(transport, "DRAW_BLOCK", block)
-    rng = np.random.default_rng(9)
+    p = transmittance_batch(d3_problem, xis)
+    rng = np.random.default_rng(4)
     qt, s2 = simulate_training_set(d3_problem, xis, n_eta, rng)
-    ref = np.random.default_rng(9)
-    leaked = np.count_nonzero(
-        ref.random((37, n_eta)) < transmittance_batch(d3_problem, xis)[:, None], axis=1
-    )
-    assert np.array_equal(qt, leaked / n_eta)
-    if n_eta > 1:
-        assert np.array_equal(s2, leaked * (n_eta - leaked) / (n_eta * (n_eta - 1)))
+    ref = np.random.default_rng(4)
+    if n_eta == 1:
+        assert np.array_equal(qt, ref.random(400) < p)
+        assert s2 is None
+    else:
+        k = ref.binomial(n_eta, p)
+        assert np.array_equal(qt, k / n_eta)
+        assert np.array_equal(s2, k * (n_eta - k) / (n_eta * (n_eta - 1)))
     assert rng.random() == ref.random()
 
 
-def test_draw_memory_is_bounded_by_the_step(d1_problem):
-    # At n_eta past DRAW_BLOCK a draw takes its uniforms in steps, so its
-    # extra peak is one step of float64 uniforms and bool outcomes (9 B per
-    # value), not the 4 x n_eta array of 3.5 MB.
+def _chi2_tail(counts, pmf):
+    # Upper-tail probability of Pearson's statistic for observed counts of
+    # K = 0 .. n_eta against the exact pmf. Adjacent values of K are merged,
+    # left to right, into cells of at least 5 expected draws; the last cell
+    # takes the upper tail.
+    import mpmath
+
+    expected = pmf * counts.sum()
+    edges = [0]
+    for k in range(1, len(pmf)):
+        if expected[edges[-1]:k].sum() >= 5 and expected[k:].sum() >= 5:
+            edges.append(k)
+    obs = np.add.reduceat(counts, edges)
+    exp = np.add.reduceat(expected, edges)
+    stat = float(np.sum((obs - exp) ** 2 / exp))
+    df = len(edges) - 1
+    return float(mpmath.gammainc(df / 2, stat / 2, mpmath.inf, regularized=True))
+
+
+@pytest.mark.parametrize("n_eta, seed", [(20, 11), (200, 12)])
+def test_leak_count_law_matches_the_per_history_game(d1_problem, n_eta, seed):
+    # K from the draw and K from one uniform per history (the analog game,
+    # kept here as the reference) both follow Binomial(n_eta, p). At
+    # n_eta p = 7.4 NumPy's binomial inverts the cdf, at 73.6 it runs BTPE.
+    # Each sample of 5000 counts passes Pearson's chi-square test against
+    # the exact pmf unless its tail probability is below 1e-4: a correct
+    # draw fails once in 10^4 seeds, this test (4 checks) at most 4 in 10^4.
+    from math import comb
+
+    reps = 5000
+    xis = np.zeros((reps, 1))
+    p = float(transmittance_batch(d1_problem, xis[:1])[0])
+    pmf = np.array([comb(n_eta, k) * p**k * (1 - p) ** (n_eta - k) for k in range(n_eta + 1)])
+    qt, _ = simulate_training_set(d1_problem, xis, n_eta, np.random.default_rng(seed))
+    drawn = np.rint(qt * n_eta).astype(int)
+    per_history = (np.random.default_rng(seed).random((reps, n_eta)) < p).sum(1)
+    for k in (drawn, per_history):
+        assert _chi2_tail(np.bincount(k, minlength=n_eta + 1), pmf) >= 1e-4
+
+
+def test_draw_memory_is_bounded_per_sample(d1_problem):
+    # A draw holds a few float64 arrays over the samples and nothing over
+    # the histories, so its extra peak stays under 64 B per sample (about
+    # 41 B measured) at n_eta = 2 and at n_eta = 10**6, where one uniform
+    # per history would take 8 MB per sample.
     import tracemalloc
 
-    from uqpc.transport import DRAW_BLOCK
-
-    xis = sample_parameters(d1_problem, 4, np.random.default_rng(3))
-    rng = np.random.default_rng(4)
-    tracemalloc.start()
-    try:
-        qt, s2 = simulate_training_set(d1_problem, xis, 3 * DRAW_BLOCK + 5, rng)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert qt.shape == s2.shape == (4,)
-    assert peak < 2 * DRAW_BLOCK * 9
+    xis = sample_parameters(d1_problem, 1000, np.random.default_rng(3))
+    for n_eta in (2, 10**6):
+        rng = np.random.default_rng(4)
+        tracemalloc.start()
+        try:
+            qt, s2 = simulate_training_set(d1_problem, xis, n_eta, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert qt.shape == s2.shape == (1000,)
+        assert peak < 64 * 1000
