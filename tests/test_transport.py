@@ -121,15 +121,20 @@ def test_simulate_reproducible(d3_problem):
     assert np.array_equal(a[1], b[1])
 
 
-def test_training_set_split_over_calls(d3_problem):
+@pytest.mark.parametrize("n_eta", [1, 2, 16, 40])
+def test_training_set_split_over_calls(d3_problem, n_eta):
     # Samples consume the stream in order: splitting a batch over
-    # consecutive calls on one generator gives identical tallies.
+    # consecutive calls on one generator gives identical tallies, on the
+    # uniform path (n_eta = 1) and on the binomial path alike.
     xis = sample_parameters(d3_problem, 8, np.random.default_rng(1))
-    qt, s2 = simulate_training_set(d3_problem, xis, 16, np.random.default_rng(2))
+    qt, s2 = simulate_training_set(d3_problem, xis, n_eta, np.random.default_rng(2))
     rng = np.random.default_rng(2)
-    parts = [simulate_training_set(d3_problem, part, 16, rng) for part in (xis[:3], xis[3:])]
+    parts = [simulate_training_set(d3_problem, part, n_eta, rng) for part in (xis[:3], xis[3:])]
     assert np.array_equal(qt, np.concatenate([q for q, _ in parts]))
-    assert np.array_equal(s2, np.concatenate([s for _, s in parts]))
+    if n_eta == 1:
+        assert s2 is None and all(s is None for _, s in parts)
+    else:
+        assert np.array_equal(s2, np.concatenate([s for _, s in parts]))
 
 
 def test_training_set_single_history(d1_problem, d3_problem, rng):
@@ -146,7 +151,7 @@ def test_training_set_single_history(d1_problem, d3_problem, rng):
         simulate_training_set(d3_problem, xis[:, :2], 4, rng)
 
 
-@pytest.mark.parametrize("n_eta", [1, 2, 7, 100])
+@pytest.mark.parametrize("n_eta", [1, 2, 3, 7, 40, 100, 10**6])
 def test_tally_statistics_from_counts(d3_problem, n_eta):
     # The statistics come from one leak count per sample: a uniform per
     # sample at n_eta = 1, one binomial draw per sample otherwise, so the
@@ -165,6 +170,20 @@ def test_tally_statistics_from_counts(d3_problem, n_eta):
         assert np.array_equal(qt, k / n_eta)
         assert np.array_equal(s2, k * (n_eta - k) / (n_eta * (n_eta - 1)))
     assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("n_eta", [10**10, 2**53, 2**62])
+def test_tally_variance_does_not_wrap(d1_problem, n_eta):
+    # K (n_eta - K) is past 2**63 here: as an int64 product it would wrap
+    # (to 6.55e18 instead of 2.5e19 at n_eta = 1e10, p = 0.5, and negative
+    # at 2**62). Taken in float64, sigma2eta stays within 1e-3 of p (1 - p);
+    # its sampling error is below 1e-4 relative at these n_eta.
+    xis = sample_parameters(d1_problem, 200, np.random.default_rng(7))
+    p = transmittance_batch(d1_problem, xis)
+    qt, s2 = simulate_training_set(d1_problem, xis, n_eta, np.random.default_rng(8))
+    assert np.all(np.abs(qt - p) <= 6 * np.sqrt(p * (1 - p) / n_eta))
+    assert np.all(s2 > 0)
+    assert np.allclose(s2, p * (1 - p), rtol=1e-3, atol=0)
 
 
 def _chi2_tail(counts, pmf):
@@ -186,14 +205,15 @@ def _chi2_tail(counts, pmf):
     return float(mpmath.gammainc(df / 2, stat / 2, mpmath.inf, regularized=True))
 
 
-@pytest.mark.parametrize("n_eta, seed", [(20, 11), (200, 12)])
+@pytest.mark.parametrize("n_eta, seed", [(2, 13), (20, 11), (200, 12)])
 def test_leak_count_law_matches_the_per_history_game(d1_problem, n_eta, seed):
     # K from the draw and K from one uniform per history (the analog game,
     # kept here as the reference) both follow Binomial(n_eta, p). At
-    # n_eta p = 7.4 NumPy's binomial inverts the cdf, at 73.6 it runs BTPE.
+    # n_eta p = 0.74 and 7.4 NumPy's binomial inverts the cdf, at 73.6 it
+    # runs BTPE; n_eta = 2 is the smallest count the binomial path takes.
     # Each sample of 5000 counts passes Pearson's chi-square test against
     # the exact pmf unless its tail probability is below 1e-4: a correct
-    # draw fails once in 10^4 seeds, this test (4 checks) at most 4 in 10^4.
+    # draw fails once in 10^4 seeds, this test (6 checks) at most 6 in 10^4.
     from math import comb
 
     reps = 5000
