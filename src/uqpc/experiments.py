@@ -88,11 +88,14 @@ MATERIAL_KEYS = ("sigma0", "sigmaDelta", "sigma_delta", "lo", "hi", "dx")
 # bound is conservative. A repetition holds a few arrays of this size at
 # once in every worker, so a larger config is refused in load_config rather
 # than running out of memory part-way through a study. The same bound holds
-# for the result table, every recorded float of the study, which stays in
-# memory until the report is written: for a response study, each build's
-# fit and trim mask, from which the report writer derives one curve at a
-# time.
+# for the result table, kept until the report is written and charged what
+# its records hold (tracemalloc on CPython 3.11, rounded up): RECORD_BYTES
+# per variance Record, GSA_RECORD_BYTES plus two d-vectors per GsaRecord,
+# and BUILD_BYTES plus its arrays per response build (its fit and trim mask).
 MAX_ARRAY_BYTES = 2**28
+RECORD_BYTES = 192
+GSA_RECORD_BYTES = 448
+BUILD_BYTES = 1024
 
 
 class ConfigError(Exception):
@@ -283,8 +286,9 @@ def _check_references(problem: SlabProblem) -> None:
             )
         if not variance > 0.0:
             raise ConfigError(
-                "problem has no uncertainty: the transmittance variance is 0 "
-                "(every sigmaDelta is 0 or too small to resolve)"
+                "problem has no resolvable uncertainty: the exact transmittance variance "
+                "is 0, because every sigmaDelta is 0 or too small to resolve, or because "
+                f"the exact mean ({mean:.3g}) is so small that its variance underflows"
             )
         if not all(np.isfinite(s).all() for s in exact_sobol(problem)):
             raise ConfigError(
@@ -353,7 +357,7 @@ def load_config(path) -> StudyConfig:
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ConfigError(f"'seed' must be a nonnegative integer, got {seed!r}")
 
-    return _check_memory(StudyConfig(
+    config = _check_memory(StudyConfig(
         problem=problem,
         n0=n0,
         kind=kind,
@@ -367,35 +371,39 @@ def load_config(path) -> StudyConfig:
         bins=bins,
         response_points=response_points,
     ))
+    # The summary reports the costs and each cell's realized cost.
+    cost = config.cost
+    if cost is not None and not np.isfinite(
+        [cost.c_total, max(n_xi_grid) * (cost.c_xi + cost.c_eta * max(n_eta_grid))]
+    ).all():
+        raise ConfigError(f"'cost' is out of floating-point range for this grid: {cost}")
+    return config
 
 
 def _check_memory(config: StudyConfig) -> StudyConfig:
     # Refuse a study whose arrays or result table would pass MAX_ARRAY_BYTES.
     d = config.problem.d
     n_terms = basis_count(d, config.n0)
-    n_xi = max(config.n_xi_grid)
+    rows = max(*config.n_xi_grid, d)
     cells = len(config.n_xi_grid) * len(config.n_eta_grid)
     if config.kind == "response":
         # A build keeps its two P x P covariances and four P-vectors: its
         # coefficients, their variances and the masks of the fit and its trim.
-        response = (n_terms, config.response_points)
-        per_rep = 2 * n_terms**2 + 4 * n_terms
+        rows = max(rows, n_terms, config.response_points)
+        per_rep = BUILD_BYTES + 8 * (2 * n_terms**2 + 4 * n_terms)
     else:
-        response = ()
-        per_rep = len(config.methods) * (2 * d if config.kind == "gsa" else 1)
-    arrays = (
-        (f"basis of {n_terms} terms (d={d}, n0={config.n0})",
-         max(n_xi, d, *response), n_terms),
-        ("'study.bins' histogram", config.bins + 1, 1),
+        record = GSA_RECORD_BYTES + 16 * d if config.kind == "gsa" else RECORD_BYTES
+        per_rep = len(config.methods) * record
+    for what, count, size in (
+        (f"basis of {n_terms} terms (d={d}, n0={config.n0})", rows, 8 * n_terms),
+        ("'study.bins' histogram", config.bins + 1, 8),
         (f"result table of {cells} cells x {config.repetitions} repetitions",
          cells * config.repetitions, per_rep),
-    )
-    for what, rows, cols in arrays:
-        if 8 * rows * cols > MAX_ARRAY_BYTES:
+    ):
+        if count * size > MAX_ARRAY_BYTES:
             raise ConfigError(
-                f"{what} too large: a {rows} x {cols} float64 array of "
-                f"{8 * rows * cols / 2**20:.0f} MiB is over the "
-                f"{MAX_ARRAY_BYTES / 2**20:.0f} MiB limit"
+                f"{what} too large: {count} rows of {size} B are {count * size / 2**20:.0f} "
+                f"MiB, over the {MAX_ARRAY_BYTES / 2**20:.0f} MiB limit"
             )
     return config
 
@@ -406,8 +414,8 @@ def _check_memory(config: StudyConfig) -> StudyConfig:
 # An estimator maps a block of repetitions' training data (see TrainingData)
 # and the cell's basis to a list of what that study kind records, one entry
 # per repetition, and fits only what it reads. It fits in the work unit's
-# buffers (see fit_buffers), which the next block overwrites, so nothing it
-# returns may refer to them.
+# buffer (see fit_buffers), which the next block overwrites, so nothing it
+# returns may refer to it.
 
 
 def _draw_training(
@@ -442,9 +450,9 @@ def _trimmed(surrogate: PceSurrogate, deconv: float | None) -> PceSurrogate:
 
 
 def _variance_estimates(
-    config: StudyConfig, data: TrainingData, basis: MultiIndexBasis, buffers
+    config: StudyConfig, data: TrainingData, basis: MultiIndexBasis, buffer
 ) -> list[dict[str, float]]:
-    fits = build_surrogate(data, basis, full_covariance=False, buffers=buffers).unstack()
+    fits = build_surrogate(data, basis, full_covariance=False, buffer=buffer).unstack()
     estimates = []
     for surrogate, deconv in zip(fits, _deconvolution(data, config.methods)):
         out: dict[str, float] = {}
@@ -474,11 +482,11 @@ def _sobol_or_nan(surrogate: PceSurrogate) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _gsa_estimates(
-    config: StudyConfig, data: TrainingData, basis: MultiIndexBasis, buffers
+    config: StudyConfig, data: TrainingData, basis: MultiIndexBasis, buffer
 ) -> list[dict[str, tuple[np.ndarray, np.ndarray]]]:
     # Sobol indices stay per repetition: the order of their sums is part of
     # their bits.
-    fits = build_surrogate(data, basis, full_covariance=False, buffers=buffers).unstack()
+    fits = build_surrogate(data, basis, full_covariance=False, buffer=buffer).unstack()
     estimates = []
     for surrogate, deconv in zip(fits, _deconvolution(data, config.methods)):
         estimates.append({
@@ -489,7 +497,7 @@ def _gsa_estimates(
 
 
 def _response_estimates(
-    config: StudyConfig, data: TrainingData, basis: MultiIndexBasis, buffers
+    config: StudyConfig, data: TrainingData, basis: MultiIndexBasis, buffer
 ):
     # Per build: one surrogate with its covariances, whose BLAS products
     # are per training set, and the retained-term mask of its trim. Nothing
@@ -497,13 +505,13 @@ def _response_estimates(
     # curves of both fits from these.
     estimates = []
     for single, deconv in zip(data.unstack(), _deconvolution(data, ["pc_bias_trim"])):
-        surrogate = build_surrogate(single, basis, buffers=buffers)
+        surrogate = build_surrogate(single, basis, buffer=buffer)
         estimates.append((surrogate, _trimmed(surrogate, deconv).trimmed_mask))
     return estimates
 
 
-# Bound on a block's largest arrays: its two head-term buffers and the
-# Legendre tables of its R x n_xi points. 512 KiB is about one fit of
+# Bound on a block's largest arrays: its head-term buffer and the Legendre
+# tables of its R x n_xi points. 512 KiB is about the buffer of one fit of
 # 2000 samples with the 28 head terms of d = 3, n0 = 6 (448 kB), so a block
 # never needs more memory than one such fit, and such a cell fits one
 # repetition at a time.
@@ -523,13 +531,13 @@ def _cell_chunk(
     # One work unit: repetitions `reps` of grid cell (i_xi, i_eta), fitted
     # in blocks of up to _block_size repetitions. Each repetition is drawn
     # from its own stream into the block's arrays; the blocks share n_xi
-    # and the basis, so every fit reuses the unit's arrays and buffers, and
+    # and the basis, so every fit reuses the unit's arrays and buffer, and
     # after the first block a fit touches no freshly allocated pages.
     cell = i_xi * len(config.n_eta_grid) + i_eta
     n_xi = config.n_xi_grid[i_xi]
     n_eta = config.n_eta_grid[i_eta]
     size = min(len(reps), _block_size(basis, n_xi))
-    buffers = fit_buffers(basis, size * n_xi)
+    buffer = fit_buffers(basis, size * n_xi)
     samples = np.empty((size, n_xi, config.problem.d))
     qtilde = np.empty((size, n_xi))
     sigma2 = np.empty((size, n_xi)) if n_eta >= 2 else None
@@ -543,7 +551,7 @@ def _cell_chunk(
                 sigma2[r] = s2
         k = len(block)
         data = TrainingData(samples[:k], qtilde[:k], None if sigma2 is None else sigma2[:k], n_eta)
-        out.extend(estimate(config, data, basis, buffers))
+        out.extend(estimate(config, data, basis, buffer))
     return out
 
 

@@ -206,23 +206,22 @@ def _term_sums(w: np.ndarray, t: np.ndarray, basis: MultiIndexBasis) -> np.ndarr
     return np.concatenate([s.reshape(len(s), -1) for s in sums], axis=1)[:, order]
 
 
-def fit_buffers(basis: MultiIndexBasis, n_points: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two empty (head terms, n_points) arrays for build_surrogate to work in.
+def fit_buffers(basis: MultiIndexBasis, n_points: int) -> np.ndarray:
+    """An empty (head terms, n_points) array for build_surrogate to work in.
 
     A fit of R repetitions of n_xi samples needs n_points >= R n_xi. Fits
-    with the same basis may share one pair, one fit at a time; each fit
+    with the same basis may share one buffer, one fit at a time; each fit
     overwrites the part it uses. A d = 1 basis has one empty head.
     """
     head, _, _ = basis.split
-    shape = (1 if head is None else len(head), n_points)
-    return np.empty(shape), np.empty(shape)
+    return np.empty((1 if head is None else len(head), n_points))
 
 
 def build_surrogate(
     data: TrainingData,
     basis: MultiIndexBasis,
     full_covariance: bool = True,
-    buffers: tuple[np.ndarray, np.ndarray] | None = None,
+    buffer: np.ndarray | None = None,
 ) -> PceSurrogate:
     """Fit coefficients and their estimator uncertainty in one pass.
 
@@ -247,10 +246,10 @@ def build_surrogate(
     set is the R = 1 case. The covariance matrices are built for a single
     training set only.
 
-    The head terms are worked on in ``buffers``, a pair from fit_buffers
-    for this basis and at least R n_xi points, allocated per call when not
-    given. A repetition loop that passes one pair to every fit allocates no
-    head arrays after the first; the surrogate never refers to the buffers.
+    The head terms are worked on in ``buffer``, from fit_buffers for this
+    basis and at least R n_xi points, allocated per call when not given. A
+    repetition loop that passes one buffer to every fit allocates no head
+    arrays after the first; the surrogate never refers to the buffer.
     """
     _check_basis_match(data, basis)
     n = data.n_xi
@@ -264,16 +263,16 @@ def build_surrogate(
     reps, points = len(qtilde), qtilde.size
     head, row, last = basis.split
     h = 1 if head is None else len(head)
-    if buffers is None:
-        buffers = fit_buffers(basis, points)
-    if any(b.size < h * points for b in buffers):
-        raise ValueError(f"buffers hold fewer than the {h} x {points} head values of this fit")
-    # Leading parts of the buffers: one degree-major row per head term.
-    rows, spare = (b.reshape(-1)[: h * points].reshape(h, points) for b in buffers)
+    if buffer is None:
+        buffer = fit_buffers(basis, points)
+    if buffer.size < h * points:
+        raise ValueError(f"buffer holds fewer than the {h} x {points} head values of this fit")
+    # Leading part of the buffer: one degree-major row per head term.
+    rows = buffer.reshape(-1)[: h * points].reshape(h, points)
     if head is None:
         rows.fill(1.0)
     else:
-        eval_basis_matrix(head, samples[..., :-1].reshape(points, -1), rows, spare)
+        eval_basis_matrix(head, samples[..., :-1].reshape(points, -1), rows)
     # Degree-major Legendre table of the last variable: P_j of repetition
     # r's samples in t[j, r].
     table = legendre_table(basis.total_degree, samples[..., -1].ravel()).T
@@ -294,7 +293,8 @@ def build_surrogate(
         if data.sigma2eta is not None:
             noise_cov = cov - _noise_correction(data, basis, psi)
     elif n >= 2:
-        s2 = _term_sums(np.multiply(w, w, out=spare.reshape(h, reps, n)), t * t, basis)
+        # w is not read again, so it is squared in place.
+        s2 = _term_sums(np.multiply(w, w, out=w), t * t, basis)
         var = (s2 / basis.norms**2 - n * coefficients**2) / ((n - 1) * n)
         # The raw second moment cancels for the mean term of a nearly flat
         # or noise-free response; sum its squared deviations directly.

@@ -163,30 +163,8 @@ def total_degree_multi_indices(d: int, n0: int) -> MultiIndexBasis:
     return MultiIndexBasis(dimension=d, total_degree=n0, indices=indices, norms=norms)
 
 
-def _term_rows(buffer: np.ndarray | None, shape: tuple[int, int], name: str) -> np.ndarray:
-    # A caller's buffer must take the rows as they are gathered: float64,
-    # C-ordered, one row per term.
-    if buffer is None:
-        return np.empty(shape)
-    if not (
-        isinstance(buffer, np.ndarray)
-        and buffer.dtype == np.float64
-        and buffer.shape == shape
-        and buffer.flags.c_contiguous
-        and buffer.flags.writeable
-    ):
-        raise ValueError(
-            f"{name} must be a writeable C-ordered float64 array of shape {shape}, got "
-            f"{getattr(buffer, 'dtype', type(buffer).__name__)} {np.shape(buffer)}"
-        )
-    return buffer
-
-
 def eval_basis_matrix(
-    basis: MultiIndexBasis,
-    xis: np.ndarray,
-    out: np.ndarray | None = None,
-    scratch: np.ndarray | None = None,
+    basis: MultiIndexBasis, xis: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Evaluate the basis at many points; returns shape (n_points, n_terms).
 
@@ -194,9 +172,8 @@ def eval_basis_matrix(
     Like legendre_table, the result is the transposed view of a degree-major
     array: ``.T`` holds each term in one contiguous row. The rows are written
     into ``out`` when given, a C-ordered float64 array of shape
-    (n_terms, n_points), and at dimension >= 2 each further variable's
-    factors are gathered into ``scratch`` of the same shape; either is
-    allocated when not given. The values do not depend on the buffers.
+    (n_terms, n_points), and allocated otherwise. The values do not depend
+    on ``out``.
     """
     xis = np.asarray(xis, dtype=float)
     if xis.ndim != 2 or xis.shape[1] != basis.dimension:
@@ -205,20 +182,31 @@ def eval_basis_matrix(
         )
     n = xis.shape[0]
     shape = (len(basis), n)
-    rows = _term_rows(out, shape, "out")
+    rows = np.empty(shape) if out is None else out
+    # `out` must take the rows as they are gathered: float64, C-ordered, one
+    # row per term.
+    if not (isinstance(rows, np.ndarray) and rows.dtype == np.float64 and rows.shape == shape
+            and rows.flags.c_contiguous and rows.flags.writeable):
+        raise ValueError(
+            f"out must be a writeable C-ordered float64 array of shape {shape}, got "
+            f"{getattr(out, 'dtype', type(out).__name__)} {np.shape(out)}"
+        )
     n_max = int(basis.indices.max(initial=0))
     # One recurrence over every variable: table[k, j] holds P_k(xis[:, j]).
     table = legendre_table(n_max, xis.T.ravel()).T.reshape(n_max + 1, basis.dimension, n)
     # Gather whole degree rows of each variable's table. mode="clip" writes
     # straight into the target; the default mode buffers through a copy.
     np.take(table[:, 0], basis.indices[:, 0], axis=0, out=rows, mode="clip")
-    if basis.dimension > 1:
-        factor = _term_rows(scratch, shape, "scratch")
-        if np.may_share_memory(rows, factor):
-            raise ValueError("out and scratch must not overlap")
-        for j in range(1, basis.dimension):
-            np.take(table[:, j], basis.indices[:, j], axis=0, out=factor, mode="clip")
-            rows *= factor
+    # Each further variable is multiplied in n_max + 1 term rows at a time,
+    # so its gathered factors are no larger than one variable's table.
+    step = n_max + 1
+    factor = np.empty((min(step, len(basis)), n))
+    for j in range(1, basis.dimension):
+        for lo in range(0, len(basis), step):
+            part = rows[lo : lo + step]
+            gathered = factor[: len(part)]
+            np.take(table[:, j], basis.indices[lo : lo + step, j], axis=0, out=gathered, mode="clip")
+            part *= gathered
     return rows.T
 
 

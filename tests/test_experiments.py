@@ -116,6 +116,18 @@ def test_load_config_gsa_defaults(tmp_path):
     assert config.problem.sigma_delta == pytest.approx([0.29, 0.29])
 
 
+# An ample sigmaDelta, but a mean of about 1e-304 whose variance underflows
+# to 0: the refusal names that cause as well as a zero sigmaDelta.
+UNDERFLOW = (
+    "problem:\n  materials:\n    - {sigma0: 700, sigmaDelta: 1, dx: 1}\npce: {n0: 2}\n"
+    "study: {n_xi_grid: [5], n_eta_grid: [1]}\n"
+)
+# Bodies whose refusal is matched by message as well.
+REJECT_MESSAGES = {
+    UNDERFLOW: r"sigmaDelta is 0 .* the exact mean \(1\.16e-304\) .* underflows",
+}
+
+
 @pytest.mark.parametrize("body", [
     "pce: {n0: 2}\nstudy: {n_xi_grid: [5], n_eta_grid: [1]}\n",
     D1_PROBLEM + "study: {n_xi_grid: [5], n_eta_grid: [1]}\n",
@@ -153,6 +165,7 @@ def test_load_config_gsa_defaults(tmp_path):
     # no uncertainty: the output variance is 0
     "problem:\n  materials:\n    - {sigma0: 0.3, sigmaDelta: 0.0, dx: 1.0}\npce: {n0: 2}\n"
     "study: {n_xi_grid: [5], n_eta_grid: [1]}\n",
+    UNDERFLOW,
     # exact references that overflow to NaN next to an ordinary section
     "problem:\n  materials:\n    - {sigma0: 1.0e200, sigmaDelta: 1.0e200, dx: 1.0e200}\n"
     "    - {sigma0: 1.0, sigmaDelta: 0.5, dx: 1.0}\npce: {n0: 2}\n"
@@ -184,9 +197,9 @@ def test_load_config_gsa_defaults(tmp_path):
     D1_PROBLEM + "pce: {n0: 6}\n"
     "study: {kind: response, n_xi_grid: [5], n_eta_grid: [2], response_points: 100000000}\n",
     D1_PROBLEM + "pce: {n0: 2}\nstudy: {n_xi_grid: [5], n_eta_grid: [1], bins: 1000000000}\n",
-    # result tables over the limit, 8 B per recorded float: 3.2 GB of
-    # variance estimates, 320 MB of GSA indices (2 methods x 2d floats per
-    # repetition), and 5 response builds of two 2001^2 covariances each
+    # result tables over the limit, charged what their records hold: 77 GB
+    # of variance Records, 9.3 GB of GSA records (2 methods per repetition),
+    # and 5 response builds of two 2001^2 covariances each
     D1_PROBLEM + "pce: {n0: 2}\nstudy: {n_xi_grid: [5], n_eta_grid: [1], repetitions: 100000000}\n",
     D1_PROBLEM
     + "pce: {n0: 2}\nstudy: {kind: gsa, n_xi_grid: [5], n_eta_grid: [1], repetitions: 10000000}\n",
@@ -202,7 +215,7 @@ def test_load_config_gsa_defaults(tmp_path):
 ])
 def test_load_config_rejects(tmp_path, body):
     path = write_config(tmp_path, body)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=REJECT_MESSAGES.get(body)):
         load_config(path)
 
 
@@ -290,7 +303,7 @@ def test_apply_overrides(tmp_path):
     assert (changed.master_seed, changed.repetitions) == (1, 3)
     with pytest.raises(ConfigError):
         apply_overrides(config, repetitions=0)
-    # 4 methods x 10^8 repetitions: a 3.2 GB result table
+    # 4 methods x 10^8 repetitions: a 77 GB result table
     with pytest.raises(ConfigError):
         apply_overrides(config, repetitions=10**8)
 
@@ -818,9 +831,9 @@ def materials_yaml(d: int) -> str:
 
 @pytest.mark.parametrize("d, n0, n_xi, n_eta", [(1, 4, 60, 2), (3, 6, 400, 1), (10, 3, 300, 2)])
 def test_unit_fits_equal_fresh_fits(tmp_path, monkeypatch, d, n0, n_xi, n_eta):
-    # The blocks of a work unit fit in the unit's shared buffers. Each
+    # The blocks of a work unit fit in the unit's shared buffer. Each
     # repetition must equal an independent fresh fit of its draw, and a
-    # block returned early must not change while later blocks reuse them.
+    # block returned early must not change while later blocks reuse it.
     import uqpc.experiments as experiments
     from uqpc.nisp import TrainingData, build_surrogate
 
@@ -836,8 +849,8 @@ def test_unit_fits_equal_fresh_fits(tmp_path, monkeypatch, d, n0, n_xi, n_eta):
     assert experiments._block_size(basis, n_xi) == 2
     returned = []
 
-    def estimate(config, data, basis, buffers):
-        fit = build_surrogate(data, basis, full_covariance=False, buffers=buffers)
+    def estimate(config, data, basis, buffer):
+        fit = build_surrogate(data, basis, full_covariance=False, buffer=buffer)
         returned.extend(zip(fit.coefficients.copy(), fit.coefficient_variance.copy()))
         return fit.unstack()
 
@@ -946,9 +959,9 @@ def test_stacked_estimates_equal_per_repetition_fits(
 
 def test_variance_unit_memory_is_bounded(tmp_path):
     # One (2000, 100) variance unit needs less extra memory than one draw of
-    # all its 2000 x 100 uniforms plus its two (28 head terms) x 2000 fit
-    # buffers: a tally draw is one leak count per sample, and a block of such
-    # a unit holds one repetition.
+    # all its 2000 x 100 uniforms plus two (28 head terms) x 2000 arrays
+    # (its fit buffer is one): a tally draw is one leak count per sample, and
+    # a block of such a unit holds one repetition.
     import tracemalloc
 
     import uqpc.experiments as experiments
@@ -978,8 +991,8 @@ def test_variance_unit_memory_is_bounded(tmp_path):
 
 def test_gsa_csv_independent_of_unit_split(tmp_path):
     # All 10 repetitions of a cell in one run of _cell_chunk at 1 worker,
-    # every other one in each of two shares at 2 workers: the buffers must
-    # carry nothing from one fit to the next.
+    # every other one in each of two shares at 2 workers: the fit buffer
+    # must carry nothing from one fit to the next.
     path = write_config(tmp_path, """\
     problem:
       materials:
@@ -1104,6 +1117,42 @@ def test_gsa_draws_with_zero_total_contribution_are_undefined(tmp_path):
     assert [np.isnan(g.first_order).all() for g in untrimmed] == zero
     assert all(np.isfinite(g.total).all() for g, z in zip(untrimmed, zero) if not z)
     assert report.summary["cells"][0]["methods"]["pc_bias"]["n_defined"] == 200 - sum(zero)
+
+
+@pytest.mark.parametrize("kind", ["variance", "gsa"])
+def test_result_table_within_its_memory_charge(tmp_path, kind):
+    # load_config charges a study's result table what its records hold as
+    # Python objects (see MAX_ARRAY_BYTES); the table a finished study holds
+    # stays within that charge. 600 repetitions, so that most repetition
+    # numbers are not cached small ints.
+    import gc
+    import tracemalloc
+
+    import uqpc.experiments as experiments
+
+    config = load_config(write_config(tmp_path, materials_yaml(3), f"""\
+    pce: {{n0: 2}}
+    study: {{kind: {kind}, n_xi_grid: [20, 30], n_eta_grid: [2], repetitions: 600}}
+    seed: 43
+    """))
+    tracemalloc.start()
+    try:
+        report = run_study(config)
+        table = report.records if kind == "variance" else report.gsa_records
+        rows = len(table)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        table.clear()
+        gc.collect()
+        held -= tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    if kind == "variance":
+        record = experiments.RECORD_BYTES
+    else:
+        record = experiments.GSA_RECORD_BYTES + 16 * 3
+    assert rows == 2 * 600 * len(config.methods)
+    assert 0 < held <= rows * record
 
 
 def test_response_study_holds_fits_not_curves(tmp_path):

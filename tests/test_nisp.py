@@ -297,7 +297,7 @@ def test_fit_layout_belongs_to_its_basis(d1_problem, d3_problem, rng):
 def test_block_fit_equals_fits_of_its_runs(d3_problem, rng):
     # One pass over a block of runs gives each run's fit bit for bit; the
     # deconvolution is per run too. Full covariances need one run, and the
-    # buffers must hold the block's head values.
+    # buffer must hold the block's head values.
     basis = total_degree_multi_indices(3, 4)
     x = sample_parameters(d3_problem, 4 * 30, rng).reshape(4, 30, 3)
     tallies = [simulate_training_set(d3_problem, xi, 3, rng) for xi in x]
@@ -315,14 +315,14 @@ def test_block_fit_equals_fits_of_its_runs(d3_problem, rng):
     with pytest.raises(ValueError):
         build_surrogate(block, basis)
     with pytest.raises(ValueError):
-        build_surrogate(block, basis, full_covariance=False, buffers=fit_buffers(basis, 119))
-    # Larger buffers serve smaller fits from their leading part.
-    big = build_surrogate(block, basis, full_covariance=False, buffers=fit_buffers(basis, 500))
+        build_surrogate(block, basis, full_covariance=False, buffer=fit_buffers(basis, 119))
+    # A larger buffer serves smaller fits from its leading part.
+    big = build_surrogate(block, basis, full_covariance=False, buffer=fit_buffers(basis, 500))
     assert np.array_equal(np.stack([f.coefficients for f in fits]), big.coefficients)
 
 
 def test_steady_state_fit_allocates_no_head_arrays(d3_problem, rng):
-    # With warmed buffers a fit allocates only Legendre tables and small
+    # With a warmed buffer a fit allocates only Legendre tables and small
     # temporaries, well under two of its (28 head terms) x 2000 arrays.
     import tracemalloc
 
@@ -330,14 +330,14 @@ def test_steady_state_fit_allocates_no_head_arrays(d3_problem, rng):
     xis = sample_parameters(d3_problem, 2000, rng)
     qt, _ = simulate_training_set(d3_problem, xis, 1, rng)
     data = TrainingData(xis, qt, None, 1)
-    buffers = fit_buffers(basis, 2000)
+    buffer = fit_buffers(basis, 2000)
     head_array = 28 * 2000 * 8
-    assert buffers[0].nbytes == buffers[1].nbytes == head_array
-    build_surrogate(data, basis, full_covariance=False, buffers=buffers)
+    assert buffer.shape == (28, 2000) and buffer.nbytes == head_array
+    build_surrogate(data, basis, full_covariance=False, buffer=buffer)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        build_surrogate(data, basis, full_covariance=False, buffers=buffers)
+        build_surrogate(data, basis, full_covariance=False, buffer=buffer)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()

@@ -87,15 +87,19 @@ def test_eval_basis_values():
     assert psi[0, k] == pytest.approx(-0.0625, abs=1e-15)
 
 
-def test_eval_basis_matrix_is_exact_product(rng):
-    basis = total_degree_multi_indices(3, 5)
-    xis = rng.uniform(-1.0, 1.0, size=(300, 3))
+@pytest.mark.parametrize("d, n0", [(1, 5), (3, 5), (10, 3)])
+def test_eval_basis_matrix_is_exact_product(d, n0, rng):
+    # Bit for bit the plain left-to-right product over the variables, also
+    # where a variable's factors are multiplied in several slices of n0 + 1
+    # term rows (56 terms at d = 3, 286 at d = 10).
+    basis = total_degree_multi_indices(d, n0)
+    xis = rng.uniform(-1.0, 1.0, size=(300, d))
     psi = eval_basis_matrix(basis, xis)
     # The transposed view of degree-major rows, as legendre_table returns.
     assert psi.T.flags.c_contiguous
     ref = np.ones((300, len(basis)))
-    for j in range(3):
-        ref = ref * legendre_table(5, xis[:, j])[:, basis.indices[:, j]]
+    for j in range(d):
+        ref = ref * legendre_table(n0, xis[:, j])[:, basis.indices[:, j]]
     assert np.array_equal(psi, ref)
 
 
@@ -159,13 +163,13 @@ def test_legendre_table_degree_major(rng):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_eval_basis_matrix_into_buffers(d, rng):
-    # Given buffers, the values are the default path's bit for bit, as the
-    # transposed view of `out`; reused buffers keep nothing of the last call.
+    # Given `out`, the values are the default path's bit for bit, as the
+    # transposed view of `out`; a reused `out` keeps nothing of the last call.
     basis = total_degree_multi_indices(d, 4)
-    out, scratch = np.full((len(basis), 70), np.nan), np.full((len(basis), 70), np.nan)
+    out = np.full((len(basis), 70), np.nan)
     for _ in range(2):
         xis = rng.uniform(-1.0, 1.0, size=(70, d))
-        psi = eval_basis_matrix(basis, xis, out, scratch)
+        psi = eval_basis_matrix(basis, xis, out)
         assert psi.base is out
         assert psi.shape == (70, len(basis))
         assert np.array_equal(psi, eval_basis_matrix(basis, xis))
@@ -187,11 +191,8 @@ def test_eval_basis_matrix_rejects_bad_buffers():
     ]
     for buffer in bad:
         with pytest.raises(ValueError):
-            eval_basis_matrix(basis, xis, buffer, good)
-        with pytest.raises(ValueError):
-            eval_basis_matrix(basis, xis, good, buffer)
-    with pytest.raises(ValueError):
-        eval_basis_matrix(basis, xis, good, good)
+            eval_basis_matrix(basis, xis, buffer)
+    eval_basis_matrix(basis, xis, good)
 
 
 def test_eval_basis_dimension_check():
