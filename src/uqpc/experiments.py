@@ -62,8 +62,6 @@ from .transport import (
 __all__ = [
     "ConfigError",
     "DensityHistogram",
-    "GsaRecord",
-    "Record",
     "StudyConfig",
     "StudyReport",
     "derive_rng",
@@ -88,14 +86,13 @@ MATERIAL_KEYS = ("sigma0", "sigmaDelta", "sigma_delta", "lo", "hi", "dx")
 # bound is conservative. A repetition holds a few arrays of this size at
 # once in every worker, so a larger config is refused in load_config rather
 # than running out of memory part-way through a study. The same bound holds
-# for the result table, kept until the report is written and charged what
-# its records hold (tracemalloc on CPython 3.11, rounded up): RECORD_BYTES
-# per variance Record, GSA_RECORD_BYTES plus two d-vectors per GsaRecord,
-# and BUILD_BYTES plus its arrays per response build (its fit and trim mask).
+# for the result table, kept until the report is written (see
+# _repetition_bytes): variance and GSA rows are charged their dtype's
+# itemsize, and a response build BUILD_BYTES for its objects plus its arrays.
 MAX_ARRAY_BYTES = 2**28
-RECORD_BYTES = 192
-GSA_RECORD_BYTES = 448
 BUILD_BYTES = 1024
+# The key columns of a result table row: its cell, method and repetition.
+ROW_KEYS = [("n_xi", np.int64), ("n_eta", np.int64), ("method", "U12"), ("repetition", np.int64)]
 
 
 class ConfigError(Exception):
@@ -121,25 +118,6 @@ class StudyConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class Record:
-    n_xi: int
-    n_eta: int
-    method: str
-    repetition: int
-    estimate: float
-
-
-@dataclass(frozen=True, eq=False)
-class GsaRecord:
-    n_xi: int
-    n_eta: int
-    method: str
-    repetition: int
-    first_order: np.ndarray
-    total: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class DensityHistogram:
     """Equal-width histogram normalized to integrate to 1."""
 
@@ -149,16 +127,18 @@ class DensityHistogram:
 
 @dataclass(eq=False)
 class StudyReport:
-    """Everything a study writes. A response study keeps each build's fit
-    (``surrogates``) and the retained-term mask of its trim
-    (``trimmed_masks``), and for all of its curves one grid, the analytic
-    curve and the basis evaluated on it."""
+    """Everything a study writes. Variance and GSA estimates are rows of a
+    ``np.recarray`` (``records``, ``gsa_records``; the other kind's table
+    has no rows), one per (cell, method, repetition) in that order. A
+    response study keeps each build's fit (``surrogates``) and the
+    retained-term mask of its trim (``trimmed_masks``), and for all of its
+    curves one grid, the analytic curve and the basis evaluated on it."""
 
     config: StudyConfig
     summary: dict
-    records: list[Record] = field(default_factory=list)
+    records: np.recarray
+    gsa_records: np.recarray
     densities: dict[tuple[int, int, str], DensityHistogram] = field(default_factory=dict)
-    gsa_records: list[GsaRecord] = field(default_factory=list)
     response_grid: np.ndarray | None = None
     response_analytic: np.ndarray | None = None
     response_basis: np.ndarray | None = None
@@ -341,11 +321,13 @@ def load_config(path) -> StudyConfig:
             raise ConfigError(f"unknown method {m!r} for kind {kind!r}; allowed: {allowed}")
     if len(set(methods_raw)) != len(methods_raw):
         raise ConfigError(f"'study.methods' lists a method twice: {methods_raw}")
-    noise_free = study.get("noise_free", False)
+    noise_free = study.get("noise_free", StudyConfig.noise_free)
     if not isinstance(noise_free, bool):
         raise ConfigError("'study.noise_free' must be a boolean")
-    bins = _as_positive_int(study.get("bins", 40), "'study.bins'")
-    response_points = _as_positive_int(study.get("response_points", 201), "'study.response_points'")
+    bins = _as_positive_int(study.get("bins", StudyConfig.bins), "'study.bins'")
+    response_points = _as_positive_int(
+        study.get("response_points", StudyConfig.response_points), "'study.response_points'"
+    )
 
     if kind == "response":
         if problem.d != 1:
@@ -380,25 +362,35 @@ def load_config(path) -> StudyConfig:
     return config
 
 
+def _repetition_bytes(config: StudyConfig) -> int:
+    # What the report holds per cell and repetition once the study has run.
+    n_terms = basis_count(config.problem.d, config.n0)
+    if config.kind == "response":
+        # A build keeps its two P x P covariances and four P-vectors: its
+        # coefficients, their variances and the masks of the fit and its trim.
+        return BUILD_BYTES + 8 * (2 * n_terms**2 + 4 * n_terms)
+    # A table row per method, and while a cell is rebuilt its estimate
+    # floats twice: as the shares returned them and in repetition order.
+    # Aggregating a cell takes a few arrays of its repetitions at a time,
+    # which MAX_ARRAY_BYTES bounds as it bounds a repetition's arrays.
+    row = _row_dtype(config.kind, config.problem.d)
+    floats = row.itemsize - np.dtype(ROW_KEYS).itemsize
+    return len(config.methods) * (row.itemsize + 2 * floats)
+
+
 def _check_memory(config: StudyConfig) -> StudyConfig:
     # Refuse a study whose arrays or result table would pass MAX_ARRAY_BYTES.
     d = config.problem.d
     n_terms = basis_count(d, config.n0)
     rows = max(*config.n_xi_grid, d)
-    cells = len(config.n_xi_grid) * len(config.n_eta_grid)
     if config.kind == "response":
-        # A build keeps its two P x P covariances and four P-vectors: its
-        # coefficients, their variances and the masks of the fit and its trim.
         rows = max(rows, n_terms, config.response_points)
-        per_rep = BUILD_BYTES + 8 * (2 * n_terms**2 + 4 * n_terms)
-    else:
-        record = GSA_RECORD_BYTES + 16 * d if config.kind == "gsa" else RECORD_BYTES
-        per_rep = len(config.methods) * record
+    cells = len(config.n_xi_grid) * len(config.n_eta_grid)
     for what, count, size in (
         (f"basis of {n_terms} terms (d={d}, n0={config.n0})", rows, 8 * n_terms),
         ("'study.bins' histogram", config.bins + 1, 8),
         (f"result table of {cells} cells x {config.repetitions} repetitions",
-         cells * config.repetitions, per_rep),
+         cells * config.repetitions, _repetition_bytes(config)),
     ):
         if count * size > MAX_ARRAY_BYTES:
             raise ConfigError(
@@ -412,10 +404,13 @@ def _check_memory(config: StudyConfig) -> StudyConfig:
 # Per-repetition estimation
 #
 # An estimator maps a block of repetitions' training data (see TrainingData)
-# and the cell's basis to a list of what that study kind records, one entry
-# per repetition, and fits only what it reads. It fits in the work unit's
-# buffer (see fit_buffers), which the next block overwrites, so nothing it
-# returns may refer to it.
+# and the cell's basis to one array with a row per repetition, and fits only
+# what it reads: variance estimates (k, methods), Sobol indices (k, methods,
+# 2, d) and response builds (k, 2) objects, a fit and its trim's mask. Its
+# columns are the config's methods at every cell; var_deconv is NaN where it
+# does not apply (n_eta = 1), and none of those rows are written. It fits in
+# the work unit's buffer (see fit_buffers), which the next block overwrites,
+# so nothing it returns may refer to it.
 
 
 def _draw_training(
@@ -451,62 +446,54 @@ def _trimmed(surrogate: PceSurrogate, deconv: float | None) -> PceSurrogate:
 
 def _variance_estimates(
     config: StudyConfig, data: TrainingData, basis: MultiIndexBasis, buffer
-) -> list[dict[str, float]]:
+) -> np.ndarray:
     fits = build_surrogate(data, basis, full_covariance=False, buffer=buffer).unstack()
-    estimates = []
-    for surrogate, deconv in zip(fits, _deconvolution(data, config.methods)):
-        out: dict[str, float] = {}
-        for method in config.methods:
+    estimates = np.full((len(fits), len(config.methods)), np.nan)
+    for row, surrogate, deconv in zip(estimates, fits, _deconvolution(data, config.methods)):
+        for col, method in enumerate(config.methods):
             if method == "pc_mc21":
-                out[method] = pce_variance_biased(surrogate)
+                row[col] = pce_variance_biased(surrogate)
             elif method == "pc_bias":
-                out[method] = pce_variance_unbiased(surrogate)
+                row[col] = pce_variance_unbiased(surrogate)
             elif method == "pc_bias_trim":
-                out[method] = pce_variance_unbiased(_trimmed(surrogate, deconv))
+                row[col] = pce_variance_unbiased(_trimmed(surrogate, deconv))
             elif deconv is not None:
-                out[method] = deconv
-        estimates.append(out)
+                row[col] = deconv
     return estimates
-
-
-def _sobol_or_nan(surrogate: PceSurrogate) -> tuple[np.ndarray, np.ndarray]:
-    # A draw can trim everything but the mean, or its retained terms can
-    # contribute exactly 0 in total (all-zero single-history tallies). Its
-    # indices are 0/0 and are recorded as NaN instead of aborting the study.
-    try:
-        s = sobol_indices(surrogate)
-    except UndefinedIndicesError:
-        nan = np.full(surrogate.basis.dimension, np.nan)
-        return nan, nan
-    return s.first_order, s.total
 
 
 def _gsa_estimates(
     config: StudyConfig, data: TrainingData, basis: MultiIndexBasis, buffer
-) -> list[dict[str, tuple[np.ndarray, np.ndarray]]]:
+) -> np.ndarray:
     # Sobol indices stay per repetition: the order of their sums is part of
-    # their bits.
+    # their bits. A draw can trim everything but the mean, or its retained
+    # terms can contribute exactly 0 in total (all-zero single-history
+    # tallies); its indices are 0/0 and stay NaN instead of aborting the study.
     fits = build_surrogate(data, basis, full_covariance=False, buffer=buffer).unstack()
-    estimates = []
-    for surrogate, deconv in zip(fits, _deconvolution(data, config.methods)):
-        estimates.append({
-            method: _sobol_or_nan(surrogate if method == "pc_bias" else _trimmed(surrogate, deconv))
-            for method in config.methods
-        })
+    estimates = np.full((len(fits), len(config.methods), 2, basis.dimension), np.nan)
+    for row, surrogate, deconv in zip(estimates, fits, _deconvolution(data, config.methods)):
+        for col, method in enumerate(config.methods):
+            try:
+                s = sobol_indices(surrogate if method == "pc_bias" else _trimmed(surrogate, deconv))
+            except UndefinedIndicesError:
+                continue
+            row[col] = s.first_order, s.total
     return estimates
 
 
 def _response_estimates(
     config: StudyConfig, data: TrainingData, basis: MultiIndexBasis, buffer
-):
+) -> np.ndarray:
     # Per build: one surrogate with its covariances, whose BLAS products
     # are per training set, and the retained-term mask of its trim. Nothing
     # is evaluated on the response grid here; write_report derives the
     # curves of both fits from these.
-    estimates = []
-    for single, deconv in zip(data.unstack(), _deconvolution(data, ["pc_bias_trim"])):
+    estimates = np.empty((len(data.qtilde), 2), dtype=object)
+    for row, single, deconv in zip(
+        estimates, data.unstack(), _deconvolution(data, ["pc_bias_trim"])
+    ):
         surrogate = build_surrogate(single, basis, buffer=buffer)
-        estimates.append((surrogate, _trimmed(surrogate, deconv).trimmed_mask))
+        row[0], row[1] = surrogate, _trimmed(surrogate, deconv).trimmed_mask
     return estimates
 
 
@@ -527,12 +514,14 @@ def _block_size(basis: MultiIndexBasis, n_xi: int) -> int:
 
 def _cell_chunk(
     config: StudyConfig, estimate, basis: MultiIndexBasis, i_xi: int, i_eta: int, reps: range
-) -> list:
+) -> np.ndarray:
     # One work unit: repetitions `reps` of grid cell (i_xi, i_eta), fitted
     # in blocks of up to _block_size repetitions. Each repetition is drawn
     # from its own stream into the block's arrays; the blocks share n_xi
     # and the basis, so every fit reuses the unit's arrays and buffer, and
-    # after the first block a fit touches no freshly allocated pages.
+    # after the first block a fit touches no freshly allocated pages. The
+    # unit's estimates go into one array, allocated when the first block's
+    # come back, with a row per repetition of `reps`.
     cell = i_xi * len(config.n_eta_grid) + i_eta
     n_xi = config.n_xi_grid[i_xi]
     n_eta = config.n_eta_grid[i_eta]
@@ -541,7 +530,7 @@ def _cell_chunk(
     samples = np.empty((size, n_xi, config.problem.d))
     qtilde = np.empty((size, n_xi))
     sigma2 = np.empty((size, n_xi)) if n_eta >= 2 else None
-    out = []
+    out = None
     for lo in range(0, len(reps), size):
         block = reps[lo : lo + size]
         for r, rep in enumerate(block):
@@ -551,7 +540,10 @@ def _cell_chunk(
                 sigma2[r] = s2
         k = len(block)
         data = TrainingData(samples[:k], qtilde[:k], None if sigma2 is None else sigma2[:k], n_eta)
-        out.extend(estimate(config, data, basis, buffer))
+        values = np.asarray(estimate(config, data, basis, buffer))
+        if out is None:
+            out = np.empty((len(reps), *values.shape[1:]), values.dtype)
+        out[lo : lo + k] = values
     return out
 
 
@@ -653,14 +645,15 @@ def _in_children(task, parts: int) -> list:
 
 
 def _run_grid(config: StudyConfig, estimate, workers: int):
-    """Yield (n_xi, n_eta, [estimate by repetition]) per cell, in grid order.
+    """Yield (n_xi, n_eta, estimates) per cell in grid order, the estimates
+    an array with one row per repetition.
 
     The repetitions of every cell are split into N = min(workers,
     repetitions) shares (_share). With N > 1 each share runs in its own
     forked child, which inherits the config and the study's one basis, and
-    the parent reassembles each cell's estimates in repetition order.
-    Streams are derived per (cell, repetition), so the split never affects
-    results.
+    the parent reassembles each cell's estimates in repetition order, then
+    drops the shares' arrays of that cell. Streams are derived per (cell,
+    repetition), so the split never affects results.
     """
     basis = total_degree_multi_indices(config.problem.d, config.n0)
     grid = [(i_xi, i_eta) for i_xi in range(len(config.n_xi_grid))
@@ -668,7 +661,7 @@ def _run_grid(config: StudyConfig, estimate, workers: int):
     repetitions = config.repetitions
     shares = min(workers, repetitions)
 
-    def run_share(part: int) -> list[list]:
+    def run_share(part: int) -> list[np.ndarray]:
         return [
             _cell_chunk(config, estimate, basis, i_xi, i_eta,
                         _share(part, shares, cell, repetitions))
@@ -677,10 +670,12 @@ def _run_grid(config: StudyConfig, estimate, workers: int):
 
     results = [run_share(0)] if shares == 1 else _in_children(run_share, shares)
     for cell, (i_xi, i_eta) in enumerate(grid):
-        estimates = [None] * repetitions
+        shape, dtype = results[0][cell].shape, results[0][cell].dtype
+        estimates = np.empty((repetitions, *shape[1:]), dtype)
         for part, result in enumerate(results):
             reps = _share(part, shares, cell, repetitions)
             estimates[reps.start :: reps.step] = result[cell]
+            result[cell] = None
         yield config.n_xi_grid[i_xi], config.n_eta_grid[i_eta], estimates
 
 
@@ -728,22 +723,39 @@ def _base_summary(config: StudyConfig) -> dict:
     return summary
 
 
-def _variance_cell(report: StudyReport, n_xi: int, n_eta: int, estimates: list) -> dict:
+def _row_dtype(kind: str, d: int) -> np.dtype:
+    # A result table row: the key columns, then the first-order and total
+    # Sobol indices of d inputs (GSA) or one variance estimate.
+    gsa = [("first_order", np.float64, (d,)), ("total", np.float64, (d,))]
+    return np.dtype(ROW_KEYS + (gsa if kind == "gsa" else [("estimate", np.float64)]))
+
+
+def _result_table(config: StudyConfig) -> tuple[np.recarray, dict]:
+    # The study's result table with its key columns filled: a row per (cell,
+    # method, repetition) in that order, for each method the cell writes
+    # (var_deconv needs n_eta >= 2). Also each cell's rows, by method.
+    keys = [(n_xi, n_eta, method) for n_xi in config.n_xi_grid for n_eta in config.n_eta_grid
+            for method in config.methods if method != "var_deconv" or n_eta >= 2]
+    reps = config.repetitions
+    table = np.recarray(len(keys) * reps, _row_dtype(config.kind, config.problem.d))
+    cells = {}
+    for i, (n_xi, n_eta, method) in enumerate(keys):
+        rows = cells.setdefault((n_xi, n_eta), {})[method] = table[i * reps : (i + 1) * reps]
+        rows.n_xi, rows.n_eta, rows.method, rows.repetition = n_xi, n_eta, method, np.arange(reps)
+    return table, cells
+
+
+def _variance_cell(report: StudyReport, n_xi: int, n_eta: int, estimates, rows) -> dict:
     config = report.config
     exact_var = report.summary["exact"]["variance"]
     methods = {}
-    for method in config.methods:
-        # Whether a method applies depends on the cell only (var_deconv
-        # needs n_eta >= 2), so the first repetition speaks for all.
-        if method not in estimates[0]:
+    for col, method in enumerate(config.methods):
+        if method not in rows:
             methods[method] = {"available": False}
             continue
-        draws = [e[method] for e in estimates]
-        report.records.extend(
-            Record(n_xi, n_eta, method, rep, est) for rep, est in enumerate(draws)
-        )
-        report.densities[(n_xi, n_eta, method)] = emit_density(draws, config.bins)
-        values = np.array(draws)
+        values = estimates[:, col]
+        rows[method].estimate = values
+        report.densities[(n_xi, n_eta, method)] = emit_density(values, config.bins)
         methods[method] = {
             "available": True,
             "mean": float(values.mean()),
@@ -756,16 +768,11 @@ def _variance_cell(report: StudyReport, n_xi: int, n_eta: int, estimates: list) 
     return {"n_xi": n_xi, "n_eta": n_eta, "realized_cost": realized_cost, "methods": methods}
 
 
-def _gsa_cell(report: StudyReport, n_xi: int, n_eta: int, estimates: list) -> dict:
+def _gsa_cell(report: StudyReport, n_xi: int, n_eta: int, estimates, rows) -> dict:
     methods = {}
-    for method in report.config.methods:
-        draws = [e[method] for e in estimates]
-        report.gsa_records.extend(
-            GsaRecord(n_xi, n_eta, method, rep, first, total)
-            for rep, (first, total) in enumerate(draws)
-        )
-        firsts = np.array([first for first, _ in draws])
-        totals = np.array([total for _, total in draws])
+    for col, method in enumerate(report.config.methods):
+        firsts, totals = estimates[:, col, 0], estimates[:, col, 1]
+        rows[method].first_order, rows[method].total = firsts, totals
         # Summary statistics clamp indices into [0, 1] and skip undefined
         # (NaN) draws; gsa.csv keeps the raw values.
         defined = ~np.isnan(firsts[:, 0])
@@ -781,7 +788,7 @@ def _gsa_cell(report: StudyReport, n_xi: int, n_eta: int, estimates: list) -> di
     return {"n_xi": n_xi, "n_eta": n_eta, "methods": methods}
 
 
-def _response_cell(report: StudyReport, n_xi: int, n_eta: int, estimates: list) -> dict:
+def _response_cell(report: StudyReport, n_xi: int, n_eta: int, estimates, rows) -> dict:
     # Repetition s is build s, drawn from stream (master_seed, 0, s). The
     # grid basis is evaluated once for every curve of the study. It is
     # called through the nisp module, as the fits' own basis evaluations
@@ -790,7 +797,7 @@ def _response_cell(report: StudyReport, n_xi: int, n_eta: int, estimates: list) 
     grid = np.linspace(-1.0, 1.0, report.config.response_points)
     report.response_grid = grid
     report.response_analytic = transmittance_batch(report.config.problem, grid[:, None])
-    basis = estimates[0][0].basis
+    basis = estimates[0, 0].basis
     report.response_basis = nisp.eval_basis_matrix(basis, grid[:, None])
     builds = []
     for sample, (surrogate, mask) in enumerate(estimates):
@@ -802,7 +809,9 @@ def _response_cell(report: StudyReport, n_xi: int, n_eta: int, estimates: list) 
 
 
 # Study kind -> (estimator, cell aggregator). A cell aggregator adds one
-# cell's repetitions to the report and returns the cell's summary entry.
+# cell's repetitions (`estimates`, see _run_grid) to the report, its table
+# rows into the cell's `rows` by method (see _result_table), and returns the
+# cell's summary entry.
 _STUDIES = {
     "variance": (_variance_estimates, _variance_cell),
     "gsa": (_gsa_estimates, _gsa_cell),
@@ -812,11 +821,17 @@ _STUDIES = {
 
 def run_study(config: StudyConfig, workers: int = 1) -> StudyReport:
     """Run the config's study: each repetition of each grid cell through the
-    kind's estimator, then each cell through its aggregator, in grid order."""
+    kind's estimator, then each cell through its aggregator, in grid order.
+    The study's result table is allocated once, and the other kind's table
+    has no rows."""
     estimate, aggregate = _STUDIES[config.kind]
-    report = StudyReport(config=config, summary=_base_summary(config))
+    d = config.problem.d
+    tables = {kind: np.recarray(0, _row_dtype(kind, d)) for kind in ("variance", "gsa")}
+    tables[config.kind], cells = _result_table(config)
+    report = StudyReport(config=config, summary=_base_summary(config),
+                         records=tables["variance"], gsa_records=tables["gsa"])
     report.summary["cells"] = [
-        aggregate(report, n_xi, n_eta, estimates)
+        aggregate(report, n_xi, n_eta, estimates, cells.get((n_xi, n_eta), {}))
         for n_xi, n_eta, estimates in _run_grid(config, estimate, workers)
     ]
     return report
@@ -848,33 +863,10 @@ def _write_csv(path: Path, header: list[str], blocks) -> None:
             fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
 
 
-def _in_blocks(rows: list, format_columns):
-    # format_columns(rows) formats a slice of rows as a list of columns.
-    for lo in range(0, len(rows), BLOCK_ROWS):
-        yield format_columns(rows[lo : lo + BLOCK_ROWS])
-
-
-def _record_columns(records: list[Record]) -> list[list[str]]:
-    return [
-        _column([r.n_xi for r in records]),
-        _column([r.n_eta for r in records]),
-        [r.method for r in records],
-        _column([r.repetition for r in records]),
-        _column([r.estimate for r in records]),
-    ]
-
-
-def _gsa_columns(records: list[GsaRecord]) -> list[list[str]]:
-    indices = np.hstack((
-        np.array([g.first_order for g in records]), np.array([g.total for g in records])
-    ))
-    return [
-        _column([g.n_xi for g in records]),
-        _column([g.n_eta for g in records]),
-        [g.method for g in records],
-        _column([g.repetition for g in records]),
-        *map(_column, indices.T),
-    ]
+def _table_columns(rows: np.recarray) -> list[list[str]]:
+    # A table slice formatted as columns: one per field, and one per entry
+    # of a vector field.
+    return [_column(c) for name in rows.dtype.names for c in rows[name].reshape(len(rows), -1).T]
 
 
 def write_report(report: StudyReport, out_dir) -> list[Path]:
@@ -894,14 +886,18 @@ def write_report(report: StudyReport, out_dir) -> list[Path]:
         fh.write(json.dumps(report.summary, indent=1) + "\n")
     written.append(summary_path)
 
-    if report.records:
-        path = out / "records.csv"
-        _write_csv(
-            path,
-            ["n_xi", "n_eta", "method", "repetition", "estimate"],
-            _in_blocks(report.records, _record_columns),
-        )
-        written.append(path)
+    d = report.config.problem.d
+    for name, table, values in (
+        ("records.csv", report.records, ["estimate"]),
+        ("gsa.csv", report.gsa_records, [f"s{i + 1}" for i in range(d)]
+         + [f"st{i + 1}" for i in range(d)]),
+    ):
+        if len(table):
+            path = out / name
+            blocks = (_table_columns(table[lo : lo + BLOCK_ROWS])
+                      for lo in range(0, len(table), BLOCK_ROWS))
+            _write_csv(path, [key for key, _ in ROW_KEYS] + values, blocks)
+            written.append(path)
 
     for (n_xi, n_eta, method), hist in report.densities.items():
         path = out / f"density_{n_xi}x{n_eta}_{method}.csv"
@@ -911,17 +907,6 @@ def write_report(report: StudyReport, out_dir) -> list[Path]:
             ["bin_left", "bin_right", "density"],
             [[edges[:-1], edges[1:], _column(hist.density)]],
         )
-        written.append(path)
-
-    if report.gsa_records:
-        d = report.config.problem.d
-        header = (
-            ["n_xi", "n_eta", "method", "repetition"]
-            + [f"s{i + 1}" for i in range(d)]
-            + [f"st{i + 1}" for i in range(d)]
-        )
-        path = out / "gsa.csv"
-        _write_csv(path, header, _in_blocks(report.gsa_records, _gsa_columns))
         written.append(path)
 
     if report.response_basis is not None:

@@ -86,7 +86,8 @@ VALUES = NUMBERS + [
 
 def _base(name: str) -> dict:
     config = yaml.safe_load((CONFIGS / name).read_text(encoding="utf-8"))
-    config["study"].update(TINY[config["study"].get("kind", "variance")])
+    # A copy, so that a mutation of a grid list does not leak into TINY.
+    config["study"].update(copy.deepcopy(TINY[config["study"].get("kind", "variance")]))
     # No shipped config has a cost model; one gives the mutations its keys.
     config["cost"] = {"total": 600.0, "xi": 2.0, "eta": 1.0}
     return config
@@ -168,3 +169,29 @@ MUTATION = st.one_of(
                                            (("problem", "materials", 0, "sigmaDelta"), 1)])
 def test_cli_runs_or_refuses_any_config(name, mutations):
     check_contract(name, mutations)
+
+
+def test_legal_but_empty_config_runs(tmp_path):
+    # A section that almost no history crosses (E[p] about 5e-47) is a
+    # valid config and is not refused: every tally is 0, so every variance
+    # estimate is 0.0 and every GSA draw is undefined (NaN in gsa.csv,
+    # n_defined 0, null means). Both studies exit 0, and every other number
+    # in summary.json is finite.
+    for name, table in (("d3_variance.yaml", "records.csv"), ("d3_gsa.yaml", "gsa.csv")):
+        config = _base(name)
+        config["problem"]["materials"][-1] = {"sigma0": 400, "sigmaDelta": 300, "dx": 1}
+        path = tmp_path / name
+        path.write_text(yaml.safe_dump(config), encoding="utf-8")
+        out = tmp_path / name.removesuffix(".yaml")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        lines = (out / table).read_text(encoding="utf-8").splitlines()[1:]
+        values = {value for line in lines for value in line.split(",")[4:]}
+        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+        assert lines and values == ({"0.0"} if table == "records.csv" else {"nan"})
+        if table == "gsa.csv":
+            for cell in summary["cells"]:
+                for stats in cell["methods"].values():
+                    assert stats == {"n_defined": 0, "mean_first": None, "mean_total": None,
+                                     "std_first": None}
+        assert all(math.isfinite(x) for x in _numbers(summary)), summary

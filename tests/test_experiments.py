@@ -197,8 +197,8 @@ REJECT_MESSAGES = {
     D1_PROBLEM + "pce: {n0: 6}\n"
     "study: {kind: response, n_xi_grid: [5], n_eta_grid: [2], response_points: 100000000}\n",
     D1_PROBLEM + "pce: {n0: 2}\nstudy: {n_xi_grid: [5], n_eta_grid: [1], bins: 1000000000}\n",
-    # result tables over the limit, charged what their records hold: 77 GB
-    # of variance Records, 9.3 GB of GSA records (2 methods per repetition),
+    # result tables over the limit, charged their rows and estimates: 38 GB
+    # for variance rows (4 methods per repetition), 2.4 GB for GSA rows (2),
     # and 5 response builds of two 2001^2 covariances each
     D1_PROBLEM + "pce: {n0: 2}\nstudy: {n_xi_grid: [5], n_eta_grid: [1], repetitions: 100000000}\n",
     D1_PROBLEM
@@ -866,9 +866,11 @@ def test_unit_fits_equal_fresh_fits(tmp_path, monkeypatch, d, n0, n_xi, n_eta):
         assert np.array_equal(fit.coefficient_variance, fresh.coefficient_variance)
 
 
-def fresh_estimates(config, n_xi: int, n_eta: int, reps) -> list[dict]:
+def fresh_estimates(config, n_xi: int, n_eta: int, reps) -> np.ndarray:
     # Reference: each repetition drawn from its own stream and fitted alone
-    # by build_surrogate, then estimated as the README describes.
+    # by build_surrogate, then estimated as the README describes. A row per
+    # repetition and a column per config method, as the estimators return
+    # them; var_deconv is NaN where it does not apply.
     import uqpc.experiments as experiments
     from uqpc.nisp import (
         TrainingData,
@@ -891,9 +893,8 @@ def fresh_estimates(config, n_xi: int, n_eta: int, reps) -> list[dict]:
         trimmed = trim_expansion(fit, target)
         if config.kind == "variance":
             entry = {"pc_mc21": pce_variance_biased(fit), "pc_bias": pce_variance_unbiased(fit),
-                     "pc_bias_trim": pce_variance_unbiased(trimmed)}
-            if deconv is not None:
-                entry["var_deconv"] = deconv
+                     "pc_bias_trim": pce_variance_unbiased(trimmed),
+                     "var_deconv": np.nan if deconv is None else deconv}
         else:
             entry = {}
             for method, surrogate in (("pc_bias", fit), ("pc_bias_trim", trimmed)):
@@ -903,16 +904,8 @@ def fresh_estimates(config, n_xi: int, n_eta: int, reps) -> list[dict]:
                 else:
                     nan = np.full(config.problem.d, np.nan)
                     entry[method] = (nan, nan)
-        out.append(entry)
-    return out
-
-
-def assert_same_estimates(got: list[dict], want: list[dict]) -> None:
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        assert a.keys() == b.keys()
-        for method in a:
-            assert np.array_equal(a[method], b[method], equal_nan=True), method
+        out.append([entry[method] for method in config.methods])
+    return np.array(out)
 
 
 @pytest.mark.parametrize("kind, d, n0, n_xi, n_eta, noise_free", [
@@ -950,7 +943,8 @@ def test_stacked_estimates_equal_per_repetition_fits(
         monkeypatch.setattr(experiments, "BLOCK_BYTES", bound)
         assert min(reps, experiments._block_size(basis, n_xi)) == block
         got = experiments._cell_chunk(config, estimate, basis, 0, 0, range(reps))
-        assert_same_estimates(got, want)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)
         written = write_report(run_study(config), tmp_path / f"block{block}")
         files[block] = {p.name: p.read_bytes() for p in written if p.suffix == ".csv"}
     assert files[1] == files[reps]
@@ -1120,39 +1114,54 @@ def test_gsa_draws_with_zero_total_contribution_are_undefined(tmp_path):
 
 
 @pytest.mark.parametrize("kind", ["variance", "gsa"])
-def test_result_table_within_its_memory_charge(tmp_path, kind):
-    # load_config charges a study's result table what its records hold as
-    # Python objects (see MAX_ARRAY_BYTES); the table a finished study holds
-    # stays within that charge. 600 repetitions, so that most repetition
-    # numbers are not cached small ints.
+def test_result_table_within_its_memory_charge(tmp_path, monkeypatch, kind):
+    # load_config charges a study what its report holds per cell and
+    # repetition (see MAX_ARRAY_BYTES): a table row per method, and the
+    # estimates twice while a cell is rebuilt. From 100 to 400 repetitions
+    # the traced peak of a study grows by no more than that charge, and the
+    # table a finished study holds stays within it. Blocks of at most two
+    # repetitions keep the fit's arrays from growing with the repetitions.
     import gc
     import tracemalloc
 
     import uqpc.experiments as experiments
 
-    config = load_config(write_config(tmp_path, materials_yaml(3), f"""\
-    pce: {{n0: 2}}
-    study: {{kind: {kind}, n_xi_grid: [20, 30], n_eta_grid: [2], repetitions: 600}}
-    seed: 43
-    """))
-    tracemalloc.start()
-    try:
-        report = run_study(config)
-        table = report.records if kind == "variance" else report.gsa_records
-        rows = len(table)
+    monkeypatch.setattr(experiments, "BLOCK_BYTES", 2**12)
+
+    def config(repetitions):
+        return load_config(write_config(tmp_path, materials_yaml(3), f"""\
+        pce: {{n0: 2}}
+        study: {{kind: {kind}, n_xi_grid: [20, 30], n_eta_grid: [1, 2],
+                repetitions: {repetitions}}}
+        seed: 43
+        """))
+
+    run_study(config(2))  # one-off allocations of a first study
+    name = "records" if kind == "variance" else "gsa_records"
+    peaks, charges = [], []
+    for repetitions in (100, 400):
+        study = config(repetitions)
+        charge = 4 * repetitions * experiments._repetition_bytes(study)
         gc.collect()
-        held = tracemalloc.get_traced_memory()[0]
-        table.clear()
-        gc.collect()
-        held -= tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    if kind == "variance":
-        record = experiments.RECORD_BYTES
-    else:
-        record = experiments.GSA_RECORD_BYTES + 16 * 3
-    assert rows == 2 * 600 * len(config.methods)
-    assert 0 < held <= rows * record
+        tracemalloc.start()
+        try:
+            report = run_study(study)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            table = getattr(report, name)
+            # 2 x 2 cells; var_deconv has no rows at n_eta = 1.
+            assert len(table) == (7 if kind == "variance" else 4) * 2 * repetitions
+            size = len(table) * table.itemsize
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            del table
+            setattr(report, name, None)
+            gc.collect()
+            held -= tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert 0 < size <= held <= charge
+        charges.append(charge)
+    assert peaks[1] - peaks[0] <= charges[1] - charges[0]
 
 
 def test_response_study_holds_fits_not_curves(tmp_path):
