@@ -27,6 +27,7 @@ import json
 import os
 import pickle
 from dataclasses import dataclass, field, replace
+from itertools import product
 from pathlib import Path
 from typing import NoReturn
 
@@ -61,7 +62,6 @@ from .transport import (
 
 __all__ = [
     "ConfigError",
-    "DensityHistogram",
     "StudyConfig",
     "StudyReport",
     "derive_rng",
@@ -86,9 +86,10 @@ MATERIAL_KEYS = ("sigma0", "sigmaDelta", "sigma_delta", "lo", "hi", "dx")
 # bound is conservative. A repetition holds a few arrays of this size at
 # once in every worker, so a larger config is refused in load_config rather
 # than running out of memory part-way through a study. The same bound holds
-# for the result table, kept until the report is written (see
-# _repetition_bytes): variance and GSA rows are charged their dtype's
-# itemsize, and a response build BUILD_BYTES for its objects plus its arrays.
+# for what a study holds per repetition until its report is written (see
+# _repetition_bytes): the result table, the estimates its shares return,
+# and the arrays that aggregate one method-cell's repetitions, or a
+# response build's objects (BUILD_BYTES) and arrays.
 MAX_ARRAY_BYTES = 2**28
 BUILD_BYTES = 1024
 # The key columns of a result table row: its cell, method and repetition.
@@ -117,31 +118,19 @@ class StudyConfig:
     response_points: int = 201
 
 
-@dataclass(frozen=True, eq=False)
-class DensityHistogram:
-    """Equal-width histogram normalized to integrate to 1."""
-
-    edges: np.ndarray
-    density: np.ndarray
-
-
 @dataclass(eq=False)
 class StudyReport:
-    """Everything a study writes. Variance and GSA estimates are rows of a
-    ``np.recarray`` (``records``, ``gsa_records``; the other kind's table
-    has no rows), one per (cell, method, repetition) in that order. A
-    response study keeps each build's fit (``surrogates``) and the
-    retained-term mask of its trim (``trimmed_masks``), and for all of its
-    curves one grid, the analytic curve and the basis evaluated on it."""
+    """A study's results and its summary of them. Variance and GSA
+    estimates are rows of a ``np.recarray`` (``records``, ``gsa_records``;
+    the other kind's table has no rows), one per (cell, method, repetition)
+    in that order. A response study keeps each build's fit (``surrogates``)
+    and the retained-term mask of its trim (``trimmed_masks``). Densities
+    and response curves are derived from these as their files are written."""
 
     config: StudyConfig
     summary: dict
     records: np.recarray
     gsa_records: np.recarray
-    densities: dict[tuple[int, int, str], DensityHistogram] = field(default_factory=dict)
-    response_grid: np.ndarray | None = None
-    response_analytic: np.ndarray | None = None
-    response_basis: np.ndarray | None = None
     surrogates: list[PceSurrogate] = field(default_factory=list)
     trimmed_masks: list[np.ndarray] = field(default_factory=list)
 
@@ -363,19 +352,20 @@ def load_config(path) -> StudyConfig:
 
 
 def _repetition_bytes(config: StudyConfig) -> int:
-    # What the report holds per cell and repetition once the study has run.
+    # What a study holds per cell and repetition at its peak.
     n_terms = basis_count(config.problem.d, config.n0)
     if config.kind == "response":
         # A build keeps its two P x P covariances and four P-vectors: its
         # coefficients, their variances and the masks of the fit and its trim.
         return BUILD_BYTES + 8 * (2 * n_terms**2 + 4 * n_terms)
-    # A table row per method, and while a cell is rebuilt its estimate
-    # floats twice: as the shares returned them and in repetition order.
-    # Aggregating a cell takes a few arrays of its repetitions at a time,
-    # which MAX_ARRAY_BYTES bounds as it bounds a repetition's arrays.
+    # A table row per method, and until the grid has run its estimate
+    # floats as the shares returned them. After the grid one method-cell at
+    # a time is summarized (at most two copies of its floats, as the GSA
+    # summary's clipped indices) or histogrammed (np.histogram's index, edge
+    # and mask arrays, about 53 B per value); that is charged to every cell.
     row = _row_dtype(config.kind, config.problem.d)
     floats = row.itemsize - np.dtype(ROW_KEYS).itemsize
-    return len(config.methods) * (row.itemsize + 2 * floats)
+    return len(config.methods) * (row.itemsize + floats) + 64 + 2 * floats
 
 
 def _check_memory(config: StudyConfig) -> StudyConfig:
@@ -644,20 +634,19 @@ def _in_children(task, parts: int) -> list:
                 os.waitpid(pid, 0)
 
 
-def _run_grid(config: StudyConfig, estimate, workers: int):
-    """Yield (n_xi, n_eta, estimates) per cell in grid order, the estimates
-    an array with one row per repetition.
+def _run_grid(config: StudyConfig, estimate, workers: int, store) -> None:
+    """Call store(cell, at, values) for each grid cell in grid order and
+    each share of its repetitions: `values` has a row per repetition of the
+    slice `at` of the cell's repetitions, as the estimator returned them.
 
     The repetitions of every cell are split into N = min(workers,
     repetitions) shares (_share). With N > 1 each share runs in its own
-    forked child, which inherits the config and the study's one basis, and
-    the parent reassembles each cell's estimates in repetition order, then
-    drops the shares' arrays of that cell. Streams are derived per (cell,
-    repetition), so the split never affects results.
+    forked child, which inherits the config and the study's one basis. A
+    share's values of a cell are dropped once stored. Streams are derived
+    per (cell, repetition), so the split never affects results.
     """
     basis = total_degree_multi_indices(config.problem.d, config.n0)
-    grid = [(i_xi, i_eta) for i_xi in range(len(config.n_xi_grid))
-            for i_eta in range(len(config.n_eta_grid))]
+    grid = list(product(range(len(config.n_xi_grid)), range(len(config.n_eta_grid))))
     repetitions = config.repetitions
     shares = min(workers, repetitions)
 
@@ -669,18 +658,16 @@ def _run_grid(config: StudyConfig, estimate, workers: int):
         ]
 
     results = [run_share(0)] if shares == 1 else _in_children(run_share, shares)
-    for cell, (i_xi, i_eta) in enumerate(grid):
-        shape, dtype = results[0][cell].shape, results[0][cell].dtype
-        estimates = np.empty((repetitions, *shape[1:]), dtype)
+    for cell in range(len(grid)):
         for part, result in enumerate(results):
             reps = _share(part, shares, cell, repetitions)
-            estimates[reps.start :: reps.step] = result[cell]
+            store(cell, slice(reps.start, None, reps.step), result[cell])
             result[cell] = None
-        yield config.n_xi_grid[i_xi], config.n_eta_grid[i_eta], estimates
 
 
-def emit_density(values, bins: int) -> DensityHistogram:
-    """Equal-width histogram over [min, max], normalized to unit integral.
+def emit_density(values, bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """Equal-width histogram over [min, max], normalized to unit integral:
+    its bin edges and the density in each bin.
 
     A degenerate spread (all values equal) collapses to one unit-width bin
     centered on the value.
@@ -692,11 +679,9 @@ def emit_density(values, bins: int) -> DensityHistogram:
         raise ValueError(f"bins must be >= 1, got {bins}")
     lo, hi = float(values.min()), float(values.max())
     if lo == hi:
-        return DensityHistogram(
-            edges=np.array([lo - 0.5, lo + 0.5]), density=np.array([1.0])
-        )
+        return np.array([lo - 0.5, lo + 0.5]), np.array([1.0])
     density, edges = np.histogram(values, bins=bins, range=(lo, hi), density=True)
-    return DensityHistogram(edges=edges, density=density)
+    return edges, density
 
 
 def _base_summary(config: StudyConfig) -> dict:
@@ -730,32 +715,48 @@ def _row_dtype(kind: str, d: int) -> np.dtype:
     return np.dtype(ROW_KEYS + (gsa if kind == "gsa" else [("estimate", np.float64)]))
 
 
-def _result_table(config: StudyConfig) -> tuple[np.recarray, dict]:
+def _result_table(config: StudyConfig) -> tuple[np.recarray, list[dict]]:
     # The study's result table with its key columns filled: a row per (cell,
     # method, repetition) in that order, for each method the cell writes
-    # (var_deconv needs n_eta >= 2). Also each cell's rows, by method.
-    keys = [(n_xi, n_eta, method) for n_xi in config.n_xi_grid for n_eta in config.n_eta_grid
+    # (var_deconv needs n_eta >= 2). Also each grid cell's rows, by method.
+    grid = list(product(config.n_xi_grid, config.n_eta_grid))
+    keys = [(cell, n_xi, n_eta, method) for cell, (n_xi, n_eta) in enumerate(grid)
             for method in config.methods if method != "var_deconv" or n_eta >= 2]
     reps = config.repetitions
     table = np.recarray(len(keys) * reps, _row_dtype(config.kind, config.problem.d))
-    cells = {}
-    for i, (n_xi, n_eta, method) in enumerate(keys):
-        rows = cells.setdefault((n_xi, n_eta), {})[method] = table[i * reps : (i + 1) * reps]
+    cells = [{} for _ in grid]
+    for i, (cell, n_xi, n_eta, method) in enumerate(keys):
+        rows = cells[cell][method] = table[i * reps : (i + 1) * reps]
         rows.n_xi, rows.n_eta, rows.method, rows.repetition = n_xi, n_eta, method, np.arange(reps)
     return table, cells
 
 
-def _variance_cell(report: StudyReport, n_xi: int, n_eta: int, estimates, rows) -> dict:
+def _store_variance(report: StudyReport, rows: dict, at: slice, values) -> None:
+    for col, method in enumerate(report.config.methods):
+        if method in rows:
+            rows[method].estimate[at] = values[:, col]
+
+
+def _store_gsa(report: StudyReport, rows: dict, at: slice, values) -> None:
+    for col, method in enumerate(report.config.methods):
+        rows[method].first_order[at] = values[:, col, 0]
+        rows[method].total[at] = values[:, col, 1]
+
+
+def _store_response(report: StudyReport, rows: dict, at: slice, values) -> None:
+    # Repetition s is build s, drawn from stream (master_seed, 0, s).
+    report.surrogates[at], report.trimmed_masks[at] = list(values[:, 0]), list(values[:, 1])
+
+
+def _variance_summary(report: StudyReport, n_xi: int, n_eta: int, rows: dict) -> dict:
     config = report.config
     exact_var = report.summary["exact"]["variance"]
     methods = {}
-    for col, method in enumerate(config.methods):
+    for method in config.methods:
         if method not in rows:
             methods[method] = {"available": False}
             continue
-        values = estimates[:, col]
-        rows[method].estimate = values
-        report.densities[(n_xi, n_eta, method)] = emit_density(values, config.bins)
+        values = rows[method].estimate
         methods[method] = {
             "available": True,
             "mean": float(values.mean()),
@@ -768,11 +769,10 @@ def _variance_cell(report: StudyReport, n_xi: int, n_eta: int, estimates, rows) 
     return {"n_xi": n_xi, "n_eta": n_eta, "realized_cost": realized_cost, "methods": methods}
 
 
-def _gsa_cell(report: StudyReport, n_xi: int, n_eta: int, estimates, rows) -> dict:
+def _gsa_summary(report: StudyReport, n_xi: int, n_eta: int, rows: dict) -> dict:
     methods = {}
-    for col, method in enumerate(report.config.methods):
-        firsts, totals = estimates[:, col, 0], estimates[:, col, 1]
-        rows[method].first_order, rows[method].total = firsts, totals
+    for method in report.config.methods:
+        firsts, totals = rows[method].first_order, rows[method].total
         # Summary statistics clamp indices into [0, 1] and skip undefined
         # (NaN) draws; gsa.csv keeps the raw values.
         defined = ~np.isnan(firsts[:, 0])
@@ -788,51 +788,43 @@ def _gsa_cell(report: StudyReport, n_xi: int, n_eta: int, estimates, rows) -> di
     return {"n_xi": n_xi, "n_eta": n_eta, "methods": methods}
 
 
-def _response_cell(report: StudyReport, n_xi: int, n_eta: int, estimates, rows) -> dict:
-    # Repetition s is build s, drawn from stream (master_seed, 0, s). The
-    # grid basis is evaluated once for every curve of the study. It is
-    # called through the nisp module, as the fits' own basis evaluations
-    # are, so that a tracer wrapping nisp.eval_basis_matrix sees it too
-    # (perfbench/trace_study.py).
-    grid = np.linspace(-1.0, 1.0, report.config.response_points)
-    report.response_grid = grid
-    report.response_analytic = transmittance_batch(report.config.problem, grid[:, None])
-    basis = estimates[0, 0].basis
-    report.response_basis = nisp.eval_basis_matrix(basis, grid[:, None])
-    builds = []
-    for sample, (surrogate, mask) in enumerate(estimates):
-        report.surrogates.append(surrogate)
-        report.trimmed_masks.append(mask)
-        builds.append({"sample": sample, "n_retained_full": surrogate.n_retained,
-                       "n_retained_trimmed": int(mask.sum())})
+def _response_summary(report: StudyReport, n_xi: int, n_eta: int, rows: dict) -> dict:
+    builds = [{"sample": s, "n_retained_full": fit.n_retained, "n_retained_trimmed": int(m.sum())}
+              for s, (fit, m) in enumerate(zip(report.surrogates, report.trimmed_masks))]
     return {"n_xi": n_xi, "n_eta": n_eta, "builds": builds}
 
 
-# Study kind -> (estimator, cell aggregator). A cell aggregator adds one
-# cell's repetitions (`estimates`, see _run_grid) to the report, its table
-# rows into the cell's `rows` by method (see _result_table), and returns the
-# cell's summary entry.
+# Study kind -> (estimator, store, summarizer). A store puts a share's
+# values of one cell (see _run_grid) into the report at the share's
+# repetitions `at`: estimates into the cell's table rows by method (see
+# _result_table), builds into the report's lists. A summarizer computes a
+# cell's summary entry from its filled rows, or the builds, after the grid.
 _STUDIES = {
-    "variance": (_variance_estimates, _variance_cell),
-    "gsa": (_gsa_estimates, _gsa_cell),
-    "response": (_response_estimates, _response_cell),
+    "variance": (_variance_estimates, _store_variance, _variance_summary),
+    "gsa": (_gsa_estimates, _store_gsa, _gsa_summary),
+    "response": (_response_estimates, _store_response, _response_summary),
 }
 
 
 def run_study(config: StudyConfig, workers: int = 1) -> StudyReport:
     """Run the config's study: each repetition of each grid cell through the
-    kind's estimator, then each cell through its aggregator, in grid order.
+    kind's estimator, its results stored in the report as each cell's
+    shares come back, then each cell summarized from them in grid order.
     The study's result table is allocated once, and the other kind's table
     has no rows."""
-    estimate, aggregate = _STUDIES[config.kind]
+    estimate, store, summarize = _STUDIES[config.kind]
     d = config.problem.d
     tables = {kind: np.recarray(0, _row_dtype(kind, d)) for kind in ("variance", "gsa")}
     tables[config.kind], cells = _result_table(config)
+    builds = config.repetitions if config.kind == "response" else 0
     report = StudyReport(config=config, summary=_base_summary(config),
-                         records=tables["variance"], gsa_records=tables["gsa"])
+                         records=tables["variance"], gsa_records=tables["gsa"],
+                         surrogates=[None] * builds, trimmed_masks=[None] * builds)
+    _run_grid(config, estimate, workers,
+              lambda cell, at, values: store(report, cells[cell], at, values))
     report.summary["cells"] = [
-        aggregate(report, n_xi, n_eta, estimates, cells.get((n_xi, n_eta), {}))
-        for n_xi, n_eta, estimates in _run_grid(config, estimate, workers)
+        summarize(report, n_xi, n_eta, rows)
+        for (n_xi, n_eta), rows in zip(product(config.n_xi_grid, config.n_eta_grid), cells)
     ]
     return report
 
@@ -874,9 +866,11 @@ def write_report(report: StudyReport, out_dir) -> list[Path]:
 
     Each CSV is written column by column, and a value shared by several
     columns or files (density bin edges, the response grid and analytic
-    curve) is formatted once. A response build's two curves are derived
-    from its fit and trim mask just before their files are written.
+    curve) is formatted once. Each density is derived from its (cell,
+    method) rows of the result table, and a response build's two curves
+    from its fit and trim mask, just before their files are written.
     """
+    config = report.config
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
@@ -886,7 +880,7 @@ def write_report(report: StudyReport, out_dir) -> list[Path]:
         fh.write(json.dumps(report.summary, indent=1) + "\n")
     written.append(summary_path)
 
-    d = report.config.problem.d
+    d = config.problem.d
     for name, table, values in (
         ("records.csv", report.records, ["estimate"]),
         ("gsa.csv", report.gsa_records, [f"s{i + 1}" for i in range(d)]
@@ -899,20 +893,25 @@ def write_report(report: StudyReport, out_dir) -> list[Path]:
             _write_csv(path, [key for key, _ in ROW_KEYS] + values, blocks)
             written.append(path)
 
-    for (n_xi, n_eta, method), hist in report.densities.items():
+    # A (cell, method)'s repetitions are consecutive rows of the table.
+    reps, records = config.repetitions, report.records
+    for n_xi, n_eta, method, values in zip(
+        records.n_xi[::reps], records.n_eta[::reps], records.method[::reps],
+        records.estimate.reshape(-1, reps),
+    ):
         path = out / f"density_{n_xi}x{n_eta}_{method}.csv"
-        edges = _column(hist.edges)
-        _write_csv(
-            path,
-            ["bin_left", "bin_right", "density"],
-            [[edges[:-1], edges[1:], _column(hist.density)]],
-        )
+        edges, density = map(_column, emit_density(values, config.bins))
+        _write_csv(path, ["bin_left", "bin_right", "density"], [[edges[:-1], edges[1:], density]])
         written.append(path)
 
-    if report.response_basis is not None:
-        grid = _column(report.response_grid)
-        analytic = _column(report.response_analytic)
-        psi = report.response_basis
+    if report.surrogates:
+        # One grid and its basis values serve every curve of the study. The
+        # basis is evaluated through the nisp module, as the fits' are, so a
+        # tracer of nisp.eval_basis_matrix sees it (perfbench/trace_study.py).
+        points = np.linspace(-1.0, 1.0, config.response_points)[:, None]
+        grid = _column(points[:, 0])
+        analytic = _column(transmittance_batch(config.problem, points))
+        psi = nisp.eval_basis_matrix(report.surrogates[0].basis, points)
         for sample, (surrogate, mask) in enumerate(zip(report.surrogates, report.trimmed_masks)):
             for suffix, fit in (("", surrogate), ("_trim", replace(surrogate, trimmed_mask=mask))):
                 mid = predict(fit, psi)

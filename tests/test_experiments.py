@@ -197,9 +197,9 @@ REJECT_MESSAGES = {
     D1_PROBLEM + "pce: {n0: 6}\n"
     "study: {kind: response, n_xi_grid: [5], n_eta_grid: [2], response_points: 100000000}\n",
     D1_PROBLEM + "pce: {n0: 2}\nstudy: {n_xi_grid: [5], n_eta_grid: [1], bins: 1000000000}\n",
-    # result tables over the limit, charged their rows and estimates: 38 GB
-    # for variance rows (4 methods per repetition), 2.4 GB for GSA rows (2),
-    # and 5 response builds of two 2001^2 covariances each
+    # result tables over the limit, charged their rows, estimates and
+    # aggregation: 43 GB for variance rows (4 methods per repetition), 3 GB
+    # for GSA rows (2), and 5 response builds of two 2001^2 covariances each
     D1_PROBLEM + "pce: {n0: 2}\nstudy: {n_xi_grid: [5], n_eta_grid: [1], repetitions: 100000000}\n",
     D1_PROBLEM
     + "pce: {n0: 2}\nstudy: {kind: gsa, n_xi_grid: [5], n_eta_grid: [1], repetitions: 10000000}\n",
@@ -303,7 +303,7 @@ def test_apply_overrides(tmp_path):
     assert (changed.master_seed, changed.repetitions) == (1, 3)
     with pytest.raises(ConfigError):
         apply_overrides(config, repetitions=0)
-    # 4 methods x 10^8 repetitions: a 77 GB result table
+    # 4 methods x 10^8 repetitions: a 43 GB result table
     with pytest.raises(ConfigError):
         apply_overrides(config, repetitions=10**8)
 
@@ -322,23 +322,23 @@ def test_derive_rng_streams():
 
 
 def test_emit_density_degenerate():
-    hist = emit_density([0.7, 0.7, 0.7], bins=5)
-    assert hist.edges == pytest.approx([0.2, 1.2])
-    assert hist.density == pytest.approx([1.0])
+    edges, density = emit_density([0.7, 0.7, 0.7], bins=5)
+    assert edges == pytest.approx([0.2, 1.2])
+    assert density == pytest.approx([1.0])
 
 
 def test_emit_density_by_hand():
-    hist = emit_density([0.0, 1.0], bins=2)
-    assert hist.edges == pytest.approx([0.0, 0.5, 1.0])
-    assert hist.density == pytest.approx([1.0, 1.0])
+    edges, density = emit_density([0.0, 1.0], bins=2)
+    assert edges == pytest.approx([0.0, 0.5, 1.0])
+    assert density == pytest.approx([1.0, 1.0])
 
 
 def test_emit_density_integrates_to_one(rng):
     values = rng.normal(size=500)
-    hist = emit_density(values, bins=17)
-    widths = np.diff(hist.edges)
-    assert float(hist.density @ widths) == pytest.approx(1.0, abs=1e-12)
-    assert len(hist.density) == 17
+    edges, density = emit_density(values, bins=17)
+    widths = np.diff(edges)
+    assert float(density @ widths) == pytest.approx(1.0, abs=1e-12)
+    assert len(density) == 17
 
 
 def test_emit_density_errors():
@@ -368,7 +368,7 @@ def tiny_variance_config(tmp_path_factory):
     return load_config(path)
 
 
-def test_variance_study_records(tiny_variance_config):
+def test_variance_study_records(tiny_variance_config, tmp_path):
     report = run_study(tiny_variance_config)
     # var_deconv is undefined at n_eta = 1, so that cell records 3 methods
     assert len(report.records) == 3 * 3 + 4 * 3
@@ -379,10 +379,11 @@ def test_variance_study_records(tiny_variance_config):
     assert keys == sorted(
         keys, key=lambda k: (k[0], k[1], tiny_variance_config.methods.index(k[2]), k[3])
     )
-    assert set(report.densities) == {
-        (50, 1, "pc_mc21"), (50, 1, "pc_bias"), (50, 1, "pc_bias_trim"),
-        (50, 2, "pc_mc21"), (50, 2, "pc_bias"), (50, 2, "pc_bias_trim"),
-        (50, 2, "var_deconv"),
+    write_report(report, tmp_path)
+    assert {path.name for path in tmp_path.glob("density_*")} == {
+        "density_50x1_pc_mc21.csv", "density_50x1_pc_bias.csv", "density_50x1_pc_bias_trim.csv",
+        "density_50x2_pc_mc21.csv", "density_50x2_pc_bias.csv", "density_50x2_pc_bias_trim.csv",
+        "density_50x2_var_deconv.csv",
     }
 
 
@@ -1054,8 +1055,13 @@ def test_records_and_density_csv_match_csv_module(tiny_variance_config, tmp_path
     rows = [(r.n_xi, r.n_eta, r.method, r.repetition, r.estimate) for r in report.records]
     header = ["n_xi", "n_eta", "method", "repetition", "estimate"]
     assert (out / "records.csv").read_bytes() == csv_module_text(header, rows)
-    for (n_xi, n_eta, method), hist in report.densities.items():
-        rows = np.column_stack((hist.edges[:-1], hist.edges[1:], hist.density)).tolist()
+    keys = sorted({(r.n_xi, r.n_eta, r.method) for r in report.records})
+    assert len(keys) == 7
+    for n_xi, n_eta, method in keys:
+        cell = report.records[(report.records.n_xi == n_xi) & (report.records.n_eta == n_eta)
+                              & (report.records.method == method)]
+        edges, density = emit_density(cell.estimate, tiny_variance_config.bins)
+        rows = np.column_stack((edges[:-1], edges[1:], density)).tolist()
         text = csv_module_text(["bin_left", "bin_right", "density"], rows)
         assert (out / f"density_{n_xi}x{n_eta}_{method}.csv").read_bytes() == text
 
@@ -1113,43 +1119,59 @@ def test_gsa_draws_with_zero_total_contribution_are_undefined(tmp_path):
     assert report.summary["cells"][0]["methods"]["pc_bias"]["n_defined"] == 200 - sum(zero)
 
 
-@pytest.mark.parametrize("kind", ["variance", "gsa"])
-def test_result_table_within_its_memory_charge(tmp_path, monkeypatch, kind):
-    # load_config charges a study what its report holds per cell and
-    # repetition (see MAX_ARRAY_BYTES): a table row per method, and the
-    # estimates twice while a cell is rebuilt. From 100 to 400 repetitions
-    # the traced peak of a study grows by no more than that charge, and the
-    # table a finished study holds stays within it. Blocks of at most two
-    # repetitions keep the fit's arrays from growing with the repetitions.
+@pytest.mark.parametrize("kind, grid, method_cells, repetitions", [
+    # 2 x 2 cells; var_deconv has no rows at n_eta = 1.
+    ("variance", "n_xi_grid: [20, 30], n_eta_grid: [1, 2]", 14, (100, 400)),
+    ("gsa", "n_xi_grid: [20, 30], n_eta_grid: [1, 2]", 8, (100, 400)),
+    # One cell, where summarizing and histogramming a method's repetitions
+    # weigh most against the table.
+    ("variance", "n_xi_grid: [30], n_eta_grid: [2]", 4, (150, 600)),
+    ("variance", "n_xi_grid: [30], n_eta_grid: [2], methods: [pc_bias]", 1, (150, 600)),
+    ("gsa", "n_xi_grid: [30], n_eta_grid: [2]", 2, (150, 600)),
+], ids=["variance", "gsa", "variance-one-cell", "pc_bias-one-cell", "gsa-one-cell"])
+def test_result_table_within_its_memory_charge(
+    tmp_path, monkeypatch, kind, grid, method_cells, repetitions
+):
+    # load_config charges a study what it holds per cell and repetition
+    # (see _repetition_bytes): a table row per method, the estimates the
+    # shares return, and the arrays that aggregate one method's
+    # repetitions. Between the two repetition counts the traced peak of a
+    # study, and that of writing its report, grows by no more than that
+    # charge, and the table a finished study holds stays within it. Blocks
+    # of at most two repetitions keep the fit's arrays, and blocks of 64
+    # rows the CSV writes' strings, from growing with the repetitions.
     import gc
     import tracemalloc
 
     import uqpc.experiments as experiments
 
     monkeypatch.setattr(experiments, "BLOCK_BYTES", 2**12)
+    monkeypatch.setattr(experiments, "BLOCK_ROWS", 2**6)
 
     def config(repetitions):
         return load_config(write_config(tmp_path, materials_yaml(3), f"""\
         pce: {{n0: 2}}
-        study: {{kind: {kind}, n_xi_grid: [20, 30], n_eta_grid: [1, 2],
-                repetitions: {repetitions}}}
+        study: {{kind: {kind}, {grid}, repetitions: {repetitions}}}
         seed: 43
         """))
 
-    run_study(config(2))  # one-off allocations of a first study
+    write_report(run_study(config(2)), tmp_path / "first")  # one-off allocations
     name = "records" if kind == "variance" else "gsa_records"
     peaks, charges = [], []
-    for repetitions in (100, 400):
-        study = config(repetitions)
-        charge = 4 * repetitions * experiments._repetition_bytes(study)
+    for reps in repetitions:
+        study = config(reps)
+        cells = len(study.n_xi_grid) * len(study.n_eta_grid)
+        charge = cells * reps * experiments._repetition_bytes(study)
         gc.collect()
         tracemalloc.start()
         try:
             report = run_study(study)
-            peaks.append(tracemalloc.get_traced_memory()[1])
+            run_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            write_report(report, tmp_path / f"out{reps}")
+            peaks.append((run_peak, tracemalloc.get_traced_memory()[1]))
             table = getattr(report, name)
-            # 2 x 2 cells; var_deconv has no rows at n_eta = 1.
-            assert len(table) == (7 if kind == "variance" else 4) * 2 * repetitions
+            assert len(table) == method_cells * reps
             size = len(table) * table.itemsize
             gc.collect()
             held = tracemalloc.get_traced_memory()[0]
@@ -1161,14 +1183,15 @@ def test_result_table_within_its_memory_charge(tmp_path, monkeypatch, kind):
             tracemalloc.stop()
         assert 0 < size <= held <= charge
         charges.append(charge)
-    assert peaks[1] - peaks[0] <= charges[1] - charges[0]
+    for low, high in zip(*peaks):
+        assert high - low <= charges[1] - charges[0]
 
 
 def test_response_study_holds_fits_not_curves(tmp_path):
     # A response report holds per build its fit (two P x P covariances and
-    # a few P-vectors) and nothing per grid point: the curves are derived
-    # as their files are written. Per-point curves would hold 6 x 2001
-    # floats, 96 kB, per build.
+    # a few P-vectors) and nothing per grid point: the grid, its basis
+    # values and the curves are derived as their files are written.
+    # Per-point curves would hold 6 x 2001 floats, 96 kB, per build.
     import gc
     import tracemalloc
 
@@ -1181,7 +1204,7 @@ def test_response_study_holds_fits_not_curves(tmp_path):
         """))
 
     run_study(config(2))  # one-off allocations of a first study
-    builds, n_terms, points = 200, 7, 2001
+    builds, n_terms = 200, 7
     big = config(builds)
     gc.collect()
     tracemalloc.start()
@@ -1193,9 +1216,7 @@ def test_response_study_holds_fits_not_curves(tmp_path):
     finally:
         tracemalloc.stop()
     assert len(report.surrogates) == builds
-    # The grid basis, the grid and the analytic curve are held once.
-    grid_bytes = 8 * points * (n_terms + 2)
-    assert held < builds * (2 * n_terms**2 + 32 * n_terms) * 8 + grid_bytes
+    assert held < builds * (2 * n_terms**2 + 32 * n_terms) * 8
 
 
 def test_response_csv_matches_csv_module(tmp_path):
@@ -1209,21 +1230,18 @@ def test_response_csv_matches_csv_module(tmp_path):
     seed: 29
     """))
     report = run_study(config)
-    assert np.array_equal(report.response_grid, np.linspace(-1.0, 1.0, 17))
-    basis = total_degree_multi_indices(1, 4)
-    assert np.array_equal(report.response_basis,
-                          eval_basis_matrix(basis, report.response_grid[:, None]))
+    grid = np.linspace(-1.0, 1.0, 17)
+    psi = eval_basis_matrix(total_degree_multi_indices(1, 4), grid[:, None])
+    analytic = transmittance_batch(config.problem, grid[:, None])
     out = tmp_path / "resp"
     write_report(report, out)
     header = ["xi", "predict", "band_lo", "band_hi", "analytic"]
     assert len(report.surrogates) == len(report.trimmed_masks) == 3
     for sample, (surrogate, mask) in enumerate(zip(report.surrogates, report.trimmed_masks)):
         for suffix, fit in (("", surrogate), ("_trim", replace(surrogate, trimmed_mask=mask))):
-            mid = predict(fit, report.response_basis)
-            half = 2.0 * prediction_stddev(fit, report.response_basis, use_noise_corrected=True)
-            rows = np.column_stack((
-                report.response_grid, mid, mid - half, mid + half, report.response_analytic,
-            )).tolist()
+            mid = predict(fit, psi)
+            half = 2.0 * prediction_stddev(fit, psi, use_noise_corrected=True)
+            rows = np.column_stack((grid, mid, mid - half, mid + half, analytic)).tolist()
             text = csv_module_text(header, rows)
             assert (out / f"response_{sample}{suffix}.csv").read_bytes() == text
 
@@ -1477,16 +1495,22 @@ def test_variance_records_independent_of_blas_threads(tmp_path):
 # threads and at 1 and 2 workers. Tallies at n_eta >= 2 are NumPy
 # Generator.binomial draws, so the variance and response digests also
 # depend on the NumPy version that draws them (recorded with numpy 2.4.6).
+# Two entries are not one file: "density_*.csv" digests every density file,
+# name then bytes, in sorted order, and "wrote" the CLI's `wrote` lines in
+# the order printed, each path relative to --out.
 GOLDEN_DIGESTS = {
     ("d1_response.yaml", "4244", "3"): {
         "summary.json": "b5afa163b8d0df6ecef57ec59fe4a01615b0ecab777fe5c7b3a09f5d02ab73a9",
         "response_0.csv": "f5e1d1d1acc9e257b3965324e2d80b9cd305863c147cb7185a2918f795614f0c",
         "response_0_trim.csv": "1b5f66a4492b9710cb73156999fa2fea551b0b4026477b2cfba2ad767174742e",
         "surrogate_0.json": "17d827d082729250b1ddcc63205e3e124b8a681ac98fb9750dfafb5aedcda9cb",
+        "wrote": "1a2a3b89c002b507a58fec4a0e0feabf021d0d1a7726fcea79306800a2d4f771",
     },
     ("d3_variance.yaml", "4242", "3"): {
         "records.csv": "8f268e76be2dda672d720e2545b586a6475d1a70d8bcaac61e20f1cb0c0bfac2",
         "summary.json": "fbfe1267776d5e9d3930d53e271fae0ae3ecab343df89b8a03ef40ae22740126",
+        "density_*.csv": "c8f588e94bf1a3de0c75aba7da0e6dc19426cc1deab4b885663b472072196c6a",
+        "wrote": "e5535e4801c39170dfedddc6d39138e84d48b8d562cfaf872cc69f3daae4f80d",
     },
     ("d3_gsa.yaml", "4243", "8"): {
         "gsa.csv": "e5cf62cbd6dc05a398623554d6a7924ccaaf39e4d6e1f673bfd19637a4d203a1",
@@ -1502,13 +1526,23 @@ def test_shipped_config_reports_match_golden_digests(tmp_path, config, seed, rep
 
     path = Path(__file__).resolve().parents[1] / "configs" / config
     out = tmp_path / "out"
-    code, _, _ = run_cli("run", "--config", str(path), "--out", str(out),
-                         "--seed", seed, "--repetitions", repetitions)
+    code, stdout, _ = run_cli("run", "--config", str(path), "--out", str(out),
+                              "--seed", seed, "--repetitions", repetitions)
     assert code == 0
-    digests = {
-        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-        for name in GOLDEN_DIGESTS[(config, seed, repetitions)]
-    }
+
+    def digest(name):
+        if name == "wrote":
+            wrote = [Path(line.removeprefix("wrote ")).relative_to(out)
+                     for line in stdout.splitlines() if line.startswith("wrote ")]
+            return hashlib.sha256("".join(f"{p}\n" for p in wrote).encode()).hexdigest()
+        if "*" not in name:
+            return hashlib.sha256((out / name).read_bytes()).hexdigest()
+        h = hashlib.sha256()
+        for file in sorted(out.glob(name)):
+            h.update(file.name.encode() + b"\n" + file.read_bytes())
+        return h.hexdigest()
+
+    digests = {name: digest(name) for name in GOLDEN_DIGESTS[(config, seed, repetitions)]}
     assert digests == GOLDEN_DIGESTS[(config, seed, repetitions)]
 
 
