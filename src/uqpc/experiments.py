@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import os
 import pickle
+from contextlib import closing
 from dataclasses import dataclass, field, replace
 from itertools import product
 from pathlib import Path
@@ -87,9 +88,9 @@ MATERIAL_KEYS = ("sigma0", "sigmaDelta", "sigma_delta", "lo", "hi", "dx")
 # once in every worker, so a larger config is refused in load_config rather
 # than running out of memory part-way through a study. The same bound holds
 # for what a study holds per repetition until its report is written (see
-# _repetition_bytes): the result table, the estimates its shares return,
-# and the arrays that aggregate one method-cell's repetitions, or a
-# response build's objects (BUILD_BYTES) and arrays.
+# _repetition_bytes): the result table and the arrays that aggregate one
+# method-cell's repetitions, or a response build's objects (BUILD_BYTES)
+# and arrays.
 MAX_ARRAY_BYTES = 2**28
 BUILD_BYTES = 1024
 # The key columns of a result table row: its cell, method and repetition.
@@ -358,14 +359,15 @@ def _repetition_bytes(config: StudyConfig) -> int:
         # A build keeps its two P x P covariances and four P-vectors: its
         # coefficients, their variances and the masks of the fit and its trim.
         return BUILD_BYTES + 8 * (2 * n_terms**2 + 4 * n_terms)
-    # A table row per method, and until the grid has run its estimate
-    # floats as the shares returned them. After the grid one method-cell at
-    # a time is summarized (at most two copies of its floats, as the GSA
-    # summary's clipped indices) or histogrammed (np.histogram's index, edge
-    # and mask arrays, about 53 B per value); that is charged to every cell.
+    # A table row per method. After the grid one method-cell at a time is
+    # summarized (at most two copies of its floats, as the GSA summary's
+    # clipped indices) or histogrammed (np.histogram's index, edge and mask
+    # arrays, about 53 B per value); that is charged to every cell. It also
+    # covers the estimates the grid holds until they are stored, at most
+    # one cell's floats and never at the same time as those arrays.
     row = _row_dtype(config.kind, config.problem.d)
     floats = row.itemsize - np.dtype(ROW_KEYS).itemsize
-    return len(config.methods) * (row.itemsize + floats) + 64 + 2 * floats
+    return len(config.methods) * row.itemsize + 64 + 2 * floats
 
 
 def _check_memory(config: StudyConfig) -> StudyConfig:
@@ -502,16 +504,15 @@ def _block_size(basis: MultiIndexBasis, n_xi: int) -> int:
     return max(1, BLOCK_BYTES // (8 * n_xi * width))
 
 
-def _cell_chunk(
+def _cell_blocks(
     config: StudyConfig, estimate, basis: MultiIndexBasis, i_xi: int, i_eta: int, reps: range
-) -> np.ndarray:
+):
     # One work unit: repetitions `reps` of grid cell (i_xi, i_eta), fitted
     # in blocks of up to _block_size repetitions. Each repetition is drawn
     # from its own stream into the block's arrays; the blocks share n_xi
     # and the basis, so every fit reuses the unit's arrays and buffer, and
-    # after the first block a fit touches no freshly allocated pages. The
-    # unit's estimates go into one array, allocated when the first block's
-    # come back, with a row per repetition of `reps`.
+    # after the first block a fit touches no freshly allocated pages. Yields
+    # each block's position in `reps` and its estimates as they are made.
     cell = i_xi * len(config.n_eta_grid) + i_eta
     n_xi = config.n_xi_grid[i_xi]
     n_eta = config.n_eta_grid[i_eta]
@@ -520,7 +521,6 @@ def _cell_chunk(
     samples = np.empty((size, n_xi, config.problem.d))
     qtilde = np.empty((size, n_xi))
     sigma2 = np.empty((size, n_xi)) if n_eta >= 2 else None
-    out = None
     for lo in range(0, len(reps), size):
         block = reps[lo : lo + size]
         for r, rep in enumerate(block):
@@ -530,10 +530,19 @@ def _cell_chunk(
                 sigma2[r] = s2
         k = len(block)
         data = TrainingData(samples[:k], qtilde[:k], None if sigma2 is None else sigma2[:k], n_eta)
-        values = np.asarray(estimate(config, data, basis, buffer))
+        yield lo, np.asarray(estimate(config, data, basis, buffer))
+
+
+def _cell_chunk(
+    config: StudyConfig, estimate, basis: MultiIndexBasis, i_xi: int, i_eta: int, reps: range
+) -> np.ndarray:
+    # A work unit's estimates in one array, allocated when the first
+    # block's come back, with a row per repetition of `reps`.
+    out = None
+    for lo, values in _cell_blocks(config, estimate, basis, i_xi, i_eta, reps):
         if out is None:
             out = np.empty((len(reps), *values.shape[1:]), values.dtype)
-        out[lo : lo + k] = values
+        out[lo : lo + len(values)] = values
     return out
 
 
@@ -550,17 +559,19 @@ def _share(part: int, shares: int, cell: int, repetitions: int) -> range:
 
 
 def _child(task, part: int, pipe) -> NoReturn:
-    # Runs in a forked child and never returns: sends (True, result) or
-    # (False, exception) through the pipe, then ends with os._exit, so the
+    # Runs in a forked child and never returns: sends one pickled (True,
+    # item) frame per item of task(part), flushed as soon as it is made, or
+    # (False, exception) once it raises, then ends with os._exit, so the
     # child neither unwinds into the parent's frames nor flushes its stdio
     # buffers or runs its atexit handlers.
     status = 1
     try:
         try:
-            payload = pickle.dumps((True, task(part)), pickle.HIGHEST_PROTOCOL)
+            for item in task(part):
+                pipe.write(pickle.dumps((True, item), pickle.HIGHEST_PROTOCOL))
+                pipe.flush()
         except BaseException as exc:
-            payload = _pickled_error(exc)
-        pipe.write(payload)
+            pipe.write(_pickled_error(exc))
         pipe.close()
         status = 0
     finally:
@@ -585,17 +596,33 @@ def _pickled_error(exc: BaseException) -> bytes:
         return pickle.dumps((False, error), pickle.HIGHEST_PROTOCOL)
 
 
-def _in_children(task, parts: int) -> list:
-    """[task(part) for part in range(parts)], each part run in its own forked
-    child; the parent only forks and collects.
+def _in_children(task, parts: int, steps: int):
+    """Yield item 0 of every generator task(part), part in range(parts),
+    then item 1 of each, and so on for `steps` items; each part runs in its
+    own forked child, which sends a frame per item as soon as it is made.
 
-    A child's exception is re-raised here with its type, and a child that
-    ends without a complete result raises RuntimeError. However this ends,
-    no child is left running or unreaped.
+    Every child writes in the order the parent reads, so the reads cannot
+    deadlock, and a child's exception is re-raised here with its type at
+    the step where it arose. A child's stream must end after `steps` frames
+    with exit status 0; anything else raises RuntimeError naming the
+    worker. However this ends, no child is left running or unreaped.
     """
     import signal
 
     pids, pipes, reaped = [], [], set()
+
+    def reap(pid: int, fault: str | None = None) -> None:
+        # Wait for a child whose stream has ended; unless it ended whole
+        # (no fault) and exited with status 0, raise RuntimeError.
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        reaped.add(pid)
+        if status < 0:
+            fault = f"was killed by {signal.Signals(-status).name}"
+        elif status > 0:
+            fault = f"exited with status {status}"
+        if fault is not None:
+            raise RuntimeError(f"worker process {pid} {fault}")
+
     try:
         for part in range(parts):
             read_end, write_end = os.pipe()
@@ -607,24 +634,20 @@ def _in_children(task, parts: int) -> list:
                 if pid == 0:
                     _child(task, part, pipe)
             pids.append(pid)
-        results = []
+        for step in range(steps):
+            for pid, pipe in zip(pids, pipes):
+                try:
+                    ok, item = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):
+                    reap(pid, f"ended its stream after {step} of {steps} frames")
+                if not ok:
+                    raise item
+                yield item
         for pid, pipe in zip(pids, pipes):
-            # Read to EOF before waiting: a child blocks on a full pipe
-            # until its payload is read.
-            payload = pipe.read()
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            reaped.add(pid)
-            if status < 0:
-                raise RuntimeError(
-                    f"worker process {pid} was killed by {signal.Signals(-status).name}"
-                )
-            if status > 0:
-                raise RuntimeError(f"worker process {pid} exited with status {status}")
-            ok, value = pickle.loads(payload)
-            if not ok:
-                raise value
-            results.append(value)
-        return results
+            # A child blocked on writing an extra frame would never exit.
+            if pipe.read(1):
+                raise RuntimeError(f"worker process {pid} sent more than {steps} frames")
+            reap(pid)
     finally:
         for pipe in pipes:
             pipe.close()
@@ -635,34 +658,42 @@ def _in_children(task, parts: int) -> list:
 
 
 def _run_grid(config: StudyConfig, estimate, workers: int, store) -> None:
-    """Call store(cell, at, values) for each grid cell in grid order and
-    each share of its repetitions: `values` has a row per repetition of the
-    slice `at` of the cell's repetitions, as the estimator returned them.
+    """Call store(cell, at, values) for the grid cells in grid order, with
+    `values` a row per repetition of the slice `at` of the cell's
+    repetitions, as the estimator returned them.
 
     The repetitions of every cell are split into N = min(workers,
-    repetitions) shares (_share). With N > 1 each share runs in its own
-    forked child, which inherits the config and the study's one basis. A
-    share's values of a cell are dropped once stored. Streams are derived
-    per (cell, repetition), so the split never affects results.
+    repetitions) shares (_share). With N = 1 the share runs in process,
+    and each block of a cell's repetitions is stored as it is estimated.
+    With N > 1 each share runs in its own forked child, which inherits the
+    config and the study's one basis and sends each cell as it is
+    estimated; the parent stores cell c of every share before it reads
+    cell c + 1. So the parent holds no more than about one cell's values.
+    Streams are derived per (cell, repetition), so the split never affects
+    results.
     """
     basis = total_degree_multi_indices(config.problem.d, config.n0)
     grid = list(product(range(len(config.n_xi_grid)), range(len(config.n_eta_grid))))
     repetitions = config.repetitions
     shares = min(workers, repetitions)
 
-    def run_share(part: int) -> list[np.ndarray]:
-        return [
-            _cell_chunk(config, estimate, basis, i_xi, i_eta,
-                        _share(part, shares, cell, repetitions))
-            for cell, (i_xi, i_eta) in enumerate(grid)
-        ]
-
-    results = [run_share(0)] if shares == 1 else _in_children(run_share, shares)
-    for cell in range(len(grid)):
-        for part, result in enumerate(results):
+    def run_share(part: int):
+        # The share's (cell, at, values) in grid order: a block at a time in
+        # process, a cell at a time in a child.
+        for cell, (i_xi, i_eta) in enumerate(grid):
             reps = _share(part, shares, cell, repetitions)
-            store(cell, slice(reps.start, None, reps.step), result[cell])
-            result[cell] = None
+            if shares == 1:
+                for lo, values in _cell_blocks(config, estimate, basis, i_xi, i_eta, reps):
+                    yield cell, slice(lo, lo + len(values)), values
+            else:
+                yield cell, slice(reps.start, None, reps.step), _cell_chunk(
+                    config, estimate, basis, i_xi, i_eta, reps)
+
+    frames = run_share(0) if shares == 1 else _in_children(run_share, shares, len(grid))
+    # Closing the frames if store raises kills the children at once.
+    with closing(frames):
+        for cell, at, values in frames:
+            store(cell, at, values)
 
 
 def emit_density(values, bins: int) -> tuple[np.ndarray, np.ndarray]:
@@ -812,6 +843,8 @@ def run_study(config: StudyConfig, workers: int = 1) -> StudyReport:
     shares come back, then each cell summarized from them in grid order.
     The study's result table is allocated once, and the other kind's table
     has no rows."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     estimate, store, summarize = _STUDIES[config.kind]
     d = config.problem.d
     tables = {kind: np.recarray(0, _row_dtype(kind, d)) for kind in ("variance", "gsa")}

@@ -197,8 +197,8 @@ REJECT_MESSAGES = {
     D1_PROBLEM + "pce: {n0: 6}\n"
     "study: {kind: response, n_xi_grid: [5], n_eta_grid: [2], response_points: 100000000}\n",
     D1_PROBLEM + "pce: {n0: 2}\nstudy: {n_xi_grid: [5], n_eta_grid: [1], bins: 1000000000}\n",
-    # result tables over the limit, charged their rows, estimates and
-    # aggregation: 43 GB for variance rows (4 methods per repetition), 3 GB
+    # result tables over the limit, charged their rows and aggregation:
+    # 40 GB for variance rows (4 methods per repetition), 2.7 GB
     # for GSA rows (2), and 5 response builds of two 2001^2 covariances each
     D1_PROBLEM + "pce: {n0: 2}\nstudy: {n_xi_grid: [5], n_eta_grid: [1], repetitions: 100000000}\n",
     D1_PROBLEM
@@ -303,9 +303,21 @@ def test_apply_overrides(tmp_path):
     assert (changed.master_seed, changed.repetitions) == (1, 3)
     with pytest.raises(ConfigError):
         apply_overrides(config, repetitions=0)
-    # 4 methods x 10^8 repetitions: a 43 GB result table
+    # 4 methods x 10^8 repetitions: a 40 GB result table
     with pytest.raises(ConfigError):
         apply_overrides(config, repetitions=10**8)
+
+
+def test_largest_accepted_repetitions():
+    # d3_variance charges each of its 30 cells 400 B per repetition: four
+    # 80 B table rows, plus 64 B and two estimate floats to aggregate one
+    # method-cell. 22,369 repetitions fit the 256 MiB limit, 22,370 do not.
+    from pathlib import Path
+
+    config = load_config(Path(__file__).resolve().parent.parent / "configs" / "d3_variance.yaml")
+    assert apply_overrides(config, repetitions=22369).repetitions == 22369
+    with pytest.raises(ConfigError, match="result table of 30 cells x 22370 repetitions"):
+        apply_overrides(config, repetitions=22370)
 
 
 # ------------------------------------------------------------ rng and density
@@ -720,13 +732,42 @@ def test_reports_identical_at_any_worker_count(tmp_path, study, repetitions):
     assert files[1] == files[2] == files[3]
 
 
-def test_large_child_payloads_arrive_whole():
-    # Each child's payload is far over a pipe's 64 KiB buffer; the parent
-    # reads it whole before it waits for the child.
+def test_large_child_frames_arrive_whole_and_in_order():
+    # Three children send four frames each, every one over a pipe's 64 KiB
+    # buffer. The parent reads frame s of every child in turn, so it reads
+    # each whole, in order, while the children keep writing.
     import uqpc.experiments as experiments
 
-    results = experiments._in_children(lambda part: np.full(2**17, float(part)), 3)
-    assert [r.tolist() for r in results] == [[float(part)] * 2**17 for part in range(3)]
+    def frames(part):
+        for step in range(4):
+            yield np.full(2**14 + step, 10.0 * part + step)
+
+    got = [frame.tolist() for frame in experiments._in_children(frames, 3, 4)]
+    assert got == [[10.0 * part + step] * (2**14 + step) for step in range(4) for part in range(3)]
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("faulty, sent, message", [
+    (1, 1, r"worker process \d+ ended its stream after 1 of 3 frames"),
+    (0, 4, r"worker process \d+ sent more than 3 frames"),
+])
+def test_child_stream_of_the_wrong_length(faulty, sent, message):
+    # One child exits 0 after too few or too many of 3 frames; the stream
+    # ends in RuntimeError, and the other child, which would sleep for a
+    # minute after its frames, is killed, not waited out.
+    import time
+
+    import uqpc.experiments as experiments
+
+    def frames(part):
+        yield from range(sent if part == faulty else 3)
+        if part != faulty:
+            time.sleep(60)
+
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match=message):
+        list(experiments._in_children(frames, 2, 3))
+    assert time.perf_counter() - start < 30
     assert_no_child_left()
 
 
@@ -778,6 +819,87 @@ def test_child_exception_reaches_the_caller(tmp_path, monkeypatch):
     if sys.version_info >= (3, 11):
         assert any("raised in worker process" in note for note in info.value.__notes__)
     assert_no_child_left()
+
+
+def test_child_failure_surfaces_at_its_cell(tmp_path, monkeypatch):
+    # Two cells, two shares of two repetitions: share 1 raises at its first
+    # cell, (cell, repetition) = (0, 1), and share 0 sleeps in its second
+    # cell, (1, 1). The parent reads cell 0 of every share before cell 1,
+    # so the failure reaches the caller before share 0 ends its grid.
+    import time
+
+    import uqpc.experiments as experiments
+
+    derive = experiments.derive_rng
+
+    def derive_rng(seed, cell, rep):
+        if (cell, rep) == (0, 1):
+            raise ShareFailure("cell 0")
+        if (cell, rep) == (1, 1):
+            time.sleep(20)
+        return derive(seed, cell, rep)
+
+    monkeypatch.setattr(experiments, "derive_rng", derive_rng)
+    config = load_config(write_config(tmp_path, D1_PROBLEM, """\
+    pce: {n0: 2}
+    study: {n_xi_grid: [20], n_eta_grid: [1, 2], repetitions: 2}
+    """))
+    start = time.perf_counter()
+    with pytest.raises(ShareFailure, match="cell 0"):
+        run_study(config, workers=2)
+    assert time.perf_counter() - start < 5
+    assert_no_child_left()
+
+
+def test_parent_failure_stops_the_children(tmp_path, monkeypatch):
+    # The parent fails storing cell 0 while share 0 sleeps in cell 1: the
+    # children are killed and reaped before the exception leaves run_study,
+    # not when its traceback is dropped.
+    import time
+
+    import uqpc.experiments as experiments
+
+    derive = experiments.derive_rng
+
+    def derive_rng(seed, cell, rep):
+        if (cell, rep) == (1, 1):
+            time.sleep(60)
+        return derive(seed, cell, rep)
+
+    def store(report, rows, at, values):
+        raise ShareFailure("store")
+
+    monkeypatch.setattr(experiments, "derive_rng", derive_rng)
+    monkeypatch.setitem(experiments._STUDIES, "variance", (
+        experiments._variance_estimates, store, experiments._variance_summary))
+    config = load_config(write_config(tmp_path, D1_PROBLEM, """\
+    pce: {n0: 2}
+    study: {n_xi_grid: [20], n_eta_grid: [1, 2], repetitions: 2}
+    """))
+    start = time.perf_counter()
+    with pytest.raises(ShareFailure, match="store") as info:
+        run_study(config, workers=2)
+    assert time.perf_counter() - start < 30
+    assert_no_child_left()
+    assert info.tb is not None  # the traceback, and with it run_study's frames, still held
+
+
+def test_run_study_needs_a_worker(tmp_path, monkeypatch):
+    # No worker would run no share and leave the table's estimates
+    # unwritten; run_study refuses before it allocates anything.
+    import uqpc.experiments as experiments
+
+    def no_table(config):
+        raise AssertionError("allocated a result table")
+
+    config = load_config(write_config(tmp_path, D1_PROBLEM, """\
+    pce: {n0: 2}
+    study: {kind: gsa, n_xi_grid: [20], n_eta_grid: [1], repetitions: 3}
+    """))
+    monkeypatch.setattr(experiments, "_result_table", no_table)
+    for workers in (0, -1):
+        with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+            run_study(config, workers=workers)
 
 
 def test_unpicklable_child_exception_becomes_runtime_error(tmp_path, monkeypatch):
@@ -985,7 +1107,7 @@ def test_variance_unit_memory_is_bounded(tmp_path):
 
 
 def test_gsa_csv_independent_of_unit_split(tmp_path):
-    # All 10 repetitions of a cell in one run of _cell_chunk at 1 worker,
+    # All 10 repetitions of a cell in one work unit at 1 worker,
     # every other one in each of two shares at 2 workers: the fit buffer
     # must carry nothing from one fit to the next.
     path = write_config(tmp_path, """\
