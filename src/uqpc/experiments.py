@@ -762,16 +762,19 @@ def _result_table(config: StudyConfig) -> tuple[np.recarray, list[dict]]:
     return table, cells
 
 
+# A store runs once per block of repetitions in process, one per repetition
+# in the 2000-sample cells, so it reads a field by index: a recarray's
+# attribute lookup takes about twice as long.
 def _store_variance(report: StudyReport, rows: dict, at: slice, values) -> None:
     for col, method in enumerate(report.config.methods):
         if method in rows:
-            rows[method].estimate[at] = values[:, col]
+            rows[method]["estimate"][at] = values[:, col]
 
 
 def _store_gsa(report: StudyReport, rows: dict, at: slice, values) -> None:
     for col, method in enumerate(report.config.methods):
-        rows[method].first_order[at] = values[:, col, 0]
-        rows[method].total[at] = values[:, col, 1]
+        rows[method]["first_order"][at] = values[:, col, 0]
+        rows[method]["total"][at] = values[:, col, 1]
 
 
 def _store_response(report: StudyReport, rows: dict, at: slice, values) -> None:
