@@ -1262,6 +1262,12 @@ def test_result_table_within_its_memory_charge(
     # charge, and the table a finished study holds stays within it. Blocks
     # of at most two repetitions keep the fit's arrays, and blocks of 64
     # rows the CSV writes' strings, from growing with the repetitions.
+    #
+    # gc.collect() empties CPython's free list of 1-tuples, and every
+    # Generator draw with an array argument leaves one more on it (48 B
+    # traced) up to its cap of 2,000, so a study's draws would read as
+    # about 48 B per repetition that the study does not hold. The list is
+    # filled, untraced, before each measurement.
     import gc
     import tracemalloc
 
@@ -1269,6 +1275,7 @@ def test_result_table_within_its_memory_charge(
 
     monkeypatch.setattr(experiments, "BLOCK_BYTES", 2**12)
     monkeypatch.setattr(experiments, "BLOCK_ROWS", 2**6)
+    draws, ones = np.random.default_rng(0), np.ones(1)
 
     def config(repetitions):
         return load_config(write_config(tmp_path, materials_yaml(3), f"""\
@@ -1285,6 +1292,8 @@ def test_result_table_within_its_memory_charge(
         cells = len(study.n_xi_grid) * len(study.n_eta_grid)
         charge = cells * reps * experiments._repetition_bytes(study)
         gc.collect()
+        for _ in range(4000):
+            draws.binomial(2, ones)
         tracemalloc.start()
         try:
             report = run_study(study)
