@@ -504,15 +504,16 @@ def _block_size(basis: MultiIndexBasis, n_xi: int) -> int:
     return max(1, BLOCK_BYTES // (8 * n_xi * width))
 
 
-def _cell_blocks(
+def _cell_chunk(
     config: StudyConfig, estimate, basis: MultiIndexBasis, i_xi: int, i_eta: int, reps: range
-):
+) -> np.ndarray:
     # One work unit: repetitions `reps` of grid cell (i_xi, i_eta), fitted
     # in blocks of up to _block_size repetitions. Each repetition is drawn
     # from its own stream into the block's arrays; the blocks share n_xi
     # and the basis, so every fit reuses the unit's arrays and buffer, and
-    # after the first block a fit touches no freshly allocated pages. Yields
-    # each block's position in `reps` and its estimates as they are made.
+    # after the first block a fit touches no freshly allocated pages.
+    # Returns the unit's estimates in one array, allocated when the first
+    # block's come back, with a row per repetition of `reps`.
     cell = i_xi * len(config.n_eta_grid) + i_eta
     n_xi = config.n_xi_grid[i_xi]
     n_eta = config.n_eta_grid[i_eta]
@@ -521,6 +522,7 @@ def _cell_blocks(
     samples = np.empty((size, n_xi, config.problem.d))
     qtilde = np.empty((size, n_xi))
     sigma2 = np.empty((size, n_xi)) if n_eta >= 2 else None
+    out = None
     for lo in range(0, len(reps), size):
         block = reps[lo : lo + size]
         for r, rep in enumerate(block):
@@ -530,19 +532,10 @@ def _cell_blocks(
                 sigma2[r] = s2
         k = len(block)
         data = TrainingData(samples[:k], qtilde[:k], None if sigma2 is None else sigma2[:k], n_eta)
-        yield lo, np.asarray(estimate(config, data, basis, buffer))
-
-
-def _cell_chunk(
-    config: StudyConfig, estimate, basis: MultiIndexBasis, i_xi: int, i_eta: int, reps: range
-) -> np.ndarray:
-    # A work unit's estimates in one array, allocated when the first
-    # block's come back, with a row per repetition of `reps`.
-    out = None
-    for lo, values in _cell_blocks(config, estimate, basis, i_xi, i_eta, reps):
+        values = np.asarray(estimate(config, data, basis, buffer))
         if out is None:
             out = np.empty((len(reps), *values.shape[1:]), values.dtype)
-        out[lo : lo + len(values)] = values
+        out[lo : lo + k] = values
     return out
 
 
@@ -663,14 +656,13 @@ def _run_grid(config: StudyConfig, estimate, workers: int, store) -> None:
     repetitions, as the estimator returned them.
 
     The repetitions of every cell are split into N = min(workers,
-    repetitions) shares (_share). With N = 1 the share runs in process,
-    and each block of a cell's repetitions is stored as it is estimated.
-    With N > 1 each share runs in its own forked child, which inherits the
-    config and the study's one basis and sends each cell as it is
-    estimated; the parent stores cell c of every share before it reads
-    cell c + 1. So the parent holds no more than about one cell's values.
-    Streams are derived per (cell, repetition), so the split never affects
-    results.
+    repetitions) shares (_share), and a share returns each cell whole as
+    it is estimated (_cell_chunk). With N = 1 the share runs in process;
+    with N > 1 each share runs in its own forked child, which inherits the
+    config and the study's one basis and sends each cell as a frame. Cell
+    c of every share is stored before cell c + 1 is taken from any share,
+    so the grid holds no more than about one cell's values. Streams are
+    derived per (cell, repetition), so the split never affects results.
     """
     basis = total_degree_multi_indices(config.problem.d, config.n0)
     grid = list(product(range(len(config.n_xi_grid)), range(len(config.n_eta_grid))))
@@ -678,16 +670,11 @@ def _run_grid(config: StudyConfig, estimate, workers: int, store) -> None:
     shares = min(workers, repetitions)
 
     def run_share(part: int):
-        # The share's (cell, at, values) in grid order: a block at a time in
-        # process, a cell at a time in a child.
+        # The share's (cell, at, values), a cell at a time in grid order.
         for cell, (i_xi, i_eta) in enumerate(grid):
             reps = _share(part, shares, cell, repetitions)
-            if shares == 1:
-                for lo, values in _cell_blocks(config, estimate, basis, i_xi, i_eta, reps):
-                    yield cell, slice(lo, lo + len(values)), values
-            else:
-                yield cell, slice(reps.start, None, reps.step), _cell_chunk(
-                    config, estimate, basis, i_xi, i_eta, reps)
+            yield cell, slice(reps.start, None, reps.step), _cell_chunk(
+                config, estimate, basis, i_xi, i_eta, reps)
 
     frames = run_share(0) if shares == 1 else _in_children(run_share, shares, len(grid))
     # Closing the frames if store raises kills the children at once.
@@ -762,9 +749,6 @@ def _result_table(config: StudyConfig) -> tuple[np.recarray, list[dict]]:
     return table, cells
 
 
-# A store runs once per block of repetitions in process, one per repetition
-# in the 2000-sample cells, so it reads a field by index: a recarray's
-# attribute lookup takes about twice as long.
 def _store_variance(report: StudyReport, rows: dict, at: slice, values) -> None:
     for col, method in enumerate(report.config.methods):
         if method in rows:
