@@ -709,6 +709,28 @@ def test_shares_split_every_cell():
     assert [list(_share(part, 2, 1, 5)) for part in (0, 1)] == [[1, 3], [0, 2, 4]]
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_grid_stores_each_share_of_a_cell_once(tmp_path, monkeypatch, workers):
+    # A share returns each cell whole, in process as in a forked child:
+    # with blocks of one repetition, the grid still stores every (cell,
+    # share) once, in grid order, with a row per repetition of the share.
+    import uqpc.experiments as experiments
+    from uqpc.experiments import _share
+
+    monkeypatch.setattr(experiments, "BLOCK_BYTES", 1)
+    config = load_config(write_config(tmp_path, materials_yaml(3), """\
+    pce: {n0: 2}
+    study: {kind: variance, n_xi_grid: [20, 30], n_eta_grid: [1, 2], repetitions: 5}
+    seed: 5
+    """))
+    stored = []
+    experiments._run_grid(config, experiments._variance_estimates, workers,
+                          lambda cell, at, values: stored.append((cell, range(5)[at], len(values))))
+    assert stored == [(cell, reps, len(reps)) for cell in range(4)
+                      for reps in (_share(part, workers, cell, 5) for part in range(workers))]
+    assert_no_child_left()
+
+
 @pytest.mark.parametrize("study, repetitions", [
     ("{kind: variance, n_xi_grid: [20, 40], n_eta_grid: [1, 3], bins: 5}", 5),
     ("{kind: variance, n_xi_grid: [30], n_eta_grid: [2], bins: 5}", 2),
@@ -1431,6 +1453,31 @@ def test_cli_oracle(tmp_path):
     assert payload["pc_mean"] == pytest.approx(payload["mean"], abs=1e-12)
     assert payload["pc_variance"] == pytest.approx(payload["variance"], abs=1e-4)
     assert payload["sobol_first"] == [1.0]
+
+
+@pytest.mark.parametrize("command", ["oracle", "run"])
+def test_cli_closed_stdout_exits_without_traceback(tmp_path, command):
+    # A reader that closed stdout (`uqpc oracle ... | head -3`) ends the
+    # command with exit code 1 and no traceback on stderr.
+    import subprocess
+    from pathlib import Path
+
+    path = write_config(tmp_path, D1_PROBLEM, """\
+    pce: {n0: 2}
+    study: {n_xi_grid: [20], n_eta_grid: [2], repetitions: 2, methods: [pc_bias]}
+    """)
+    argv = ["--config", str(path)] + (["--out", str(tmp_path / "out")] if command == "run" else [])
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "uqpc.cli", command, *argv], env=env,
+                              stdout=write_end, stderr=subprocess.PIPE, timeout=120)
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr.decode()
+    assert proc.returncode == 1
 
 
 def test_cli_config_errors(tmp_path):
