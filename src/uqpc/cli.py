@@ -88,12 +88,18 @@ def main(argv=None) -> int:
     if args.command == "run" and args.workers < 1:
         parser.error("--workers must be >= 1")
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        return _cmd_oracle(args)
+        code = _cmd_run(args) if args.command == "run" else _cmd_oracle(args)
+        # A reader that closed stdout early (`| head`) raises here, not at exit.
+        sys.stdout.flush()
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # Point stdout at devnull so the interpreter's own flush at exit
+        # cannot raise again (see the SIGPIPE note in Python's signal docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":
