@@ -19,7 +19,6 @@ from .experiments import (
 )
 from .nisp import (
     PceSurrogate,
-    SobolIndices,
     TrainingData,
     UndefinedIndicesError,
     build_surrogate,

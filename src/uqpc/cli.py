@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .experiments import ConfigError, apply_overrides, load_config, run_study, write_report
+from .experiments import ConfigError, load_config, run_study, write_report
 from .oracle import exact_mean, exact_sobol, exact_variance, quadrature_coefficients
 from .polybasis import total_degree_multi_indices
 
@@ -44,9 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    config = apply_overrides(
-        load_config(args.config), seed=args.seed, repetitions=args.repetitions
-    )
+    config = load_config(args.config, seed=args.seed, repetitions=args.repetitions)
     if args.workers > 1 and not hasattr(os, "fork"):
         raise ConfigError("--workers above 1 needs os.fork, which this platform lacks")
     # Fail on an unusable output path before the study runs, not after.

@@ -260,14 +260,19 @@ def _check_references(problem: SlabProblem) -> None:
                 "is 0, because every sigmaDelta is 0 or too small to resolve, or because "
                 f"the exact mean ({mean:.3g}) is so small that its variance underflows"
             )
-        if not all(np.isfinite(s).all() for s in exact_sobol(problem)):
+        if not np.isfinite(exact_sobol(problem)).all():
             raise ConfigError(
                 "problem is out of floating-point range: its exact Sobol indices are not finite"
             )
 
 
-def load_config(path) -> StudyConfig:
-    """Parse and validate a YAML study config; raises ConfigError on any problem."""
+def load_config(path, *, seed: int | None = None, repetitions: int | None = None) -> StudyConfig:
+    """Parse and validate a YAML study config; raises ConfigError on any problem.
+
+    A given ``seed`` or ``repetitions`` takes the place of the file's
+    ``seed`` or ``study.repetitions`` before validation, and passes the
+    same checks.
+    """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -298,7 +303,9 @@ def load_config(path) -> StudyConfig:
     # to 2**53 exactly.
     if max(n_eta_grid) > 2**53:
         raise ConfigError(f"'study.n_eta_grid' entries must be <= 2**53, got {max(n_eta_grid)}")
-    repetitions = _as_positive_int(study.get("repetitions", 200), "'study.repetitions'")
+    if repetitions is None:
+        repetitions = study.get("repetitions", 200)
+    repetitions = _as_positive_int(repetitions, "'study.repetitions'")
     # Response builds fit, trim and predict; they have no methods to choose.
     allowed = {"variance": METHODS, "gsa": GSA_METHODS, "response": ()}[kind]
     methods_raw = study.get("methods", list(allowed))
@@ -325,7 +332,8 @@ def load_config(path) -> StudyConfig:
         if len(n_xi_grid) != 1 or len(n_eta_grid) != 1:
             raise ConfigError("response studies take exactly one (n_xi, n_eta) grid point")
 
-    seed = raw.get("seed", 0)
+    if seed is None:
+        seed = raw.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ConfigError(f"'seed' must be a nonnegative integer, got {seed!r}")
 
@@ -419,36 +427,37 @@ def _draw_training(
     return xis, *simulate_training_set(problem, xis, n_eta, rng)
 
 
-def _deconvolution(data: TrainingData, methods) -> list[float] | list[None]:
+def _deconvolution(data: TrainingData, read: bool) -> list[float] | list[None]:
     # Variance deconvolution is the var_deconv estimate and, where the
     # per-sample noise variance is observable (n_eta >= 2), the trim target
-    # of pc_bias_trim; it runs once per block, and only if read.
-    if data.sigma2eta is None or not {"var_deconv", "pc_bias_trim"} & set(methods):
+    # of pc_bias_trim and of a response build; it runs once per block, and
+    # only if read. Where it is None, the trim target is the unbiased
+    # expansion variance (n_eta = 1).
+    if data.sigma2eta is None or not read:
         return [None] * len(data.qtilde)
     return variance_deconvolution(data).tolist()
-
-
-def _trimmed(surrogate: PceSurrogate, deconv: float | None) -> PceSurrogate:
-    # Trim to the noise-corrected variance target: the deconvolution
-    # estimate when there is one, the unbiased expansion total otherwise
-    # (n_eta = 1).
-    target = pce_variance_unbiased(surrogate) if deconv is None else deconv
-    return trim_expansion(surrogate, target)
 
 
 def _variance_estimates(
     config: StudyConfig, data: TrainingData, basis: MultiIndexBasis, buffer
 ) -> np.ndarray:
+    # pc_bias is also the trim target where there is no deconvolution, so
+    # it is computed once per repetition and read by both methods.
+    methods = config.methods
+    deconvs = _deconvolution(data, "var_deconv" in methods or "pc_bias_trim" in methods)
+    unbiased_read = "pc_bias" in methods or ("pc_bias_trim" in methods and data.sigma2eta is None)
     fits = build_surrogate(data, basis, full_covariance=False, buffer=buffer).unstack()
-    estimates = np.full((len(fits), len(config.methods)), np.nan)
-    for row, surrogate, deconv in zip(estimates, fits, _deconvolution(data, config.methods)):
-        for col, method in enumerate(config.methods):
+    estimates = np.full((len(fits), len(methods)), np.nan)
+    for row, surrogate, deconv in zip(estimates, fits, deconvs):
+        unbiased = pce_variance_unbiased(surrogate) if unbiased_read else None
+        for col, method in enumerate(methods):
             if method == "pc_mc21":
                 row[col] = pce_variance_biased(surrogate)
             elif method == "pc_bias":
-                row[col] = pce_variance_unbiased(surrogate)
+                row[col] = unbiased
             elif method == "pc_bias_trim":
-                row[col] = pce_variance_unbiased(_trimmed(surrogate, deconv))
+                target = unbiased if deconv is None else deconv
+                row[col] = pce_variance_unbiased(trim_expansion(surrogate, target))
             elif deconv is not None:
                 row[col] = deconv
     return estimates
@@ -461,15 +470,19 @@ def _gsa_estimates(
     # their bits. A draw can trim everything but the mean, or its retained
     # terms can contribute exactly 0 in total (all-zero single-history
     # tallies); its indices are 0/0 and stay NaN instead of aborting the study.
+    deconvs = _deconvolution(data, "pc_bias_trim" in config.methods)
     fits = build_surrogate(data, basis, full_covariance=False, buffer=buffer).unstack()
     estimates = np.full((len(fits), len(config.methods), 2, basis.dimension), np.nan)
-    for row, surrogate, deconv in zip(estimates, fits, _deconvolution(data, config.methods)):
+    for row, surrogate, deconv in zip(estimates, fits, deconvs):
         for col, method in enumerate(config.methods):
+            fit = surrogate
+            if method == "pc_bias_trim":
+                target = pce_variance_unbiased(surrogate) if deconv is None else deconv
+                fit = trim_expansion(surrogate, target)
             try:
-                s = sobol_indices(surrogate if method == "pc_bias" else _trimmed(surrogate, deconv))
+                row[col] = sobol_indices(fit)
             except UndefinedIndicesError:
                 continue
-            row[col] = s.first_order, s.total
     return estimates
 
 
@@ -481,44 +494,29 @@ def _response_estimates(
     # is evaluated on the response grid here; write_report derives the
     # curves of both fits from these.
     estimates = np.empty((len(data.qtilde), 2), dtype=object)
-    for row, single, deconv in zip(
-        estimates, data.unstack(), _deconvolution(data, ["pc_bias_trim"])
-    ):
+    for row, single, deconv in zip(estimates, data.unstack(), _deconvolution(data, True)):
         surrogate = build_surrogate(single, basis, buffer=buffer)
-        row[0], row[1] = surrogate, _trimmed(surrogate, deconv).trimmed_mask
+        target = pce_variance_unbiased(surrogate) if deconv is None else deconv
+        row[0], row[1] = surrogate, trim_expansion(surrogate, target).trimmed_mask
     return estimates
-
-
-# Bound on a block's largest arrays: its head-term buffer and the Legendre
-# tables of its R x n_xi points. 512 KiB is about the buffer of one fit of
-# 2000 samples with the 28 head terms of d = 3, n0 = 6 (448 kB), so a block
-# never needs more memory than one such fit, and such a cell fits one
-# repetition at a time.
-BLOCK_BYTES = 2**19
-
-
-def _block_size(basis: MultiIndexBasis, n_xi: int) -> int:
-    # Repetitions per block: the most whose arrays stay within BLOCK_BYTES.
-    head, _, _ = basis.split
-    width = max(0 if head is None else len(head), (basis.total_degree + 1) * basis.dimension)
-    return max(1, BLOCK_BYTES // (8 * n_xi * width))
 
 
 def _cell_chunk(
     config: StudyConfig, estimate, basis: MultiIndexBasis, i_xi: int, i_eta: int, reps: range
 ) -> np.ndarray:
     # One work unit: repetitions `reps` of grid cell (i_xi, i_eta), fitted
-    # in blocks of up to _block_size repetitions. Each repetition is drawn
-    # from its own stream into the block's arrays; the blocks share n_xi
-    # and the basis, so every fit reuses the unit's arrays and buffer, and
-    # after the first block a fit touches no freshly allocated pages.
+    # in blocks of as many repetitions as its fit buffer holds (see
+    # fit_buffers). Each repetition is drawn from its own stream into the
+    # block's arrays; the blocks share n_xi and the basis, so every fit
+    # reuses the unit's arrays and buffer, and after the first block a fit
+    # touches no freshly allocated pages.
     # Returns the unit's estimates in one array, allocated when the first
     # block's come back, with a row per repetition of `reps`.
     cell = i_xi * len(config.n_eta_grid) + i_eta
     n_xi = config.n_xi_grid[i_xi]
     n_eta = config.n_eta_grid[i_eta]
-    size = min(len(reps), _block_size(basis, n_xi))
-    buffer = fit_buffers(basis, size * n_xi)
+    buffer = fit_buffers(basis, n_xi, len(reps))
+    size = buffer.shape[1] // n_xi
     samples = np.empty((size, n_xi, config.problem.d))
     qtilde = np.empty((size, n_xi))
     sigma2 = np.empty((size, n_xi)) if n_eta >= 2 else None
@@ -950,20 +948,3 @@ def write_report(report: StudyReport, out_dir) -> list[Path]:
         written.append(path)
 
     return written
-
-
-def apply_overrides(
-    config: StudyConfig,
-    seed: int | None = None,
-    repetitions: int | None = None,
-) -> StudyConfig:
-    """CLI-level overrides of the config file values."""
-    if seed is not None:
-        if seed < 0:
-            raise ConfigError(f"seed must be a nonnegative integer, got {seed}")
-        config = replace(config, master_seed=seed)
-    if repetitions is not None:
-        if repetitions < 1:
-            raise ConfigError(f"repetitions must be >= 1, got {repetitions}")
-        config = _check_memory(replace(config, repetitions=repetitions))
-    return config

@@ -20,7 +20,6 @@ from .polybasis import MultiIndexBasis, eval_basis_matrix, legendre_table, total
 
 __all__ = [
     "PceSurrogate",
-    "SobolIndices",
     "TrainingData",
     "UndefinedIndicesError",
     "build_surrogate",
@@ -46,7 +45,8 @@ class TrainingData:
     only when n_eta >= 2 (None otherwise). A block stacks R runs of the same
     n_xi and n_eta along a leading axis: ``samples`` of shape (R, n_xi, d)
     and ``qtilde``, ``sigma2eta`` of shape (R, n_xi). Every check covers the
-    whole block.
+    whole block. A run needs n_xi >= 2 samples, the fewest from which the
+    variances of its estimators can be estimated.
     """
 
     samples: np.ndarray
@@ -63,8 +63,8 @@ class TrainingData:
             raise ValueError(
                 f"qtilde shape {qtilde.shape} does not match samples of shape {samples.shape}"
             )
-        if qtilde.size < 1:
-            raise ValueError("need at least one sample")
+        if samples.shape[-2] < 2 or qtilde.size < 1:
+            raise ValueError(f"need at least 2 samples per run, got {samples.shape[-2]}")
         if self.n_eta < 1:
             raise ValueError(f"n_eta must be >= 1, got {self.n_eta}")
         if self.n_eta == 1:
@@ -206,15 +206,29 @@ def _term_sums(w: np.ndarray, t: np.ndarray, basis: MultiIndexBasis) -> np.ndarr
     return np.concatenate([s.reshape(len(s), -1) for s in sums], axis=1)[:, order]
 
 
-def fit_buffers(basis: MultiIndexBasis, n_points: int) -> np.ndarray:
-    """An empty (head terms, n_points) array for build_surrogate to work in.
+# Bound on a block's largest arrays: its head-term buffer and the Legendre
+# tables of its R x n_xi points. 512 KiB is about the buffer of one fit of
+# 2000 samples with the 28 head terms of d = 3, n0 = 6 (448 kB), so a block
+# never needs more memory than one such fit, and such a cell fits one
+# repetition at a time.
+BLOCK_BYTES = 2**19
 
-    A fit of R repetitions of n_xi samples needs n_points >= R n_xi. Fits
-    with the same basis may share one buffer, one fit at a time; each fit
-    overwrites the part it uses. A d = 1 basis has one empty head.
+
+def fit_buffers(basis: MultiIndexBasis, n_xi: int, repetitions: int) -> np.ndarray:
+    """An empty (head terms, R n_xi) array for build_surrogate to work in.
+
+    R is the largest block of at most ``repetitions`` fits of n_xi samples
+    whose head terms and last-variable Legendre tables, (n0 + 1) d values
+    per point, stay within BLOCK_BYTES, and at least 1; a caller reads R
+    off the buffer's shape. Fits with the same basis may share one buffer,
+    one fit at a time; each fit overwrites the part it uses. A d = 1 basis
+    has one empty head.
     """
     head, _, _ = basis.split
-    return np.empty((1 if head is None else len(head), n_points))
+    h = 1 if head is None else len(head)
+    width = max(h, (basis.total_degree + 1) * basis.dimension)
+    size = min(repetitions, max(1, BLOCK_BYTES // (8 * n_xi * width)))
+    return np.empty((h, size * n_xi))
 
 
 def build_surrogate(
@@ -225,15 +239,15 @@ def build_surrogate(
 ) -> PceSurrogate:
     """Fit coefficients and their estimator uncertainty in one pass.
 
-    Coefficients are the sample means of Psi_k(xi_i) qtilde_i / b_k; with
-    n_xi >= 2, ``coefficient_variance`` holds their estimator variances.
-    Both come from the sums of q Psi_k and (q Psi_k)^2 over the samples,
-    contracted from the (d - 1)-variable head terms and the last variable's
-    Legendre table, so this fit never forms the n_xi x P basis matrix.
-    ``full_covariance`` (which needs n_xi >= 2) assembles it from the same
-    two factors to build the P x P covariance of the estimators instead,
-    whose diagonal is then exactly ``coefficient_variance``, and for
-    n_eta >= 2 the noise-corrected covariance: the covariance the same
+    Coefficients are the sample means of Psi_k(xi_i) qtilde_i / b_k, and
+    ``coefficient_variance`` holds their estimator variances. Both come
+    from the sums of q Psi_k and (q Psi_k)^2 over the samples, contracted
+    from the (d - 1)-variable head terms and the last variable's Legendre
+    table, so this fit never forms the n_xi x P basis matrix.
+    ``full_covariance`` assembles it from the same two factors to build the
+    P x P covariance of the estimators instead, whose diagonal is then
+    exactly ``coefficient_variance``, and for n_eta >= 2 the
+    noise-corrected covariance: the covariance the same
     estimators would have if every QoI evaluation were noise-free. Its
     entries may dip below their noise-free targets at finite sample counts;
     only the expectation is corrected.
@@ -256,15 +270,13 @@ def build_surrogate(
     block = data.qtilde.ndim == 2
     if full_covariance and block:
         raise ValueError("full covariance needs a single training set, not a block")
-    if full_covariance and n < 2:
-        raise ValueError(f"need at least 2 samples to estimate covariance, got {n}")
     samples = data.samples.reshape(-1, n, data.d)
     qtilde = data.qtilde.reshape(-1, n)
     reps, points = len(qtilde), qtilde.size
     head, row, last = basis.split
     h = 1 if head is None else len(head)
     if buffer is None:
-        buffer = fit_buffers(basis, points)
+        buffer = np.empty((h, points))
     if buffer.size < h * points:
         raise ValueError(f"buffer holds fewer than the {h} x {points} head values of this fit")
     # Leading part of the buffer: one degree-major row per head term.
@@ -292,7 +304,7 @@ def build_surrogate(
         cov = 0.5 * (cov + cov.T)
         if data.sigma2eta is not None:
             noise_cov = cov - _noise_correction(data, basis, psi)
-    elif n >= 2:
+    else:
         # w is not read again, so it is squared in place.
         s2 = _term_sums(np.multiply(w, w, out=w), t * t, basis)
         var = (s2 / basis.norms**2 - n * coefficients**2) / ((n - 1) * n)
@@ -358,8 +370,6 @@ def variance_deconvolution(data: TrainingData) -> float | np.ndarray:
     """
     if data.sigma2eta is None:
         raise ValueError("variance deconvolution requires n_eta >= 2")
-    if data.n_xi < 2:
-        raise ValueError(f"need at least 2 samples, got {data.n_xi}")
     total = np.var(data.qtilde, axis=-1, ddof=1)
     noise = np.mean(data.sigma2eta, axis=-1) / data.n_eta
     estimate = total - noise
@@ -453,16 +463,9 @@ class UndefinedIndicesError(ValueError):
     """Sobol indices of a surrogate whose retained terms contribute nothing."""
 
 
-@dataclass(frozen=True, eq=False)
-class SobolIndices:
-    """First-order and total sensitivity indices, one entry per variable."""
-
-    first_order: np.ndarray
-    total: np.ndarray
-
-
-def sobol_indices(surrogate: PceSurrogate) -> SobolIndices:
-    """Bias-corrected sensitivity indices from retained expansion terms.
+def sobol_indices(surrogate: PceSurrogate) -> np.ndarray:
+    """Bias-corrected sensitivity indices from retained expansion terms, as
+    one (2, d) array: first-order indices in row 0, total indices in row 1.
 
     Each retained non-mean term contributes ((beta_k)^2 - Var[beta_k]) b_k
     to the group of variables it carries nonzero degree in. A group's share
@@ -494,7 +497,7 @@ def sobol_indices(surrogate: PceSurrogate) -> SobolIndices:
     members = flags[order]
     shares = np.where(members, (contrib / denom)[:, None], 0.0)
     first = np.add.reduce(shares[members.sum(axis=1) == 1], axis=0)
-    return SobolIndices(first_order=first, total=np.add.reduce(shares, axis=0))
+    return np.stack((first, np.add.reduce(shares, axis=0)))
 
 
 SURROGATE_FORMAT = "uqpc-surrogate-v1"

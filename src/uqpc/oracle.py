@@ -95,8 +95,9 @@ def quadrature_coefficients(
     return np.prod(sums, axis=-1) / basis.norms
 
 
-def exact_sobol(problem: SlabProblem) -> tuple[np.ndarray, np.ndarray]:
-    """Exact first-order and total Sobol indices of the transmittance.
+def exact_sobol(problem: SlabProblem) -> np.ndarray:
+    """Exact Sobol indices of the transmittance as one (2, d) array:
+    first-order indices in row 0, total indices in row 1.
 
     For a product of independent factors with relative variances r_i and
     L = sum_j log1p(r_j): S_i = r_i / expm1(L) and
@@ -108,7 +109,7 @@ def exact_sobol(problem: SlabProblem) -> tuple[np.ndarray, np.ndarray]:
     log1p_r = np.log1p(r)
     total_log = np.sum(log1p_r)
     scale = np.expm1(total_log)
-    return r / scale, r * np.exp(total_log - log1p_r) / scale
+    return np.stack((r / scale, r * np.exp(total_log - log1p_r) / scale))
 
 
 def _section_factor_moments(

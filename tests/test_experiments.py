@@ -15,7 +15,6 @@ from uqpc.experiments import (
     GSA_METHODS,
     METHODS,
     ConfigError,
-    apply_overrides,
     derive_rng,
     emit_density,
     load_config,
@@ -296,16 +295,15 @@ def test_apply_overrides(tmp_path):
     study: {n_xi_grid: [5], n_eta_grid: [1]}
     seed: 9
     """)
-    config = load_config(path)
-    same = apply_overrides(config)
+    same = load_config(path)
     assert (same.master_seed, same.repetitions) == (9, 200)
-    changed = apply_overrides(config, seed=1, repetitions=3)
+    changed = load_config(path, seed=1, repetitions=3)
     assert (changed.master_seed, changed.repetitions) == (1, 3)
     with pytest.raises(ConfigError):
-        apply_overrides(config, repetitions=0)
+        load_config(path, repetitions=0)
     # 4 methods x 10^8 repetitions: a 40 GB result table
     with pytest.raises(ConfigError):
-        apply_overrides(config, repetitions=10**8)
+        load_config(path, repetitions=10**8)
 
 
 def test_largest_accepted_repetitions():
@@ -314,10 +312,10 @@ def test_largest_accepted_repetitions():
     # method-cell. 22,369 repetitions fit the 256 MiB limit, 22,370 do not.
     from pathlib import Path
 
-    config = load_config(Path(__file__).resolve().parent.parent / "configs" / "d3_variance.yaml")
-    assert apply_overrides(config, repetitions=22369).repetitions == 22369
+    path = Path(__file__).resolve().parent.parent / "configs" / "d3_variance.yaml"
+    assert load_config(path, repetitions=22369).repetitions == 22369
     with pytest.raises(ConfigError, match="result table of 30 cells x 22370 repetitions"):
-        apply_overrides(config, repetitions=22370)
+        load_config(path, repetitions=22370)
 
 
 # ------------------------------------------------------------ rng and density
@@ -715,9 +713,10 @@ def test_grid_stores_each_share_of_a_cell_once(tmp_path, monkeypatch, workers):
     # with blocks of one repetition, the grid still stores every (cell,
     # share) once, in grid order, with a row per repetition of the share.
     import uqpc.experiments as experiments
+    import uqpc.nisp as nisp
     from uqpc.experiments import _share
 
-    monkeypatch.setattr(experiments, "BLOCK_BYTES", 1)
+    monkeypatch.setattr(nisp, "BLOCK_BYTES", 1)
     config = load_config(write_config(tmp_path, materials_yaml(3), """\
     pce: {n0: 2}
     study: {kind: variance, n_xi_grid: [20, 30], n_eta_grid: [1, 2], repetitions: 5}
@@ -745,7 +744,7 @@ def test_reports_identical_at_any_worker_count(tmp_path, study, repetitions):
     # run leaves no child behind.
     problem = D1_PROBLEM if "response" in study else materials_yaml(3)
     path = write_config(tmp_path, problem + f"pce: {{n0: 3}}\nstudy: {study}\nseed: 3\n")
-    config = apply_overrides(load_config(path), repetitions=repetitions)
+    config = load_config(path, repetitions=repetitions)
     files = {}
     for workers in (1, 2, 3):
         written = write_report(run_study(config, workers=workers), tmp_path / f"w{workers}")
@@ -980,6 +979,7 @@ def test_unit_fits_equal_fresh_fits(tmp_path, monkeypatch, d, n0, n_xi, n_eta):
     # repetition must equal an independent fresh fit of its draw, and a
     # block returned early must not change while later blocks reuse it.
     import uqpc.experiments as experiments
+    import uqpc.nisp as nisp
     from uqpc.nisp import TrainingData, build_surrogate
 
     config = load_config(write_config(
@@ -989,9 +989,9 @@ def test_unit_fits_equal_fresh_fits(tmp_path, monkeypatch, d, n0, n_xi, n_eta):
     ))
     basis = total_degree_multi_indices(d, n0)
     # Blocks of 2, 2 and 1 repetitions.
-    monkeypatch.setattr(experiments, "BLOCK_BYTES", 2 * n_xi * 8 * max(
+    monkeypatch.setattr(nisp, "BLOCK_BYTES", 2 * n_xi * 8 * max(
         len(basis.split[0] or ()), (n0 + 1) * d))
-    assert experiments._block_size(basis, n_xi) == 2
+    assert nisp.fit_buffers(basis, n_xi, 5).shape[1] == 2 * n_xi
     returned = []
 
     def estimate(config, data, basis, buffer):
@@ -1044,11 +1044,9 @@ def fresh_estimates(config, n_xi: int, n_eta: int, reps) -> np.ndarray:
             entry = {}
             for method, surrogate in (("pc_bias", fit), ("pc_bias_trim", trimmed)):
                 if surrogate.trimmed_mask[1:].any():
-                    s = sobol_indices(surrogate)
-                    entry[method] = (s.first_order, s.total)
+                    entry[method] = sobol_indices(surrogate)
                 else:
-                    nan = np.full(config.problem.d, np.nan)
-                    entry[method] = (nan, nan)
+                    entry[method] = np.full((2, config.problem.d), np.nan)
         out.append([entry[method] for method in config.methods])
     return np.array(out)
 
@@ -1072,6 +1070,7 @@ def test_stacked_estimates_equal_per_repetition_fits(
     # one block, give every estimate bit for bit as a fresh fit of each
     # repetition alone; records.csv and gsa.csv do not change either.
     import uqpc.experiments as experiments
+    import uqpc.nisp as nisp
 
     reps = 9
     config = load_config(write_config(
@@ -1085,8 +1084,8 @@ def test_stacked_estimates_equal_per_repetition_fits(
     want = fresh_estimates(config, n_xi, n_eta, range(reps))
     files = {}
     for bound, block in ((1, 1), (2**40, reps)):
-        monkeypatch.setattr(experiments, "BLOCK_BYTES", bound)
-        assert min(reps, experiments._block_size(basis, n_xi)) == block
+        monkeypatch.setattr(nisp, "BLOCK_BYTES", bound)
+        assert nisp.fit_buffers(basis, n_xi, reps).shape[1] == block * n_xi
         got = experiments._cell_chunk(config, estimate, basis, 0, 0, range(reps))
         assert got.shape == want.shape
         assert np.array_equal(got, want, equal_nan=True)
@@ -1104,6 +1103,7 @@ def test_variance_unit_memory_is_bounded(tmp_path):
     import tracemalloc
 
     import uqpc.experiments as experiments
+    import uqpc.nisp as nisp
 
     config = load_config(write_config(tmp_path, """\
     problem:
@@ -1115,7 +1115,7 @@ def test_variance_unit_memory_is_bounded(tmp_path):
     study: {n_xi_grid: [2000], n_eta_grid: [100], repetitions: 2}
     """))
     basis = total_degree_multi_indices(3, 6)
-    assert experiments._block_size(basis, 2000) == 1
+    assert nisp.fit_buffers(basis, 2000, 2).shape == (28, 2000)
     estimate = experiments._variance_estimates
     experiments._cell_chunk(config, estimate, basis, 0, 0, range(1))
     tracemalloc.start()
@@ -1294,8 +1294,9 @@ def test_result_table_within_its_memory_charge(
     import tracemalloc
 
     import uqpc.experiments as experiments
+    import uqpc.nisp as nisp
 
-    monkeypatch.setattr(experiments, "BLOCK_BYTES", 2**12)
+    monkeypatch.setattr(nisp, "BLOCK_BYTES", 2**12)
     monkeypatch.setattr(experiments, "BLOCK_ROWS", 2**6)
     draws, ones = np.random.default_rng(0), np.ones(1)
 
@@ -1505,6 +1506,32 @@ def test_cli_config_errors(tmp_path):
     assert (code, stdout) == (2, "")
     assert stderr.startswith("config error:")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, line", [
+    ("--seed", "-1", "seed: 901157"),
+    ("--repetitions", "0", "repetitions: 200"),
+    # one repetition over the largest that d3_variance's memory charge accepts
+    ("--repetitions", "22370", "repetitions: 200"),
+])
+def test_cli_override_fails_as_the_file_value(tmp_path, flag, value, line):
+    # An override takes the place of the file's value before validation, so
+    # it fails with the same exit code and config error line.
+    from pathlib import Path
+
+    shipped = Path(__file__).resolve().parent.parent / "configs" / "d3_variance.yaml"
+    text = shipped.read_text(encoding="utf-8")
+    assert text.count(line) == 1
+    in_file = tmp_path / "in_file.yaml"
+    in_file.write_text(text.replace(line, f"{line.split(':')[0]}: {value}"), encoding="utf-8")
+    from_file = run_cli("run", "--config", str(in_file), "--out", str(tmp_path / "file"))
+    from_cli = run_cli("run", "--config", str(shipped), "--out", str(tmp_path / "cli"),
+                       flag, value)
+    code, stdout, stderr = from_cli
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith("config error:") and stderr.count("\n") == 1
+    assert from_cli == from_file
+    assert not (tmp_path / "cli").exists()
 
 
 @pytest.mark.parametrize("problem, study", [

@@ -47,18 +47,20 @@ def make_surrogate(basis, beta, cov=None, noise_cov=None, mask=None, n_xi=100, n
 
 
 def test_training_data_validation():
-    with pytest.raises(ValueError):
-        TrainingData(samples=[[0.1], [0.2]], qtilde=[1.0], sigma2eta=None, n_eta=1)
-    with pytest.raises(ValueError):
-        TrainingData(samples=[[0.1]], qtilde=[1.0], sigma2eta=None, n_eta=0)
-    with pytest.raises(ValueError):
-        TrainingData(samples=[[0.1]], qtilde=[1.0], sigma2eta=None, n_eta=2)
-    with pytest.raises(ValueError):
-        TrainingData(samples=[[0.1]], qtilde=[1.0], sigma2eta=[0.1], n_eta=1)
-    with pytest.raises(ValueError):
-        TrainingData(samples=[[0.1]], qtilde=[1.0], sigma2eta=[-0.1], n_eta=2)
-    with pytest.raises(ValueError):
-        TrainingData(samples=[[0.1]], qtilde=[1.0], sigma2eta=[0.1, 0.2], n_eta=2)
+    # Each invalid case has two samples, so it fails on its own check.
+    xs = [[0.1], [0.2]]
+    with pytest.raises(ValueError, match="does not match"):
+        TrainingData(samples=xs, qtilde=[1.0], sigma2eta=None, n_eta=1)
+    with pytest.raises(ValueError, match="n_eta must be"):
+        TrainingData(samples=xs, qtilde=[1.0, 0.5], sigma2eta=None, n_eta=0)
+    with pytest.raises(ValueError, match="sigma2eta required"):
+        TrainingData(samples=xs, qtilde=[1.0, 0.5], sigma2eta=None, n_eta=2)
+    with pytest.raises(ValueError, match="must be None"):
+        TrainingData(samples=xs, qtilde=[1.0, 0.5], sigma2eta=[0.1, 0.1], n_eta=1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        TrainingData(samples=xs, qtilde=[1.0, 0.5], sigma2eta=[0.1, -0.1], n_eta=2)
+    with pytest.raises(ValueError, match="sigma2eta shape"):
+        TrainingData(samples=xs, qtilde=[1.0, 0.5], sigma2eta=[0.1, 0.2, 0.3], n_eta=2)
     data = TrainingData(samples=[[0.1, 0.2], [0.3, 0.4]], qtilde=[1.0, 0.0],
                         sigma2eta=[0.1, 0.2], n_eta=4)
     assert data.n_xi == 2
@@ -152,13 +154,13 @@ def test_covariance_by_hand():
 
 
 def test_covariance_needs_two_samples():
-    basis = total_degree_multi_indices(1, 1)
-    data = TrainingData(samples=[[0.5]], qtilde=[1.0], sigma2eta=None, n_eta=1)
-    with pytest.raises(ValueError):
-        build_surrogate(data, basis)
-    s = build_surrogate(data, basis, full_covariance=False)
-    assert s.coefficients == pytest.approx([1.0, 1.5], abs=1e-15)
-    assert s.coefficient_variance is None
+    # TrainingData holds the sample floor, so every fit has variances: a
+    # run or a block of runs with one sample each is refused up front.
+    with pytest.raises(ValueError, match="at least 2 samples per run, got 1"):
+        TrainingData(samples=[[0.5]], qtilde=[1.0], sigma2eta=None, n_eta=1)
+    with pytest.raises(ValueError, match="at least 2 samples per run, got 1"):
+        TrainingData(samples=np.zeros((3, 1, 2)), qtilde=np.ones((3, 1)),
+                     sigma2eta=np.zeros((3, 1)), n_eta=2)
 
 
 def test_covariance_symmetric_psd(rng):
@@ -315,9 +317,9 @@ def test_block_fit_equals_fits_of_its_runs(d3_problem, rng):
     with pytest.raises(ValueError):
         build_surrogate(block, basis)
     with pytest.raises(ValueError):
-        build_surrogate(block, basis, full_covariance=False, buffer=fit_buffers(basis, 119))
+        build_surrogate(block, basis, full_covariance=False, buffer=fit_buffers(basis, 30, 3))
     # A larger buffer serves smaller fits from its leading part.
-    big = build_surrogate(block, basis, full_covariance=False, buffer=fit_buffers(basis, 500))
+    big = build_surrogate(block, basis, full_covariance=False, buffer=fit_buffers(basis, 50, 10))
     assert np.array_equal(np.stack([f.coefficients for f in fits]), big.coefficients)
 
 
@@ -330,7 +332,7 @@ def test_steady_state_fit_allocates_no_head_arrays(d3_problem, rng):
     xis = sample_parameters(d3_problem, 2000, rng)
     qt, _ = simulate_training_set(d3_problem, xis, 1, rng)
     data = TrainingData(xis, qt, None, 1)
-    buffer = fit_buffers(basis, 2000)
+    buffer = fit_buffers(basis, 2000, 1)
     head_array = 28 * 2000 * 8
     assert buffer.shape == (28, 2000) and buffer.nbytes == head_array
     build_surrogate(data, basis, full_covariance=False, buffer=buffer)
@@ -511,9 +513,6 @@ def test_variance_deconvolution_errors():
                                   sigma2eta=None, n_eta=1)
     with pytest.raises(ValueError):
         variance_deconvolution(single_history)
-    one_sample = TrainingData(samples=[[0.1]], qtilde=[0.2], sigma2eta=[0.1], n_eta=2)
-    with pytest.raises(ValueError):
-        variance_deconvolution(one_sample)
 
 
 # ------------------------------------------------------------------ trimming
@@ -677,13 +676,13 @@ def test_sobol_by_hand_two_dims():
             beta[k] = np.sqrt(shares[idx] / basis.norms[k])
     s = make_surrogate(basis, beta, var=np.zeros(len(basis)))
     res = sobol_indices(s)
-    assert res.first_order == pytest.approx([0.7, 0.22], abs=1e-12)
-    assert res.total == pytest.approx([0.78, 0.3], abs=1e-12)
+    assert res[0] == pytest.approx([0.7, 0.22], abs=1e-12)
+    assert res[1] == pytest.approx([0.78, 0.3], abs=1e-12)
     # the variances may also come from the diagonal of a covariance matrix
     with_cov = make_surrogate(basis, beta, cov=np.zeros((len(basis),) * 2))
     corr = sobol_indices(with_cov)
-    assert np.array_equal(corr.first_order, res.first_order)
-    assert np.array_equal(corr.total, res.total)
+    assert np.array_equal(corr[0], res[0])
+    assert np.array_equal(corr[1], res[1])
 
 
 def _sobol_reference(surrogate):
@@ -718,24 +717,24 @@ def test_sobol_matches_per_term_loop(rng):
             s = make_surrogate(basis, rng.normal(size=p1), mask=mask, var=0.1 * rng.random(p1))
             res = sobol_indices(s)
             first, total = _sobol_reference(s)
-            assert np.array_equal(res.first_order, first)
-            assert np.array_equal(res.total, total)
+            assert np.array_equal(res[0], first)
+            assert np.array_equal(res[1], total)
 
 
 def test_sobol_single_dim_is_unity():
     basis = total_degree_multi_indices(1, 3)
     s = make_surrogate(basis, [0.5, 0.4, 0.2, 0.1], var=np.zeros(4))
     res = sobol_indices(s)
-    assert res.first_order == pytest.approx([1.0], abs=1e-15)
-    assert res.total == pytest.approx([1.0], abs=1e-15)
+    assert res[0] == pytest.approx([1.0], abs=1e-15)
+    assert res[1] == pytest.approx([1.0], abs=1e-15)
 
 
 def test_sobol_additive_closure():
     basis = total_degree_multi_indices(3, 1)
     s = make_surrogate(basis, [0.5, 0.3, 0.2, 0.1], var=np.zeros(4))
     res = sobol_indices(s)
-    assert res.first_order.sum() == pytest.approx(1.0, abs=1e-14)
-    assert res.total == pytest.approx(res.first_order, abs=1e-15)
+    assert res[0].sum() == pytest.approx(1.0, abs=1e-14)
+    assert res[1] == pytest.approx(res[0], abs=1e-15)
 
 
 def test_sobol_respects_trim():
@@ -743,7 +742,7 @@ def test_sobol_respects_trim():
     s = make_surrogate(basis, [0.5, 2.0, 1.0], mask=np.array([True, False, True]),
                        var=np.zeros(3))
     res = sobol_indices(s)
-    assert res.first_order == pytest.approx([0.0, 1.0], abs=1e-15)
+    assert res[0] == pytest.approx([0.0, 1.0], abs=1e-15)
 
 
 def test_sobol_errors():
@@ -886,13 +885,13 @@ def test_report_json_files_match_json_dumps(tmp_path):
     import json
     from pathlib import Path
 
-    from uqpc.experiments import apply_overrides, load_config, run_study, write_report
+    from uqpc.experiments import load_config, run_study, write_report
 
     configs = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"))
     assert len(configs) == 4
     checked = 0
     for path in configs:
-        config = apply_overrides(load_config(path), repetitions=3)
+        config = load_config(path, repetitions=3)
         for file in write_report(run_study(config), tmp_path / path.stem):
             if file.suffix == ".json":
                 text = file.read_text(encoding="utf-8")
