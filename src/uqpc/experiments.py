@@ -270,8 +270,8 @@ def load_config(path, *, seed: int | None = None, repetitions: int | None = None
     """Parse and validate a YAML study config; raises ConfigError on any problem.
 
     A given ``seed`` or ``repetitions`` takes the place of the file's
-    ``seed`` or ``study.repetitions`` before validation, and passes the
-    same checks.
+    ``seed`` or ``study.repetitions`` and passes the same checks; the file's
+    own value is still checked for type and range.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -303,9 +303,12 @@ def load_config(path, *, seed: int | None = None, repetitions: int | None = None
     # to 2**53 exactly.
     if max(n_eta_grid) > 2**53:
         raise ConfigError(f"'study.n_eta_grid' entries must be <= 2**53, got {max(n_eta_grid)}")
-    if repetitions is None:
-        repetitions = study.get("repetitions", 200)
-    repetitions = _as_positive_int(repetitions, "'study.repetitions'")
+    # An override replaces the file's value once that has passed the
+    # same checks.
+    file_repetitions = _as_positive_int(study.get("repetitions", 200), "'study.repetitions'")
+    repetitions = file_repetitions if repetitions is None else _as_positive_int(
+        repetitions, "'study.repetitions'"
+    )
     # Response builds fit, trim and predict; they have no methods to choose.
     allowed = {"variance": METHODS, "gsa": GSA_METHODS, "response": ()}[kind]
     methods_raw = study.get("methods", list(allowed))
@@ -332,10 +335,12 @@ def load_config(path, *, seed: int | None = None, repetitions: int | None = None
         if len(n_xi_grid) != 1 or len(n_eta_grid) != 1:
             raise ConfigError("response studies take exactly one (n_xi, n_eta) grid point")
 
-    if seed is None:
-        seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ConfigError(f"'seed' must be a nonnegative integer, got {seed!r}")
+    file_seed = raw.get("seed", 0)
+    for value in (file_seed, seed):
+        if value is not None and (not isinstance(value, int) or isinstance(value, bool)
+                                  or value < 0):
+            raise ConfigError(f"'seed' must be a nonnegative integer, got {value!r}")
+    seed = file_seed if seed is None else seed
 
     config = _check_memory(StudyConfig(
         problem=problem,
@@ -438,6 +443,17 @@ def _deconvolution(data: TrainingData, read: bool) -> list[float] | list[None]:
     return variance_deconvolution(data).tolist()
 
 
+def _trim_target(
+    surrogate: PceSurrogate, deconv: float | None, unbiased: float | None = None
+) -> float:
+    # The noise-corrected variance a trim keeps to: the deconvolution
+    # estimate when there is one, the unbiased expansion total otherwise
+    # (n_eta = 1), taken from `unbiased` where the caller has it already.
+    if deconv is not None:
+        return deconv
+    return pce_variance_unbiased(surrogate) if unbiased is None else unbiased
+
+
 def _variance_estimates(
     config: StudyConfig, data: TrainingData, basis: MultiIndexBasis, buffer
 ) -> np.ndarray:
@@ -445,18 +461,17 @@ def _variance_estimates(
     # it is computed once per repetition and read by both methods.
     methods = config.methods
     deconvs = _deconvolution(data, "var_deconv" in methods or "pc_bias_trim" in methods)
-    unbiased_read = "pc_bias" in methods or ("pc_bias_trim" in methods and data.sigma2eta is None)
     fits = build_surrogate(data, basis, full_covariance=False, buffer=buffer).unstack()
     estimates = np.full((len(fits), len(methods)), np.nan)
     for row, surrogate, deconv in zip(estimates, fits, deconvs):
-        unbiased = pce_variance_unbiased(surrogate) if unbiased_read else None
+        unbiased = pce_variance_unbiased(surrogate) if "pc_bias" in methods else None
         for col, method in enumerate(methods):
             if method == "pc_mc21":
                 row[col] = pce_variance_biased(surrogate)
             elif method == "pc_bias":
                 row[col] = unbiased
             elif method == "pc_bias_trim":
-                target = unbiased if deconv is None else deconv
+                target = _trim_target(surrogate, deconv, unbiased)
                 row[col] = pce_variance_unbiased(trim_expansion(surrogate, target))
             elif deconv is not None:
                 row[col] = deconv
@@ -477,8 +492,7 @@ def _gsa_estimates(
         for col, method in enumerate(config.methods):
             fit = surrogate
             if method == "pc_bias_trim":
-                target = pce_variance_unbiased(surrogate) if deconv is None else deconv
-                fit = trim_expansion(surrogate, target)
+                fit = trim_expansion(surrogate, _trim_target(surrogate, deconv))
             try:
                 row[col] = sobol_indices(fit)
             except UndefinedIndicesError:
@@ -496,8 +510,8 @@ def _response_estimates(
     estimates = np.empty((len(data.qtilde), 2), dtype=object)
     for row, single, deconv in zip(estimates, data.unstack(), _deconvolution(data, True)):
         surrogate = build_surrogate(single, basis, buffer=buffer)
-        target = pce_variance_unbiased(surrogate) if deconv is None else deconv
-        row[0], row[1] = surrogate, trim_expansion(surrogate, target).trimmed_mask
+        trimmed = trim_expansion(surrogate, _trim_target(surrogate, deconv))
+        row[0], row[1] = surrogate, trimmed.trimmed_mask
     return estimates
 
 

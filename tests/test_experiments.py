@@ -306,6 +306,23 @@ def test_apply_overrides(tmp_path):
         load_config(path, repetitions=10**8)
 
 
+@pytest.mark.parametrize("study, seed", [
+    ("", "-1"), ("", "abc"), (", repetitions: -5", "0"), (", repetitions: abc", "0"),
+])
+def test_overridden_file_value_is_still_checked(tmp_path, study, seed):
+    # An override replaces the file's seed or repetitions only once that
+    # value has passed its own type and range check.
+    path = write_config(tmp_path, D1_PROBLEM, f"""\
+    pce: {{n0: 2}}
+    study: {{n_xi_grid: [5], n_eta_grid: [1]{study}}}
+    seed: {seed}
+    """)
+    with pytest.raises(ConfigError):
+        load_config(path)
+    with pytest.raises(ConfigError):
+        load_config(path, seed=1, repetitions=3)
+
+
 def test_largest_accepted_repetitions():
     # d3_variance charges each of its 30 cells 400 B per repetition: four
     # 80 B table rows, plus 64 B and two estimate floats to aggregate one

@@ -316,8 +316,11 @@ def test_block_fit_equals_fits_of_its_runs(d3_problem, rng):
         assert fit.n_xi == 30 and fit.n_eta == 3
     with pytest.raises(ValueError):
         build_surrogate(block, basis)
-    with pytest.raises(ValueError):
-        build_surrogate(block, basis, full_covariance=False, buffer=fit_buffers(basis, 30, 3))
+    # One point short of the block's 4 x 30, and a whole run short.
+    head = fit_buffers(basis, 30, 4).shape[0]
+    for short in (np.empty((head, 4 * 30 - 1)), fit_buffers(basis, 30, 3)):
+        with pytest.raises(ValueError, match="buffer holds fewer"):
+            build_surrogate(block, basis, full_covariance=False, buffer=short)
     # A larger buffer serves smaller fits from its leading part.
     big = build_surrogate(block, basis, full_covariance=False, buffer=fit_buffers(basis, 50, 10))
     assert np.array_equal(np.stack([f.coefficients for f in fits]), big.coefficients)
