@@ -20,7 +20,6 @@ from .experiments import (
 from .nisp import (
     PceSurrogate,
     TrainingData,
-    UndefinedIndicesError,
     build_surrogate,
     fit_buffers,
     load_surrogate,

@@ -40,7 +40,6 @@ from .costmodel import CostModel
 from .nisp import (
     PceSurrogate,
     TrainingData,
-    UndefinedIndicesError,
     build_surrogate,
     fit_buffers,
     pce_variance_biased,
@@ -484,7 +483,7 @@ def _gsa_estimates(
     # Sobol indices stay per repetition: the order of their sums is part of
     # their bits. A draw can trim everything but the mean, or its retained
     # terms can contribute exactly 0 in total (all-zero single-history
-    # tallies); its indices are 0/0 and stay NaN instead of aborting the study.
+    # tallies); its indices are 0/0, which sobol_indices gives as NaN.
     deconvs = _deconvolution(data, "pc_bias_trim" in config.methods)
     fits = build_surrogate(data, basis, full_covariance=False, buffer=buffer).unstack()
     estimates = np.full((len(fits), len(config.methods), 2, basis.dimension), np.nan)
@@ -493,10 +492,7 @@ def _gsa_estimates(
             fit = surrogate
             if method == "pc_bias_trim":
                 fit = trim_expansion(surrogate, _trim_target(surrogate, deconv))
-            try:
-                row[col] = sobol_indices(fit)
-            except UndefinedIndicesError:
-                continue
+            row[col] = sobol_indices(fit)
     return estimates
 
 

@@ -21,7 +21,6 @@ from .polybasis import MultiIndexBasis, eval_basis_matrix, legendre_table, total
 __all__ = [
     "PceSurrogate",
     "TrainingData",
-    "UndefinedIndicesError",
     "build_surrogate",
     "fit_buffers",
     "load_surrogate",
@@ -102,11 +101,11 @@ class PceSurrogate:
 
     ``coefficient_variance[k]`` is the sampling variance Var[beta_k] of the
     coefficient estimators, the only uncertainty the variance, trim and
-    Sobol estimators read. ``coefficient_covariance`` is the full sampling
-    covariance and ``noise_corrected_covariance`` additionally removes the
-    share caused by per-history noise (present only when n_eta >= 2); both
-    are optional. When the variances are not given they default to the
-    diagonal of ``coefficient_covariance``.
+    Sobol estimators read; every surrogate carries it, and exact
+    coefficients carry zeros. ``coefficient_covariance`` is the full
+    sampling covariance, whose diagonal a fit stores as the variances, and
+    ``noise_corrected_covariance`` additionally removes the share caused by
+    per-history noise (present only when n_eta >= 2); both are optional.
     ``trimmed_mask[k]`` is True for retained terms; the mean term is never
     trimmed. A block of fits, one per repetition of a TrainingData block,
     stacks ``coefficients``, ``coefficient_variance`` and ``trimmed_mask``
@@ -121,18 +120,22 @@ class PceSurrogate:
     trimmed_mask: np.ndarray
     n_xi: int
     n_eta: int
-    coefficient_variance: np.ndarray | None = None
+    coefficient_variance: np.ndarray
 
     def __post_init__(self) -> None:
         coefficients = np.asarray(self.coefficients, dtype=float)
         mask = np.asarray(self.trimmed_mask, dtype=bool)
+        var = np.asarray(self.coefficient_variance, dtype=float)
         object.__setattr__(self, "coefficients", coefficients)
         object.__setattr__(self, "trimmed_mask", mask)
+        object.__setattr__(self, "coefficient_variance", var)
         p1 = len(self.basis)
         if coefficients.shape[-1:] != (p1,) or coefficients.ndim > 2:
             raise ValueError(f"expected {p1} coefficients, got shape {coefficients.shape}")
         if mask.shape != coefficients.shape:
             raise ValueError(f"expected {p1} mask entries, got shape {mask.shape}")
+        if var.shape != coefficients.shape:
+            raise ValueError(f"coefficient_variance shape {var.shape} != {coefficients.shape}")
         first = mask[..., 0]
         if not (first.all() if first.ndim else first):
             raise ValueError("the mean term must always be retained")
@@ -146,16 +149,6 @@ class PceSurrogate:
             object.__setattr__(self, name, c)
             if c.shape != (p1, p1):
                 raise ValueError(f"{name} shape {c.shape} != ({p1}, {p1})")
-        var = self.coefficient_variance
-        if var is None and self.coefficient_covariance is not None:
-            var = np.diag(self.coefficient_covariance).copy()
-        if var is not None:
-            var = np.asarray(var, dtype=float)
-            object.__setattr__(self, "coefficient_variance", var)
-            if var.shape != coefficients.shape:
-                raise ValueError(
-                    f"coefficient_variance shape {var.shape} != {coefficients.shape}"
-                )
 
     @property
     def n_retained(self) -> int:
@@ -165,12 +158,10 @@ class PceSurrogate:
         """The fits of a block, one PceSurrogate per repetition (views of its rows)."""
         if self.coefficients.ndim != 2:
             raise ValueError("unstack needs a block of fits")
-        var = self.coefficient_variance
         return [
             PceSurrogate(self.basis, beta, None, None, mask, self.n_xi, self.n_eta, v)
             for beta, mask, v in zip(
-                self.coefficients, self.trimmed_mask,
-                [None] * len(self.coefficients) if var is None else var,
+                self.coefficients, self.trimmed_mask, self.coefficient_variance
             )
         ]
 
@@ -221,11 +212,9 @@ def fit_buffers(basis: MultiIndexBasis, n_xi: int, repetitions: int) -> np.ndarr
     whose head terms and last-variable Legendre tables, (n0 + 1) d values
     per point, stay within BLOCK_BYTES, and at least 1; a caller reads R
     off the buffer's shape. Fits with the same basis may share one buffer,
-    one fit at a time; each fit overwrites the part it uses. A d = 1 basis
-    has one empty head.
+    one fit at a time; each fit overwrites the part it uses.
     """
-    head, _, _ = basis.split
-    h = 1 if head is None else len(head)
+    h = len(basis.split[0])
     width = max(h, (basis.total_degree + 1) * basis.dimension)
     size = min(repetitions, max(1, BLOCK_BYTES // (8 * n_xi * width)))
     return np.empty((h, size * n_xi))
@@ -274,22 +263,19 @@ def build_surrogate(
     qtilde = data.qtilde.reshape(-1, n)
     reps, points = len(qtilde), qtilde.size
     head, row, last = basis.split
-    h = 1 if head is None else len(head)
+    h = len(head)
     if buffer is None:
         buffer = np.empty((h, points))
     if buffer.size < h * points:
         raise ValueError(f"buffer holds fewer than the {h} x {points} head values of this fit")
     # Leading part of the buffer: one degree-major row per head term.
     rows = buffer.reshape(-1)[: h * points].reshape(h, points)
-    if head is None:
-        rows.fill(1.0)
-    else:
-        eval_basis_matrix(head, samples[..., :-1].reshape(points, -1), rows)
+    eval_basis_matrix(head, samples[..., :-1].reshape(points, head.dimension), rows)
     # Degree-major Legendre table of the last variable: P_j of repetition
     # r's samples in t[j, r].
     table = legendre_table(basis.total_degree, samples[..., -1].ravel()).T
     t = table.reshape(-1, reps, n)
-    cov = noise_cov = var = psi = None
+    cov = noise_cov = psi = None
     if full_covariance:
         # np.take returns C-ordered factors whatever the layout of its input,
         # so the BLAS products below always see the same layout and bits.
@@ -304,6 +290,8 @@ def build_surrogate(
         cov = 0.5 * (cov + cov.T)
         if data.sigma2eta is not None:
             noise_cov = cov - _noise_correction(data, basis, psi)
+        # The variances are the diagonal of cov itself, a read-only view.
+        var = np.diag(cov)[None]
     else:
         # w is not read again, so it is squared in place.
         s2 = _term_sums(np.multiply(w, w, out=w), t * t, basis)
@@ -313,8 +301,7 @@ def build_surrogate(
         dev = qtilde - coefficients[:, :1]
         var[:, 0] = np.sum(dev * dev, axis=1) / ((n - 1) * n)
     if not block:
-        coefficients = coefficients[0]
-        var = None if var is None else var[0]
+        coefficients, var = coefficients[0], var[0]
     return PceSurrogate(
         basis=basis,
         coefficients=coefficients,
@@ -351,8 +338,6 @@ def pce_variance_unbiased(surrogate: PceSurrogate) -> float:
     unbiased estimate of the expansion variance, at the cost of possibly
     negative draws.
     """
-    if surrogate.coefficient_variance is None:
-        raise ValueError("pce_variance_unbiased requires coefficient_variance")
     mask = _retained_tail(surrogate)
     beta = surrogate.coefficients[mask]
     var_beta = surrogate.coefficient_variance[mask]
@@ -366,14 +351,13 @@ def variance_deconvolution(data: TrainingData) -> float | np.ndarray:
     variance; requires n_eta >= 2 so the per-sample noise variance is
     observable. May be negative on individual draws. A block of training
     sets gives one estimate per set, as an array, each bit for bit the
-    estimate of that set alone.
+    estimate of that set alone; a single set gives an np.float64.
     """
     if data.sigma2eta is None:
         raise ValueError("variance deconvolution requires n_eta >= 2")
     total = np.var(data.qtilde, axis=-1, ddof=1)
     noise = np.mean(data.sigma2eta, axis=-1) / data.n_eta
-    estimate = total - noise
-    return float(estimate) if estimate.ndim == 0 else estimate
+    return total - noise
 
 
 def trim_expansion(surrogate: PceSurrogate, target_variance: float) -> PceSurrogate:
@@ -388,8 +372,6 @@ def trim_expansion(surrogate: PceSurrogate, target_variance: float) -> PceSurrog
     Because the kept sum reaches a positive goal, the trimmed unbiased
     variance is >= 0 for any target >= 0.
     """
-    if surrogate.coefficient_variance is None:
-        raise ValueError("trim_expansion requires coefficient_variance")
     if not np.isfinite(target_variance):
         raise ValueError(f"target variance must be finite, got {target_variance}")
     norms = surrogate.basis.norms
@@ -459,10 +441,6 @@ def prediction_stddev(
     return np.sqrt(np.maximum(var, 0.0))
 
 
-class UndefinedIndicesError(ValueError):
-    """Sobol indices of a surrogate whose retained terms contribute nothing."""
-
-
 def sobol_indices(surrogate: PceSurrogate) -> np.ndarray:
     """Bias-corrected sensitivity indices from retained expansion terms, as
     one (2, d) array: first-order indices in row 0, total indices in row 1.
@@ -471,16 +449,12 @@ def sobol_indices(surrogate: PceSurrogate) -> np.ndarray:
     to the group of variables it carries nonzero degree in. A group's share
     is its sum over the total; first-order indices are the singleton shares,
     and the total index of variable i sums every group containing i. Where
-    no non-mean term is retained or the total is exactly 0, every index is
-    0/0 and UndefinedIndicesError is raised.
+    the total is exactly 0, which includes the empty sum of a surrogate that
+    retains no non-mean term, every index is 0/0 and NaN.
     """
-    if surrogate.coefficient_variance is None:
-        raise ValueError("bias-corrected Sobol indices require coefficient_variance")
     norms = surrogate.basis.norms
     sq = surrogate.coefficients**2 - surrogate.coefficient_variance
     mask = _retained_tail(surrogate)
-    if not np.any(mask):
-        raise UndefinedIndicesError("no retained non-mean terms; Sobol indices undefined")
     # bincount adds the contributions in term order, as a sequential loop
     # would; groups are listed in order of their first retained term, and
     # the reductions over axis 0 add them in that order.
@@ -491,9 +465,7 @@ def sobol_indices(surrogate: PceSurrogate) -> np.ndarray:
     contrib = sums[order]
     denom = sum(contrib.tolist())
     if denom == 0.0:
-        raise UndefinedIndicesError(
-            "total variance contribution is zero; Sobol indices undefined"
-        )
+        return np.full((2, surrogate.basis.dimension), np.nan)
     members = flags[order]
     shares = np.where(members, (contrib / denom)[:, None], 0.0)
     first = np.add.reduce(shares[members.sum(axis=1) == 1], axis=0)
@@ -527,14 +499,19 @@ def save_surrogate(surrogate: PceSurrogate, path) -> None:
     }
     if surrogate.coefficient_covariance is None:
         # A stored matrix carries the variances on its diagonal.
-        var = surrogate.coefficient_variance
-        payload["coefficient_variance"] = None if var is None else var.tolist()
+        payload["coefficient_variance"] = surrogate.coefficient_variance.tolist()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(payload, indent=1) + "\n")
 
 
 def load_surrogate(path) -> PceSurrogate:
-    """Read a surrogate written by save_surrogate; validates the format tag."""
+    """Read a surrogate written by save_surrogate.
+
+    Validates the format tag, the multi-index set, the sample counts (whole
+    numbers with n_xi >= 2 and n_eta >= 1, as a fit needs) and that the
+    file carries the coefficient variances: on the diagonal of a stored
+    covariance matrix, else as their own list.
+    """
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     if payload.get("format") != SURROGATE_FORMAT:
@@ -543,18 +520,27 @@ def load_surrogate(path) -> PceSurrogate:
     stored = np.asarray(payload["multi_indices"], dtype=int)
     if stored.shape != basis.indices.shape or np.any(stored != basis.indices):
         raise ValueError("stored multi-index set does not match its declared dimension/degree")
+    for name, floor in (("n_xi", 2), ("n_eta", 1)):
+        value = payload[name]
+        if not isinstance(value, int) or isinstance(value, bool) or value < floor:
+            raise ValueError(f"stored {name} must be an integer >= {floor}, got {value!r}")
     cov = payload["coefficient_covariance"]
     noise_cov = payload["noise_corrected_covariance"]
     var = payload.get("coefficient_variance")
+    if cov is not None:
+        cov = np.asarray(cov, dtype=float)
+        var = np.diag(cov)
+    elif var is None:
+        raise ValueError("stored surrogate has neither a covariance nor coefficient variances")
     return PceSurrogate(
         basis=basis,
         coefficients=np.asarray(payload["coefficients"], dtype=float),
-        coefficient_covariance=None if cov is None else np.asarray(cov, dtype=float),
+        coefficient_covariance=cov,
         noise_corrected_covariance=(
             None if noise_cov is None else np.asarray(noise_cov, dtype=float)
         ),
         trimmed_mask=np.asarray(payload["trimmed_mask"], dtype=bool),
-        n_xi=int(payload["n_xi"]),
-        n_eta=int(payload["n_eta"]),
-        coefficient_variance=None if var is None else np.asarray(var, dtype=float),
+        n_xi=payload["n_xi"],
+        n_eta=payload["n_eta"],
+        coefficient_variance=var,
     )

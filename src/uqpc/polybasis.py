@@ -83,23 +83,21 @@ class MultiIndexBasis:
         return self.indices.shape[0]
 
     @cached_property
-    def split(self) -> tuple[MultiIndexBasis | None, np.ndarray, np.ndarray]:
+    def split(self) -> tuple[MultiIndexBasis, np.ndarray, np.ndarray]:
         """Terms grouped by their head, the degrees of the first d - 1 variables.
 
         Returns (head, row, last). Term k is head term ``row[k]`` times
         P_{last[k]} of the last variable. ``head`` is the basis of the heads,
-        the same set and order as total_degree_multi_indices(d - 1, n0), or
-        None at d = 1, where every term has the one empty head. Computed once
-        per basis.
+        the same set and order as total_degree_multi_indices(d - 1, n0); at
+        d = 1 it has 0 variables and one term, the empty head of norm 1,
+        which every term shares. Computed once per basis.
         """
         last = self.indices[:, -1]
         first = np.flatnonzero(last == 0)
         heads = self.indices[first, :-1]
         position = {h: r for r, h in enumerate(map(tuple, heads.tolist()))}
         row = np.array([position[h] for h in map(tuple, self.indices[:, :-1].tolist())])
-        head = None
-        if self.dimension > 1:
-            head = MultiIndexBasis(self.dimension - 1, self.total_degree, heads, self.norms[first])
+        head = MultiIndexBasis(self.dimension - 1, self.total_degree, heads, self.norms[first])
         return head, row, last
 
     @cached_property
@@ -115,7 +113,7 @@ class MultiIndexBasis:
         """
         head, row, last = self.split
         n0 = self.total_degree
-        degree = np.zeros(1, dtype=int) if head is None else head.indices.sum(axis=1)
+        degree = head.indices.sum(axis=1)
         lo = np.searchsorted(degree, np.arange(n0 + 2))
         width = n0 + 1 - np.arange(n0 + 1)
         offset = np.concatenate(([0], np.cumsum((lo[1:] - lo[:-1]) * width)))
@@ -173,7 +171,8 @@ def eval_basis_matrix(
     array: ``.T`` holds each term in one contiguous row. The rows are written
     into ``out`` when given, a C-ordered float64 array of shape
     (n_terms, n_points), and allocated otherwise. The values do not depend
-    on ``out``.
+    on ``out``. A 0-variable basis (the head of a d = 1 split) has the one
+    term 1.
     """
     xis = np.asarray(xis, dtype=float)
     if xis.ndim != 2 or xis.shape[1] != basis.dimension:
@@ -191,6 +190,9 @@ def eval_basis_matrix(
             f"out must be a writeable C-ordered float64 array of shape {shape}, got "
             f"{getattr(out, 'dtype', type(out).__name__)} {np.shape(out)}"
         )
+    if basis.dimension == 0:
+        rows.fill(1.0)
+        return rows.T
     n_max = int(basis.indices.max(initial=0))
     # One recurrence over every variable: table[k, j] holds P_k(xis[:, j]).
     table = legendre_table(n_max, xis.T.ravel()).T.reshape(n_max + 1, basis.dimension, n)

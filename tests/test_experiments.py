@@ -1007,7 +1007,7 @@ def test_unit_fits_equal_fresh_fits(tmp_path, monkeypatch, d, n0, n_xi, n_eta):
     basis = total_degree_multi_indices(d, n0)
     # Blocks of 2, 2 and 1 repetitions.
     monkeypatch.setattr(nisp, "BLOCK_BYTES", 2 * n_xi * 8 * max(
-        len(basis.split[0] or ()), (n0 + 1) * d))
+        len(basis.split[0]), (n0 + 1) * d))
     assert nisp.fit_buffers(basis, n_xi, 5).shape[1] == 2 * n_xi
     returned = []
 

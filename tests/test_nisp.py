@@ -4,7 +4,6 @@ import pytest
 from uqpc.nisp import (
     PceSurrogate,
     TrainingData,
-    UndefinedIndicesError,
     build_surrogate,
     fit_buffers,
     load_surrogate,
@@ -29,11 +28,16 @@ from uqpc.transport import (
 
 def make_surrogate(basis, beta, cov=None, noise_cov=None, mask=None, n_xi=100, n_eta=1,
                    var=None):
+    # Variances default to the covariance diagonal, as a fit stores them,
+    # or to zeros, those of exact coefficients.
+    beta = np.asarray(beta, dtype=float)
     if mask is None:
         mask = np.ones(len(basis), dtype=bool)
+    if var is None:
+        var = np.zeros(beta.shape) if cov is None else np.diag(cov)
     return PceSurrogate(
         basis=basis,
-        coefficients=np.asarray(beta, dtype=float),
+        coefficients=beta,
         coefficient_covariance=cov,
         noise_corrected_covariance=noise_cov,
         trimmed_mask=mask,
@@ -76,15 +80,18 @@ def test_surrogate_validation():
     with pytest.raises(ValueError):
         make_surrogate(basis, [1.0, 2.0], mask=np.array([False, True]))
     with pytest.raises(ValueError):
-        make_surrogate(basis, [1.0, 2.0], cov=np.zeros((3, 3)))
+        make_surrogate(basis, [1.0, 2.0], cov=np.zeros((3, 3)), var=np.zeros(2))
     with pytest.raises(ValueError):
         make_surrogate(basis, [1.0, 2.0], var=np.zeros(3))
     s = make_surrogate(basis, [1.0, 2.0], mask=np.array([True, False]))
     assert s.n_retained == 1
-    assert s.coefficient_variance is None
-    # variances default to the covariance diagonal
-    with_cov = make_surrogate(basis, [1.0, 2.0], cov=np.array([[0.1, 0.2], [0.2, 0.3]]))
-    assert with_cov.coefficient_variance.tolist() == [0.1, 0.3]
+    # every surrogate carries its variances, stored as given
+    with pytest.raises(TypeError):
+        PceSurrogate(basis, [1.0, 2.0], None, None, [True, True], 100, 1)
+    with_cov = make_surrogate(basis, [1.0, 2.0], cov=np.array([[0.1, 0.2], [0.2, 0.3]]),
+                              var=[0, 1])
+    assert with_cov.coefficient_variance.dtype == float
+    assert with_cov.coefficient_variance.tolist() == [0.0, 1.0]
 
 
 def test_block_containers():
@@ -120,7 +127,8 @@ def test_block_containers():
     with pytest.raises(ValueError):
         make_surrogate(basis, beta, mask=np.ones(2, dtype=bool))
     with pytest.raises(ValueError):
-        make_surrogate(basis, beta, mask=np.ones((2, 2), dtype=bool), cov=np.eye(2))
+        make_surrogate(basis, beta, mask=np.ones((2, 2), dtype=bool), cov=np.eye(2),
+                       var=np.zeros((2, 2)))
     with pytest.raises(ValueError):
         make_surrogate(basis, beta, mask=np.ones((2, 2), dtype=bool), var=np.ones(2))
     with pytest.raises(ValueError):
@@ -487,10 +495,11 @@ def test_variance_respects_trim():
     assert pce_variance_unbiased(s) == pytest.approx(1.0 / 3.0, abs=1e-15)
 
 
-def test_variance_unbiased_needs_covariance():
+def test_variance_unbiased_of_exact_coefficients():
+    # Exact coefficients carry zero variances: nothing is subtracted.
     basis = total_degree_multi_indices(1, 1)
-    with pytest.raises(ValueError):
-        pce_variance_unbiased(make_surrogate(basis, [0.5, 1.0]))
+    s = make_surrogate(basis, [0.5, 1.0], var=np.zeros(2))
+    assert pce_variance_unbiased(s) == pce_variance_biased(s) == pytest.approx(1.0 / 3.0)
 
 
 def test_biased_at_least_unbiased(rng):
@@ -575,8 +584,6 @@ def test_trimmed_variance_never_negative(rng):
 
 def test_trim_errors():
     basis = total_degree_multi_indices(1, 1)
-    with pytest.raises(ValueError):
-        trim_expansion(make_surrogate(basis, [1.0, 0.5]), 0.1)
     s = make_surrogate(basis, [1.0, 0.5], cov=np.zeros((2, 2)))
     with pytest.raises(ValueError):
         trim_expansion(s, float("nan"))
@@ -681,7 +688,7 @@ def test_sobol_by_hand_two_dims():
     res = sobol_indices(s)
     assert res[0] == pytest.approx([0.7, 0.22], abs=1e-12)
     assert res[1] == pytest.approx([0.78, 0.3], abs=1e-12)
-    # the variances may also come from the diagonal of a covariance matrix
+    # the same variances as the diagonal of a covariance matrix, as a fit stores them
     with_cov = make_surrogate(basis, beta, cov=np.zeros((len(basis),) * 2))
     corr = sobol_indices(with_cov)
     assert np.array_equal(corr[0], res[0])
@@ -748,32 +755,21 @@ def test_sobol_respects_trim():
     assert res[0] == pytest.approx([0.0, 1.0], abs=1e-15)
 
 
-def test_sobol_errors():
+def test_sobol_undefined_indices_are_nan():
+    # 0/0 indices, of a mean-only surrogate or of retained terms whose
+    # contributions total exactly 0, are NaN in both rows.
     basis = total_degree_multi_indices(1, 1)
-    with pytest.raises(ValueError):
-        sobol_indices(make_surrogate(basis, [0.5, 1.0]))
     mean_only = make_surrogate(basis, [0.5, 1.0], mask=np.array([True, False]), var=np.zeros(2))
-    with pytest.raises(ValueError):
-        sobol_indices(mean_only)
     zero_tail = make_surrogate(basis, [0.5, 0.0], var=np.zeros(2))
-    with pytest.raises(ValueError):
-        sobol_indices(zero_tail)
-
-
-def test_sobol_undefined_indices_error():
-    # 0/0 indices raise their own ValueError subclass; a missing variance is
-    # a plain ValueError.
-    basis = total_degree_multi_indices(2, 2)
-    mean_only = make_surrogate(basis, np.ones(6), mask=np.eye(1, 6, dtype=bool)[0],
-                               var=np.zeros(6))
-    cancelling = make_surrogate(basis, [0.5, 1.0, 0.0, 0.0, 0.0, 0.0],
+    wide = total_degree_multi_indices(2, 2)
+    wide_mean_only = make_surrogate(wide, np.ones(6), mask=np.eye(1, 6, dtype=bool)[0],
+                                    var=np.zeros(6))
+    cancelling = make_surrogate(wide, [0.5, 1.0, 0.0, 0.0, 0.0, 0.0],
                                 var=[0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
-    for surrogate in (mean_only, cancelling):
-        with pytest.raises(UndefinedIndicesError):
-            sobol_indices(surrogate)
-    with pytest.raises(ValueError) as info:
-        sobol_indices(make_surrogate(basis, np.ones(6)))
-    assert not isinstance(info.value, UndefinedIndicesError)
+    for surrogate in (mean_only, zero_tail, wide_mean_only, cancelling):
+        res = sobol_indices(surrogate)
+        assert res.shape == (2, surrogate.basis.dimension)
+        assert np.all(np.isnan(res))
 
 
 # ------------------------------------------------------------ serialization
@@ -797,14 +793,15 @@ def test_surrogate_roundtrip(tmp_path, d1_problem, rng):
 
 
 def test_surrogate_roundtrip_without_covariance(tmp_path):
+    # A bare surrogate of exact coefficients keeps its zero variances.
     basis = total_degree_multi_indices(2, 1)
-    s = make_surrogate(basis, [0.5, 0.25, -0.125])
+    s = make_surrogate(basis, [0.5, 0.25, -0.125], var=np.zeros(3))
     path = tmp_path / "bare.json"
     save_surrogate(s, path)
     back = load_surrogate(path)
     assert back.coefficient_covariance is None
     assert back.noise_corrected_covariance is None
-    assert back.coefficient_variance is None
+    assert back.coefficient_variance.tolist() == [0.0, 0.0, 0.0]
     assert np.array_equal(back.coefficients, s.coefficients)
 
 
@@ -840,6 +837,25 @@ def test_load_rejects_tampered_files(tmp_path):
     bad_idx.write_text(json.dumps(payload))
     with pytest.raises(ValueError):
         load_surrogate(bad_idx)
+    payload["multi_indices"] = [[0], [1]]
+    # Sample counts that are not whole numbers, or below a fit's floors.
+    for key, value in (("n_xi", 0), ("n_xi", -5), ("n_xi", 1), ("n_xi", True),
+                       ("n_xi", 7.0), ("n_eta", -3), ("n_eta", 0), ("n_eta", 2.7),
+                       ("n_eta", "2")):
+        bad_count = tmp_path / "bad_count.json"
+        bad_count.write_text(json.dumps({**payload, key: value}))
+        with pytest.raises(ValueError, match=key):
+            load_surrogate(bad_count)
+    # Neither a covariance matrix nor a variance list.
+    no_var = tmp_path / "no_var.json"
+    no_var.write_text(json.dumps({**payload, "coefficient_variance": None}))
+    with pytest.raises(ValueError, match="neither"):
+        load_surrogate(no_var)
+    no_var.write_text(json.dumps({k: v for k, v in payload.items() if k != "coefficient_variance"}))
+    with pytest.raises(ValueError, match="neither"):
+        load_surrogate(no_var)
+    # The untampered file still loads.
+    assert load_surrogate(path).n_xi == s.n_xi
 
 
 # ---------------------------------------------------------------------- json

@@ -110,16 +110,32 @@ def test_basis_split_into_heads(d):
         head, row, last = basis.split
         assert basis.split is basis.split  # computed once per basis
         assert np.array_equal(last, basis.indices[:, -1])
-        if d == 1:
-            assert head is None
-            assert np.all(row == 0)
-            continue
-        ref = total_degree_multi_indices(d - 1, n0)
         assert (head.dimension, head.total_degree) == (d - 1, n0)
-        assert np.array_equal(head.indices, ref.indices)
-        assert np.array_equal(head.norms, ref.norms)
+        if d == 1:
+            # The one empty head, of norm 1, which every term shares.
+            assert head.indices.shape == (1, 0)
+            assert head.norms.tolist() == [1.0]
+            assert np.all(row == 0)
+        else:
+            ref = total_degree_multi_indices(d - 1, n0)
+            assert np.array_equal(head.indices, ref.indices)
+            assert np.array_equal(head.norms, ref.norms)
         assert np.array_equal(head.indices[row], basis.indices[:, :-1])
         assert np.array_equal(row[last == 0], np.arange(len(head)))
+
+
+def test_empty_head_evaluates_to_ones():
+    # The head of a d = 1 basis has no variables; its one term is 1 at
+    # every point, allocated or written into `out`.
+    head = total_degree_multi_indices(1, 4).split[0]
+    psi = eval_basis_matrix(head, np.empty((7, 0)))
+    assert psi.shape == (7, 1)
+    assert np.all(psi == 1.0)
+    out = np.full((1, 7), np.nan)
+    assert np.all(eval_basis_matrix(head, np.empty((7, 0)), out) == 1.0)
+    assert np.all(out == 1.0)
+    with pytest.raises(ValueError):
+        eval_basis_matrix(head, np.empty((7, 1)))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 10])
