@@ -76,7 +76,8 @@ GSA_METHODS = ("pc_bias", "pc_bias_trim")
 STUDY_KINDS = ("variance", "gsa", "response")
 STUDY_KEYS = ("kind", "n_xi_grid", "n_eta_grid", "repetitions", "methods", "noise_free",
               "bins", "response_points")
-MATERIAL_KEYS = ("sigma0", "sigmaDelta", "sigma_delta", "lo", "hi", "dx")
+# In the order of SlabProblem's fields.
+MATERIAL_KEYS = ("sigma0", "sigmaDelta", "dx")
 # Bound on the largest float64 array a study may need: the n_xi x P basis
 # matrix, a response build's P x P covariance, the response_points x P grid
 # basis a response study evaluates once, the P x d multi-index table and the
@@ -196,48 +197,37 @@ def _parse_problem(section) -> SlabProblem:
     materials = _require(section, "materials", "'problem'")
     if not isinstance(materials, list) or not materials:
         raise ConfigError("'problem.materials' must be a non-empty list")
-    sigma0, sigma_delta, dx = [], [], []
+    columns = {key: [] for key in MATERIAL_KEYS}
     for pos, mat in enumerate(materials):
         context = f"'problem.materials[{pos}]'"
         _mapping(mat, MATERIAL_KEYS, context)
-        dx.append(_as_float(_require(mat, "dx", context), f"{context} dx"))
-        # One form per material: a second one would silently lose its values.
-        center = [key for key in ("sigma0", "sigmaDelta", "sigma_delta") if key in mat]
-        if "lo" in mat or "hi" in mat:
-            if center:
-                raise ConfigError(f"{context} mixes 'lo'/'hi' with {center[0]!r}; give one form")
-            lo = _as_float(_require(mat, "lo", context), f"{context} lo")
-            hi = _as_float(_require(mat, "hi", context), f"{context} hi")
-            sigma0.append(0.5 * (lo + hi))
-            sigma_delta.append(0.5 * (hi - lo))
-        else:
-            sigma0.append(_as_float(_require(mat, "sigma0", context), f"{context} sigma0"))
-            if "sigmaDelta" in mat and "sigma_delta" in mat:
-                raise ConfigError(f"{context} gives both 'sigmaDelta' and 'sigma_delta'")
-            if "sigmaDelta" in mat:
-                sigma_delta.append(_as_float(mat["sigmaDelta"], f"{context} sigmaDelta"))
-            elif "sigma_delta" in mat:
-                sigma_delta.append(_as_float(mat["sigma_delta"], f"{context} sigma_delta"))
-            else:
-                raise ConfigError(f"{context} needs 'sigmaDelta' (or 'lo'/'hi')")
+        for key in ("dx", "sigma0", "sigmaDelta"):
+            columns[key].append(_as_float(_require(mat, key, context), f"{context} {key}"))
     try:
-        return SlabProblem(np.array(sigma0), np.array(sigma_delta), np.array(dx))
+        return SlabProblem(*(np.array(columns[key]) for key in MATERIAL_KEYS))
     except ValueError as exc:
         raise ConfigError(f"invalid problem: {exc}") from exc
 
 
-def _parse_cost(section) -> CostModel | None:
+def _parse_cost(section, n_xi_grid: tuple[int, ...],
+                n_eta_grid: tuple[int, ...]) -> CostModel | None:
     if section is None:
         return None
     _mapping(section, ("total", "xi", "eta"), "'cost'")
     try:
-        return CostModel(
+        cost = CostModel(
             c_total=_as_float(_require(section, "total", "'cost'"), "'cost.total'"),
             c_xi=_as_float(_require(section, "xi", "'cost'"), "'cost.xi'"),
             c_eta=_as_float(_require(section, "eta", "'cost'"), "'cost.eta'"),
         )
     except ValueError as exc:
         raise ConfigError(f"invalid cost model: {exc}") from exc
+    # The summary reports the costs and each cell's realized cost.
+    if not np.isfinite(
+        [cost.c_total, max(n_xi_grid) * (cost.c_xi + cost.c_eta * max(n_eta_grid))]
+    ).all():
+        raise ConfigError(f"'cost' is out of floating-point range for this grid: {cost}")
+    return cost
 
 
 def _check_references(problem: SlabProblem) -> None:
@@ -341,7 +331,7 @@ def load_config(path, *, seed: int | None = None, repetitions: int | None = None
             raise ConfigError(f"'seed' must be a nonnegative integer, got {value!r}")
     seed = file_seed if seed is None else seed
 
-    config = _check_memory(StudyConfig(
+    return _check_memory(StudyConfig(
         problem=problem,
         n0=n0,
         kind=kind,
@@ -349,19 +339,12 @@ def load_config(path, *, seed: int | None = None, repetitions: int | None = None
         n_eta_grid=n_eta_grid,
         repetitions=repetitions,
         methods=tuple(methods_raw),
-        cost=_parse_cost(raw.get("cost")),
+        cost=_parse_cost(raw.get("cost"), n_xi_grid, n_eta_grid),
         master_seed=seed,
         noise_free=noise_free,
         bins=bins,
         response_points=response_points,
     ))
-    # The summary reports the costs and each cell's realized cost.
-    cost = config.cost
-    if cost is not None and not np.isfinite(
-        [cost.c_total, max(n_xi_grid) * (cost.c_xi + cost.c_eta * max(n_eta_grid))]
-    ).all():
-        raise ConfigError(f"'cost' is out of floating-point range for this grid: {cost}")
-    return config
 
 
 def _repetition_bytes(config: StudyConfig) -> int:
@@ -587,8 +570,7 @@ def _pickled_error(exc: BaseException) -> bytes:
 
     text = "".join(traceback.format_exception(exc))
     try:
-        if hasattr(exc, "add_note"):
-            exc.add_note(f"raised in worker process {os.getpid()}:\n{text}")
+        exc.add_note(f"raised in worker process {os.getpid()}:\n{text}")
         payload = pickle.dumps((False, exc), pickle.HIGHEST_PROTOCOL)
         pickle.loads(payload)
         return payload

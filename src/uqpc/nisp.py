@@ -62,8 +62,10 @@ class TrainingData:
             raise ValueError(
                 f"qtilde shape {qtilde.shape} does not match samples of shape {samples.shape}"
             )
-        if samples.shape[-2] < 2 or qtilde.size < 1:
+        if samples.shape[-2] < 2:
             raise ValueError(f"need at least 2 samples per run, got {samples.shape[-2]}")
+        if qtilde.size < 1:
+            raise ValueError("a block needs at least one run, got 0")
         if self.n_eta < 1:
             raise ValueError(f"n_eta must be >= 1, got {self.n_eta}")
         if self.n_eta == 1:
@@ -507,23 +509,28 @@ def save_surrogate(surrogate: PceSurrogate, path) -> None:
 def load_surrogate(path) -> PceSurrogate:
     """Read a surrogate written by save_surrogate.
 
-    Validates the format tag, the multi-index set, the sample counts (whole
-    numbers with n_xi >= 2 and n_eta >= 1, as a fit needs) and that the
-    file carries the coefficient variances: on the diagonal of a stored
-    covariance matrix, else as their own list.
+    Validates the format tag, the basis size (whole numbers with dimension
+    >= 1 and total_degree >= 0), the multi-index set, the sample counts
+    (whole numbers with n_xi >= 2 and n_eta >= 1, as a fit needs), that the
+    trim mask holds only booleans, and that the file carries the
+    coefficient variances: on the diagonal of a stored covariance matrix,
+    else as their own list.
     """
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     if payload.get("format") != SURROGATE_FORMAT:
         raise ValueError(f"unrecognized surrogate format: {payload.get('format')!r}")
+    for name, floor in (("dimension", 1), ("total_degree", 0), ("n_xi", 2), ("n_eta", 1)):
+        value = payload[name]
+        if not isinstance(value, int) or isinstance(value, bool) or value < floor:
+            raise ValueError(f"stored {name} must be an integer >= {floor}, got {value!r}")
     basis = total_degree_multi_indices(payload["dimension"], payload["total_degree"])
     stored = np.asarray(payload["multi_indices"], dtype=int)
     if stored.shape != basis.indices.shape or np.any(stored != basis.indices):
         raise ValueError("stored multi-index set does not match its declared dimension/degree")
-    for name, floor in (("n_xi", 2), ("n_eta", 1)):
-        value = payload[name]
-        if not isinstance(value, int) or isinstance(value, bool) or value < floor:
-            raise ValueError(f"stored {name} must be an integer >= {floor}, got {value!r}")
+    mask = payload["trimmed_mask"]
+    if not isinstance(mask, list) or not all(isinstance(flag, bool) for flag in mask):
+        raise ValueError("stored trimmed_mask must be a list of booleans")
     cov = payload["coefficient_covariance"]
     noise_cov = payload["noise_corrected_covariance"]
     var = payload.get("coefficient_variance")
@@ -539,7 +546,7 @@ def load_surrogate(path) -> PceSurrogate:
         noise_corrected_covariance=(
             None if noise_cov is None else np.asarray(noise_cov, dtype=float)
         ),
-        trimmed_mask=np.asarray(payload["trimmed_mask"], dtype=bool),
+        trimmed_mask=np.asarray(mask, dtype=bool),
         n_xi=payload["n_xi"],
         n_eta=payload["n_eta"],
         coefficient_variance=var,

@@ -100,8 +100,8 @@ def test_load_config_gsa_defaults(tmp_path):
     path = write_config(tmp_path, """\
     problem:
       materials:
-        - {lo: 0.01, hi: 0.59, dx: 1.0}
-        - {sigma0: 0.3, sigma_delta: 0.29, dx: 1.0}
+        - {sigma0: 0.3, sigmaDelta: 0.29, dx: 1.0}
+        - {sigma0: 0.5, sigmaDelta: 0.1, dx: 2.0}
     pce: {n0: 3}
     study:
       kind: gsa
@@ -110,9 +110,9 @@ def test_load_config_gsa_defaults(tmp_path):
     """)
     config = load_config(path)
     assert config.methods == GSA_METHODS
-    # lo/hi midpoint and half-width spelling
-    assert config.problem.sigma0 == pytest.approx([0.3, 0.3])
-    assert config.problem.sigma_delta == pytest.approx([0.29, 0.29])
+    assert config.problem.sigma0 == pytest.approx([0.3, 0.5])
+    assert config.problem.sigma_delta == pytest.approx([0.29, 0.1])
+    assert config.problem.dx == pytest.approx([1.0, 2.0])
 
 
 # An ample sigmaDelta, but a mean of about 1e-304 whose variance underflows
@@ -121,9 +121,29 @@ UNDERFLOW = (
     "problem:\n  materials:\n    - {sigma0: 700, sigmaDelta: 1, dx: 1}\npce: {n0: 2}\n"
     "study: {n_xi_grid: [5], n_eta_grid: [1]}\n"
 )
+# A material's range form and the sigmaDelta alias are unknown keys.
+REVERSED_RANGE = (
+    "problem:\n  materials:\n    - {lo: 0.59, hi: 0.01, dx: 1.0}\npce: {n0: 2}\n"
+    "study: {n_xi_grid: [5], n_eta_grid: [1]}\n"
+)
+ALIAS = (
+    "problem:\n  materials:\n    - {sigma0: 1.0, sigmaDelta: 0.1, sigma_delta: 0.9, dx: 1.0}\n"
+    "pce: {n0: 2}\nstudy: {n_xi_grid: [5], n_eta_grid: [1]}\n"
+)
+# A finite cost whose largest cell overflows (1e300 x 1e10 histories), next
+# to a result table over the limit: the cost is checked where it is parsed,
+# before the memory check.
+COST_AND_TABLE = (
+    D1_PROBLEM + "pce: {n0: 2}\n"
+    "study: {n_xi_grid: [5], n_eta_grid: [10000000000], repetitions: 100000000}\n"
+    "cost: {total: 600.0, xi: 1.0, eta: 1.0e300}\n"
+)
 # Bodies whose refusal is matched by message as well.
 REJECT_MESSAGES = {
     UNDERFLOW: r"sigmaDelta is 0 .* the exact mean \(1\.16e-304\) .* underflows",
+    REVERSED_RANGE: r"unknown key 'lo' in 'problem.materials\[0\]'; allowed: sigma0, sigmaDelta, dx",
+    ALIAS: r"unknown key 'sigma_delta' in 'problem.materials\[0\]'",
+    COST_AND_TABLE: r"'cost' is out of floating-point range for this grid",
 }
 
 
@@ -148,9 +168,8 @@ REJECT_MESSAGES = {
     "study: {n_xi_grid: [5], n_eta_grid: [1]}\n",
     "problem:\n  materials:\n    - {sigma0: 0.3, sigmaDelta: 0.29, dx: -1.0}\npce: {n0: 2}\n"
     "study: {n_xi_grid: [5], n_eta_grid: [1]}\n",
-    # lo/hi endpoints in the wrong order
-    "problem:\n  materials:\n    - {lo: 0.59, hi: 0.01, dx: 1.0}\npce: {n0: 2}\n"
-    "study: {n_xi_grid: [5], n_eta_grid: [1]}\n",
+    # lo/hi endpoints in the wrong order: 'lo' and 'hi' are unknown keys
+    REVERSED_RANGE,
     # values that are not numbers
     "problem:\n  materials:\n    - {sigma0: 0.3, sigmaDelta: 0.29, dx: abc}\npce: {n0: 2}\n"
     "study: {n_xi_grid: [5], n_eta_grid: [1]}\n",
@@ -184,13 +203,13 @@ REJECT_MESSAGES = {
     # a response build has no methods to choose
     D1_PROBLEM + "pce: {n0: 2}\n"
     "study: {kind: response, n_xi_grid: [5], n_eta_grid: [2], methods: [pc_bias]}\n",
-    # two forms of one material: one of them would be silently dropped
+    # the old range form and sigmaDelta alias, alone or mixed with the one
+    # form: 'lo', 'hi' and 'sigma_delta' are unknown keys
     "problem:\n  materials:\n    - {lo: 0.01, hi: 0.59, sigma0: 5.0, sigmaDelta: 0.1,"
     " sigma_delta: 0.2, dx: 1.0}\npce: {n0: 2}\nstudy: {n_xi_grid: [5], n_eta_grid: [1]}\n",
     "problem:\n  materials:\n    - {lo: 0.01, hi: 0.59, sigma_delta: 0.2, dx: 1.0}\n"
     "pce: {n0: 2}\nstudy: {n_xi_grid: [5], n_eta_grid: [1]}\n",
-    "problem:\n  materials:\n    - {sigma0: 1.0, sigmaDelta: 0.1, sigma_delta: 0.9, dx: 1.0}\n"
-    "pce: {n0: 2}\nstudy: {n_xi_grid: [5], n_eta_grid: [1]}\n",
+    ALIAS,
     # arrays over the 256 MiB limit: a 5.6 GB response-grid basis, 8 GB of
     # histogram edges
     D1_PROBLEM + "pce: {n0: 6}\n"
@@ -204,6 +223,7 @@ REJECT_MESSAGES = {
     + "pce: {n0: 2}\nstudy: {kind: gsa, n_xi_grid: [5], n_eta_grid: [1], repetitions: 10000000}\n",
     D1_PROBLEM + "pce: {n0: 2000}\n"
     "study: {kind: response, n_xi_grid: [5], n_eta_grid: [2], repetitions: 5}\n",
+    COST_AND_TABLE,
     # a repeated grid entry would run its cells twice under one report key
     D1_PROBLEM + "pce: {n0: 2}\nstudy: {n_xi_grid: [25, 25], n_eta_grid: [2]}\n",
     D1_PROBLEM + "pce: {n0: 2}\nstudy: {n_xi_grid: [25], n_eta_grid: [1, 4, 1]}\n",
@@ -854,8 +874,7 @@ def test_child_exception_reaches_the_caller(tmp_path, monkeypatch):
     with pytest.raises(ShareFailure, match="repetition 0") as info:
         run_study(config, workers=2)
     assert time.perf_counter() - start < 30
-    if sys.version_info >= (3, 11):
-        assert any("raised in worker process" in note for note in info.value.__notes__)
+    assert any("raised in worker process" in note for note in info.value.__notes__)
     assert_no_child_left()
 
 
@@ -1595,7 +1614,7 @@ def test_cli_override_fails_as_the_file_value(tmp_path, flag, value, line):
      "cost: {total: 600.0, xi: 2.0, eta: 1.0, unit: s}\n"),
     # methods are parsed for a response study but never read
     (D1_PROBLEM, "study: {kind: response, n_xi_grid: [50], n_eta_grid: [2], methods: [pc_bias]}\n"),
-    # a material in two forms would lose the values of one
+    # the old range form and sigmaDelta alias are unknown keys
     ("problem:\n  materials:\n    - {lo: 0.01, hi: 0.59, sigma0: 5.0, sigmaDelta: 0.1,"
      " sigma_delta: 0.2, dx: 1.0}\n", "study: {n_xi_grid: [50], n_eta_grid: [1]}\n"),
     ("problem:\n  materials:\n    - {sigma0: 1.0, sigmaDelta: 0.1, sigma_delta: 0.9, dx: 1.0}\n",

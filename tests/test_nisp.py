@@ -65,6 +65,10 @@ def test_training_data_validation():
         TrainingData(samples=xs, qtilde=[1.0, 0.5], sigma2eta=[0.1, -0.1], n_eta=2)
     with pytest.raises(ValueError, match="sigma2eta shape"):
         TrainingData(samples=xs, qtilde=[1.0, 0.5], sigma2eta=[0.1, 0.2, 0.3], n_eta=2)
+    # A block of no runs, each of five samples.
+    with pytest.raises(ValueError, match="at least one run, got 0"):
+        TrainingData(samples=np.zeros((0, 5, 2)), qtilde=np.zeros((0, 5)), sigma2eta=None,
+                     n_eta=1)
     data = TrainingData(samples=[[0.1, 0.2], [0.3, 0.4]], qtilde=[1.0, 0.0],
                         sigma2eta=[0.1, 0.2], n_eta=4)
     assert data.n_xi == 2
@@ -838,14 +842,23 @@ def test_load_rejects_tampered_files(tmp_path):
     with pytest.raises(ValueError):
         load_surrogate(bad_idx)
     payload["multi_indices"] = [[0], [1]]
-    # Sample counts that are not whole numbers, or below a fit's floors.
+    # Basis sizes and sample counts that are not whole numbers, or below
+    # their floors.
     for key, value in (("n_xi", 0), ("n_xi", -5), ("n_xi", 1), ("n_xi", True),
                        ("n_xi", 7.0), ("n_eta", -3), ("n_eta", 0), ("n_eta", 2.7),
-                       ("n_eta", "2")):
+                       ("n_eta", "2"), ("dimension", True), ("dimension", 0),
+                       ("dimension", 1.0), ("total_degree", 1.0), ("total_degree", -1),
+                       ("total_degree", False)):
         bad_count = tmp_path / "bad_count.json"
         bad_count.write_text(json.dumps({**payload, key: value}))
         with pytest.raises(ValueError, match=key):
             load_surrogate(bad_count)
+    # Trim masks whose entries are not JSON booleans.
+    for mask in ([1, 0.5], ["no", "no"], [True, 0], None, "yes"):
+        bad_mask = tmp_path / "bad_mask.json"
+        bad_mask.write_text(json.dumps({**payload, "trimmed_mask": mask}))
+        with pytest.raises(ValueError, match="trimmed_mask"):
+            load_surrogate(bad_mask)
     # Neither a covariance matrix nor a variance list.
     no_var = tmp_path / "no_var.json"
     no_var.write_text(json.dumps({**payload, "coefficient_variance": None}))
