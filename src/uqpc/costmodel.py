@@ -35,6 +35,12 @@ class CostModel:
         if not self.c_eta > 0:
             raise ValueError(f"c_eta must be > 0, got {self.c_eta}")
 
+    def per_sample(self, n_eta: float) -> float:
+        """Cost of one parameter sample with n_eta histories: c_xi + c_eta n_eta."""
+        if not n_eta > 0:
+            raise ValueError(f"n_eta must be > 0, got {n_eta}")
+        return self.c_xi + self.c_eta * n_eta
+
 
 @dataclass(frozen=True)
 class CoefficientMoments:
@@ -61,9 +67,7 @@ class CoefficientMoments:
 
 def samples_for_budget(cost: CostModel, n_eta: float) -> float:
     """Real-valued sample count that exhausts the budget at a given n_eta."""
-    if not n_eta > 0:
-        raise ValueError(f"n_eta must be > 0, got {n_eta}")
-    return cost.c_total / (cost.c_xi + cost.c_eta * n_eta)
+    return cost.c_total / cost.per_sample(n_eta)
 
 
 def coefficient_variance_model(
@@ -74,10 +78,9 @@ def coefficient_variance_model(
     (1/b_k^2) (c_xi + c_eta n_eta)/c_total (var_qpsi + noise_term/n_eta):
     the usual 1/n_xi factor with n_xi eliminated through the budget.
     """
-    if not n_eta > 0:
-        raise ValueError(f"n_eta must be > 0, got {n_eta}")
-    per_sample = moments.var_qpsi + moments.noise_term / n_eta
-    return per_sample * (cost.c_xi + cost.c_eta * n_eta) / (cost.c_total * moments.b_k**2)
+    sample_cost = cost.per_sample(n_eta)  # refuses n_eta <= 0 before the division below
+    variance = moments.var_qpsi + moments.noise_term / n_eta
+    return variance * sample_cost / (cost.c_total * moments.b_k**2)
 
 
 def break_even_nested(cost: CostModel, moments: CoefficientMoments) -> float:

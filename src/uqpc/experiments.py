@@ -15,7 +15,7 @@ its per-repetition estimator and in how a cell's repetitions are reported:
 
 Randomness: the work unit (grid cell g, repetition r) consumes exactly one
 generator, derived as default_rng(SeedSequence(master_seed, spawn_key=(g, r)))
-with g = i_xi * len(n_eta_grid) + i_eta. Within a unit the draw order is
+with g the cell's index in StudyConfig.cells. Within a unit the draw order is
 fixed (parameter samples first, then one leak count per sample), so
 every record is a pure function of (master_seed, g, r) and the output is
 identical for any worker count.
@@ -108,8 +108,8 @@ class StudyConfig:
     problem: SlabProblem
     n0: int
     kind: str
-    n_xi_grid: tuple[int, ...]
-    n_eta_grid: tuple[int, ...]
+    # (n_xi, n_eta) with n_eta varying fastest; a cell's index is its stream key.
+    cells: tuple[tuple[int, int], ...]
     repetitions: int
     methods: tuple[str, ...]
     cost: CostModel | None
@@ -209,8 +209,7 @@ def _parse_problem(section) -> SlabProblem:
         raise ConfigError(f"invalid problem: {exc}") from exc
 
 
-def _parse_cost(section, n_xi_grid: tuple[int, ...],
-                n_eta_grid: tuple[int, ...]) -> CostModel | None:
+def _parse_cost(section, cells: tuple[tuple[int, int], ...]) -> CostModel | None:
     if section is None:
         return None
     _mapping(section, ("total", "xi", "eta"), "'cost'")
@@ -224,7 +223,7 @@ def _parse_cost(section, n_xi_grid: tuple[int, ...],
         raise ConfigError(f"invalid cost model: {exc}") from exc
     # The summary reports the costs and each cell's realized cost.
     if not np.isfinite(
-        [cost.c_total, max(n_xi_grid) * (cost.c_xi + cost.c_eta * max(n_eta_grid))]
+        [cost.c_total, *(n_xi * cost.per_sample(n_eta) for n_xi, n_eta in cells)]
     ).all():
         raise ConfigError(f"'cost' is out of floating-point range for this grid: {cost}")
     return cost
@@ -318,10 +317,11 @@ def load_config(path, *, seed: int | None = None, repetitions: int | None = None
         study.get("response_points", StudyConfig.response_points), "'study.response_points'"
     )
 
+    cells = tuple(product(n_xi_grid, n_eta_grid))
     if kind == "response":
         if problem.d != 1:
             raise ConfigError("response studies support d=1 problems only")
-        if len(n_xi_grid) != 1 or len(n_eta_grid) != 1:
+        if len(cells) != 1:
             raise ConfigError("response studies take exactly one (n_xi, n_eta) grid point")
 
     file_seed = raw.get("seed", 0)
@@ -335,11 +335,10 @@ def load_config(path, *, seed: int | None = None, repetitions: int | None = None
         problem=problem,
         n0=n0,
         kind=kind,
-        n_xi_grid=n_xi_grid,
-        n_eta_grid=n_eta_grid,
+        cells=cells,
         repetitions=repetitions,
         methods=tuple(methods_raw),
-        cost=_parse_cost(raw.get("cost"), n_xi_grid, n_eta_grid),
+        cost=_parse_cost(raw.get("cost"), cells),
         master_seed=seed,
         noise_free=noise_free,
         bins=bins,
@@ -369,10 +368,10 @@ def _check_memory(config: StudyConfig) -> StudyConfig:
     # Refuse a study whose arrays or result table would pass MAX_ARRAY_BYTES.
     d = config.problem.d
     n_terms = basis_count(d, config.n0)
-    rows = max(*config.n_xi_grid, d)
+    rows = max(*(n_xi for n_xi, _ in config.cells), d)
     if config.kind == "response":
         rows = max(rows, n_terms, config.response_points)
-    cells = len(config.n_xi_grid) * len(config.n_eta_grid)
+    cells = len(config.cells)
     for what, count, size in (
         (f"basis of {n_terms} terms (d={d}, n0={config.n0})", rows, 8 * n_terms),
         ("'study.bins' histogram", config.bins + 1, 8),
@@ -495,9 +494,9 @@ def _response_estimates(
 
 
 def _cell_chunk(
-    config: StudyConfig, estimate, basis: MultiIndexBasis, i_xi: int, i_eta: int, reps: range
+    config: StudyConfig, estimate, basis: MultiIndexBasis, cell: int, reps: range
 ) -> np.ndarray:
-    # One work unit: repetitions `reps` of grid cell (i_xi, i_eta), fitted
+    # One work unit: repetitions `reps` of grid cell `cell`, fitted
     # in blocks of as many repetitions as its fit buffer holds (see
     # fit_buffers). Each repetition is drawn from its own stream into the
     # block's arrays; the blocks share n_xi and the basis, so every fit
@@ -505,9 +504,7 @@ def _cell_chunk(
     # touches no freshly allocated pages.
     # Returns the unit's estimates in one array, allocated when the first
     # block's come back, with a row per repetition of `reps`.
-    cell = i_xi * len(config.n_eta_grid) + i_eta
-    n_xi = config.n_xi_grid[i_xi]
-    n_eta = config.n_eta_grid[i_eta]
+    n_xi, n_eta = config.cells[cell]
     buffer = fit_buffers(basis, n_xi, len(reps))
     size = buffer.shape[1] // n_xi
     samples = np.empty((size, n_xi, config.problem.d))
@@ -655,18 +652,18 @@ def _run_grid(config: StudyConfig, estimate, workers: int, store) -> None:
     derived per (cell, repetition), so the split never affects results.
     """
     basis = total_degree_multi_indices(config.problem.d, config.n0)
-    grid = list(product(range(len(config.n_xi_grid)), range(len(config.n_eta_grid))))
+    cells = len(config.cells)
     repetitions = config.repetitions
     shares = min(workers, repetitions)
 
     def run_share(part: int):
         # The share's (cell, at, values), a cell at a time in grid order.
-        for cell, (i_xi, i_eta) in enumerate(grid):
+        for cell in range(cells):
             reps = _share(part, shares, cell, repetitions)
             yield cell, slice(reps.start, None, reps.step), _cell_chunk(
-                config, estimate, basis, i_xi, i_eta, reps)
+                config, estimate, basis, cell, reps)
 
-    frames = run_share(0) if shares == 1 else _in_children(run_share, shares, len(grid))
+    frames = run_share(0) if shares == 1 else _in_children(run_share, shares, cells)
     # Closing the frames if store raises kills the children at once.
     with closing(frames):
         for cell, at, values in frames:
@@ -727,12 +724,11 @@ def _result_table(config: StudyConfig) -> tuple[np.recarray, list[dict]]:
     # The study's result table with its key columns filled: a row per (cell,
     # method, repetition) in that order, for each method the cell writes
     # (var_deconv needs n_eta >= 2). Also each grid cell's rows, by method.
-    grid = list(product(config.n_xi_grid, config.n_eta_grid))
-    keys = [(cell, n_xi, n_eta, method) for cell, (n_xi, n_eta) in enumerate(grid)
+    keys = [(cell, n_xi, n_eta, method) for cell, (n_xi, n_eta) in enumerate(config.cells)
             for method in config.methods if method != "var_deconv" or n_eta >= 2]
     reps = config.repetitions
     table = np.recarray(len(keys) * reps, _row_dtype(config.kind, config.problem.d))
-    cells = [{} for _ in grid]
+    cells = [{} for _ in config.cells]
     for i, (cell, n_xi, n_eta, method) in enumerate(keys):
         rows = cells[cell][method] = table[i * reps : (i + 1) * reps]
         rows.n_xi, rows.n_eta, rows.method, rows.repetition = n_xi, n_eta, method, np.arange(reps)
@@ -773,7 +769,7 @@ def _variance_summary(report: StudyReport, n_xi: int, n_eta: int, rows: dict) ->
             "variance": float(values.var(ddof=1)) if len(values) > 1 else 0.0,
         }
     cost = config.cost
-    realized_cost = None if cost is None else n_xi * (cost.c_xi + cost.c_eta * n_eta)
+    realized_cost = None if cost is None else n_xi * cost.per_sample(n_eta)
     return {"n_xi": n_xi, "n_eta": n_eta, "realized_cost": realized_cost, "methods": methods}
 
 
@@ -834,7 +830,7 @@ def run_study(config: StudyConfig, workers: int = 1) -> StudyReport:
               lambda cell, at, values: store(report, cells[cell], at, values))
     report.summary["cells"] = [
         summarize(report, n_xi, n_eta, rows)
-        for (n_xi, n_eta), rows in zip(product(config.n_xi_grid, config.n_eta_grid), cells)
+        for (n_xi, n_eta), rows in zip(config.cells, cells)
     ]
     return report
 

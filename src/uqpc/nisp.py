@@ -475,6 +475,10 @@ def sobol_indices(surrogate: PceSurrogate) -> np.ndarray:
 
 
 SURROGATE_FORMAT = "uqpc-surrogate-v1"
+# Every file's fields; "coefficient_variance" is added where no covariance is.
+SURROGATE_KEYS = ("dimension", "total_degree", "multi_indices", "coefficients",
+                  "coefficient_covariance", "noise_corrected_covariance", "trimmed_mask",
+                  "n_xi", "n_eta")
 
 
 def save_surrogate(surrogate: PceSurrogate, path) -> None:
@@ -509,17 +513,20 @@ def save_surrogate(surrogate: PceSurrogate, path) -> None:
 def load_surrogate(path) -> PceSurrogate:
     """Read a surrogate written by save_surrogate.
 
-    Validates the format tag, the basis size (whole numbers with dimension
-    >= 1 and total_degree >= 0), the multi-index set, the sample counts
-    (whole numbers with n_xi >= 2 and n_eta >= 1, as a fit needs), that the
-    trim mask holds only booleans, and that the file carries the
-    coefficient variances: on the diagonal of a stored covariance matrix,
-    else as their own list.
+    Validates the format tag, that every SURROGATE_KEYS field is there,
+    the basis size (dimension >= 1, total_degree >= 0) and the multi-index
+    set, the sample counts (n_xi >= 2, n_eta >= 1, as a fit needs), all as
+    whole numbers, a trim mask of booleans only, finite coefficients,
+    variances and covariances, and that the file carries the variances: on
+    a stored covariance matrix's diagonal, else as their own list.
     """
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     if payload.get("format") != SURROGATE_FORMAT:
         raise ValueError(f"unrecognized surrogate format: {payload.get('format')!r}")
+    for key in SURROGATE_KEYS:
+        if key not in payload:
+            raise ValueError(f"stored surrogate has no {key!r}")
     for name, floor in (("dimension", 1), ("total_degree", 0), ("n_xi", 2), ("n_eta", 1)):
         value = payload[name]
         if not isinstance(value, int) or isinstance(value, bool) or value < floor:
@@ -531,23 +538,17 @@ def load_surrogate(path) -> PceSurrogate:
     mask = payload["trimmed_mask"]
     if not isinstance(mask, list) or not all(isinstance(flag, bool) for flag in mask):
         raise ValueError("stored trimmed_mask must be a list of booleans")
-    cov = payload["coefficient_covariance"]
-    noise_cov = payload["noise_corrected_covariance"]
-    var = payload.get("coefficient_variance")
+    floats = {}
+    for key in ("coefficients", "coefficient_covariance", "noise_corrected_covariance",
+                "coefficient_variance"):
+        value = payload.get(key)
+        floats[key] = None if value is None else np.asarray(value, dtype=float)
+        if value is not None and not np.isfinite(floats[key]).all():
+            raise ValueError(f"stored {key} must be finite")
+    cov, var = floats["coefficient_covariance"], floats["coefficient_variance"]
     if cov is not None:
-        cov = np.asarray(cov, dtype=float)
         var = np.diag(cov)
     elif var is None:
         raise ValueError("stored surrogate has neither a covariance nor coefficient variances")
-    return PceSurrogate(
-        basis=basis,
-        coefficients=np.asarray(payload["coefficients"], dtype=float),
-        coefficient_covariance=cov,
-        noise_corrected_covariance=(
-            None if noise_cov is None else np.asarray(noise_cov, dtype=float)
-        ),
-        trimmed_mask=np.asarray(mask, dtype=bool),
-        n_xi=payload["n_xi"],
-        n_eta=payload["n_eta"],
-        coefficient_variance=var,
-    )
+    return PceSurrogate(basis, floats["coefficients"], cov, floats["noise_corrected_covariance"],
+                        np.asarray(mask, dtype=bool), payload["n_xi"], payload["n_eta"], var)

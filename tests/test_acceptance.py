@@ -54,8 +54,7 @@ def large_sample_study():
         problem=D3,
         n0=6,
         kind="variance",
-        n_xi_grid=(2000,),
-        n_eta_grid=(2, 50),
+        cells=((2000, 2), (2000, 50)),
         repetitions=200,
         methods=METHODS,
         cost=None,
@@ -128,8 +127,7 @@ def test_criterion_3_small_sample_bias():
         problem=D3,
         n0=6,
         kind="variance",
-        n_xi_grid=(25,),
-        n_eta_grid=(1,),
+        cells=((25, 1),),
         repetitions=500,
         methods=("pc_mc21", "pc_bias"),
         cost=None,
@@ -269,8 +267,7 @@ def test_criterion_8_gsa_symmetry():
         problem=D3,
         n0=6,
         kind="gsa",
-        n_xi_grid=(2000,),
-        n_eta_grid=(1,),
+        cells=((2000, 1),),
         repetitions=200,
         methods=("pc_bias_trim",),
         cost=None,

@@ -57,7 +57,7 @@ PATHS = NUMBER_PATHS + [
     ("problem",),
     ("problem", "materials"),
     ("problem", "materials", 0),
-    ("problem", "materials", 0, "lo"),
+    ("problem", "materials", -1),
     ("pce",),
     ("study",),
     ("study", "kind"),

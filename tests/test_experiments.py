@@ -69,8 +69,7 @@ def test_load_config_full(tmp_path):
     assert config.problem.sigma_delta == pytest.approx([0.95])
     assert config.n0 == 4
     assert config.kind == "variance"
-    assert config.n_xi_grid == (100, 200)
-    assert config.n_eta_grid == (1, 10)
+    assert config.cells == ((100, 1), (100, 10), (200, 1), (200, 10))
     assert config.repetitions == 7
     assert config.methods == ("pc_bias", "var_deconv")
     assert config.bins == 10
@@ -245,7 +244,7 @@ def test_load_config_takes_any_n_eta(tmp_path):
         tmp_path, D1_PROBLEM + "pce: {n0: 2}\nstudy: {n_xi_grid: [2000], n_eta_grid: [100000]}\n"
     )
     config = load_config(path)
-    assert (config.n_xi_grid, config.n_eta_grid) == ((2000,), (100000,))
+    assert config.cells == ((2000, 100000),)
 
 
 def test_study_at_the_largest_n_eta_is_finite(tmp_path):
@@ -535,6 +534,39 @@ def test_noise_free_study_wiring(tmp_path):
                 # the noise share is exactly zero, so deconvolution degrades
                 # to the plain sample variance of the analytic QoI
                 assert by_key[(n_eta, "var_deconv", rep)] == np.var(qt, ddof=1)
+
+
+def test_stream_key_is_the_cell_index(tmp_path):
+    # On a grid with two n_xi, every pc_bias record is the fit of the draw
+    # from stream (seed, g, r), with g the cell's index in config.cells:
+    # the cells run n_eta fastest, so g = i_xi * len(n_eta_grid) + i_eta.
+    path = write_config(tmp_path, D1_PROBLEM, """\
+    pce: {n0: 3}
+    study:
+      kind: variance
+      n_xi_grid: [30, 20]
+      n_eta_grid: [1, 3]
+      repetitions: 3
+      methods: [pc_bias]
+    seed: 29
+    """)
+    from uqpc.nisp import TrainingData, build_surrogate, pce_variance_unbiased
+    from uqpc.transport import sample_parameters, simulate_training_set
+
+    config = load_config(path)
+    assert config.cells == ((30, 1), (30, 3), (20, 1), (20, 3))
+    report = run_study(config)
+    basis = total_degree_multi_indices(1, 3)
+    by_key = {(r.n_xi, r.n_eta, r.repetition): r.estimate for r in report.records}
+    assert len(by_key) == len(report.records) == 12
+    for g, (n_xi, n_eta) in enumerate(config.cells):
+        for rep in range(3):
+            rng = derive_rng(29, g, rep)
+            xis = sample_parameters(config.problem, n_xi, rng)
+            data = TrainingData(xis, *simulate_training_set(config.problem, xis, n_eta, rng),
+                                n_eta)
+            fit = build_surrogate(data, basis, full_covariance=False)
+            assert by_key[(n_xi, n_eta, rep)] == pce_variance_unbiased(fit)
 
 
 def test_mse_decays_with_sample_count(tmp_path):
@@ -1035,7 +1067,7 @@ def test_unit_fits_equal_fresh_fits(tmp_path, monkeypatch, d, n0, n_xi, n_eta):
         returned.extend(zip(fit.coefficients.copy(), fit.coefficient_variance.copy()))
         return fit.unstack()
 
-    fits = experiments._cell_chunk(config, estimate, basis, 0, 0, range(5))
+    fits = experiments._cell_chunk(config, estimate, basis, 0, range(5))
     assert len(fits) == 5
     for rep, (fit, (beta, var)) in enumerate(zip(fits, returned)):
         assert np.array_equal(fit.coefficients, beta)
@@ -1122,7 +1154,7 @@ def test_stacked_estimates_equal_per_repetition_fits(
     for bound, block in ((1, 1), (2**40, reps)):
         monkeypatch.setattr(nisp, "BLOCK_BYTES", bound)
         assert nisp.fit_buffers(basis, n_xi, reps).shape[1] == block * n_xi
-        got = experiments._cell_chunk(config, estimate, basis, 0, 0, range(reps))
+        got = experiments._cell_chunk(config, estimate, basis, 0, range(reps))
         assert got.shape == want.shape
         assert np.array_equal(got, want, equal_nan=True)
         written = write_report(run_study(config), tmp_path / f"block{block}")
@@ -1153,11 +1185,11 @@ def test_variance_unit_memory_is_bounded(tmp_path):
     basis = total_degree_multi_indices(3, 6)
     assert nisp.fit_buffers(basis, 2000, 2).shape == (28, 2000)
     estimate = experiments._variance_estimates
-    experiments._cell_chunk(config, estimate, basis, 0, 0, range(1))
+    experiments._cell_chunk(config, estimate, basis, 0, range(1))
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        experiments._cell_chunk(config, estimate, basis, 0, 0, range(2))
+        experiments._cell_chunk(config, estimate, basis, 0, range(2))
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -1348,7 +1380,7 @@ def test_result_table_within_its_memory_charge(
     peaks, charges = [], []
     for reps in repetitions:
         study = config(reps)
-        cells = len(study.n_xi_grid) * len(study.n_eta_grid)
+        cells = len(study.cells)
         charge = cells * reps * experiments._repetition_bytes(study)
         gc.collect()
         for _ in range(4000):

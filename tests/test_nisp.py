@@ -867,6 +867,31 @@ def test_load_rejects_tampered_files(tmp_path):
     no_var.write_text(json.dumps({k: v for k, v in payload.items() if k != "coefficient_variance"}))
     with pytest.raises(ValueError, match="neither"):
         load_surrogate(no_var)
+    # A file without one of the fields save_surrogate always writes.
+    for key in ("dimension", "total_degree", "multi_indices", "coefficients",
+                "coefficient_covariance", "noise_corrected_covariance", "trimmed_mask",
+                "n_xi", "n_eta"):
+        missing = tmp_path / "missing.json"
+        missing.write_text(json.dumps({k: v for k, v in payload.items() if k != key}))
+        with pytest.raises(ValueError, match=key):
+            load_surrogate(missing)
+    # Coefficients, variances and covariance entries that are not finite,
+    # in json's NaN/Infinity spellings.
+    cov = [[0.5, 0.0], [0.0, 0.25]]
+    for key, value in (("coefficients", [float("nan"), 0.25]),
+                       ("coefficients", [0.5, float("-inf")]),
+                       ("coefficient_variance", [0.0, float("inf")]),
+                       ("coefficient_variance", [float("nan"), 0.0]),
+                       ("coefficient_covariance", [[0.5, float("inf")], [0.0, 0.25]]),
+                       ("coefficient_covariance", [[float("nan"), 0.0], [0.0, 0.25]]),
+                       ("noise_corrected_covariance", [[0.5, 0.0], [0.0, float("inf")]])):
+        bad_float = tmp_path / "bad_float.json"
+        tampered = {**payload, "coefficient_covariance": cov, key: value}
+        if key == "coefficient_variance":
+            tampered["coefficient_covariance"] = None
+        bad_float.write_text(json.dumps(tampered))
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            load_surrogate(bad_float)
     # The untampered file still loads.
     assert load_surrogate(path).n_xi == s.n_xi
 
@@ -879,13 +904,21 @@ def test_load_rejects_tampered_files(tmp_path):
     float("nan"), float("inf"), float("-inf"),
 ])
 def test_surrogate_file_keeps_every_float(tmp_path, value):
-    # Coefficients and covariances come back bit for bit, signed zeros,
-    # subnormals and json's NaN/Infinity spellings included.
+    # Coefficients and covariances come back bit for bit, signed zeros and
+    # subnormals included. NaN and the infinities are written in json's
+    # NaN/Infinity spellings, and a file that holds them is refused.
+    import json
+
     basis = total_degree_multi_indices(1, 1)
     cov = np.array([[value, 0.5], [0.5, value]])
     s = make_surrogate(basis, [1.0, value], cov=cov, noise_cov=2 * cov, n_eta=2)
     path = tmp_path / "surrogate.json"
     save_surrogate(s, path)
+    if not np.isfinite(value):
+        assert json.dumps(value) in path.read_text(encoding="utf-8")
+        with pytest.raises(ValueError, match="must be finite"):
+            load_surrogate(path)
+        return
     back = load_surrogate(path)
     assert back.coefficients.tobytes() == s.coefficients.tobytes()
     assert back.coefficient_covariance.tobytes() == cov.tobytes()

@@ -4,17 +4,23 @@
 
 Each round runs every shipped config at --workers 1 and 2 once per source
 tree, alternating which tree goes first, so a drift in machine speed hits
-every tree alike. A run is a fresh `python -c "uqpc.cli.main()"` subprocess
-with PYTHONPATH set to the tree's src/; its figures come from the wait4
-rusage of the child, which includes the children it forks and reaps at
---workers above 1. The report files go to a temporary directory. Every
-report file is hashed: the run's digest is the sha256 of its sorted (file
-name, sha256) pairs, so any changed, added or missing file changes it. A
-run whose digest differs between trees or rounds is flagged.
+every tree alike. A config runs at the repetitions of its benchmark
+workload (perfbench/workloads.py), so its fault mode is the benchmark's;
+d1_oracle has no workload and runs at 2. A run is a fresh
+`python -c "uqpc.cli.main()"` subprocess with PYTHONPATH set to the
+tree's src/; its figures come from the wait4 rusage of the child, which
+includes the children it forks and reaps at --workers above 1. The report
+files go to a temporary directory. Every report file is hashed: the run's
+digest is the sha256 of its sorted (file name, sha256) pairs, so any
+changed, added or missing file changes it. A run whose digest differs
+from the first tree's at --workers 1 is flagged, and any flag makes the
+exit status 1. With one tree, that checks that the reports do not depend
+on the worker count.
 
-Prints one JSON object: per tree, config and worker count, the median and
-quartiles of wall_s, user_s, sys_s, minflt and maxrss_mb over the rounds,
-the report digest, and the sha256 of records.csv and gsa.csv where written.
+Prints one JSON object: the repetitions of each config and, per tree,
+config and worker count, the median and quartiles of wall_s, user_s,
+sys_s, minflt and maxrss_mb over the rounds, the report digest, and the
+sha256 of records.csv and gsa.csv where written.
 """
 
 from __future__ import annotations
@@ -30,7 +36,16 @@ import tempfile
 import time
 from pathlib import Path
 
-CONFIGS = ("d1_oracle", "d1_response", "d3_gsa", "d3_variance")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from workloads import WORKLOADS  # noqa: E402
+
+# Repetitions per config: those of its workload, or 2 where it has none.
+REPETITIONS = {
+    "d1_oracle": 2,
+    "d1_response": WORKLOADS["response_bands"].repetitions,
+    "d3_gsa": WORKLOADS["gsa_single_history"].repetitions,
+    "d3_variance": WORKLOADS["variance_grid_w1"].repetitions,
+}
 NAMED = ("records.csv", "gsa.csv")
 CLI_CODE = "import sys; from uqpc.cli import main; sys.exit(main())"
 
@@ -40,7 +55,7 @@ def run_once(tree: Path, config: str, workers: int) -> dict:
     with tempfile.TemporaryDirectory() as out:
         argv = [sys.executable, "-c", CLI_CODE, "run", "--config",
                 str(tree / "configs" / f"{config}.yaml"), "--out", out,
-                "--workers", str(workers)]
+                "--workers", str(workers), "--repetitions", str(REPETITIONS[config])]
         start = time.perf_counter()
         proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL)
         _, status, usage = os.wait4(proc.pid, 0)
@@ -84,7 +99,7 @@ def main(argv=None) -> int:
     runs: dict[tuple[int, str, int], list[dict]] = {}
     for r in range(args.rounds):
         order = trees if r % 2 == 0 else trees[::-1]
-        for config in CONFIGS:
+        for config in REPETITIONS:
             for workers in (1, 2):
                 for tree in order:
                     key = (trees.index(tree), config, workers)
@@ -103,9 +118,9 @@ def main(argv=None) -> int:
         if any(f["report_digest"] != reference for f in figures):
             mismatches.append(f"{trees[i]} {config} --workers {workers}")
         result.setdefault(str(trees[i]), {})[f"{config}_w{workers}"] = entry
-    print(json.dumps({"rounds": args.rounds, "trees": result, "sha256_mismatches": mismatches},
-                     indent=1))
-    return 0
+    print(json.dumps({"rounds": args.rounds, "repetitions": REPETITIONS, "trees": result,
+                      "sha256_mismatches": mismatches}, indent=1))
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":
