@@ -186,6 +186,10 @@ def _as_int_grid(value, context: str, minimum: int = 1) -> tuple[int, ...]:
     grid = tuple(_as_positive_int(v, f"{context} entry") for v in value)
     if min(grid) < minimum:
         raise ConfigError(f"{context} entries must be >= {minimum}, got {min(grid)}")
+    # Tallies take leak counts, and the cost model sample counts, as
+    # float64, which holds every count up to 2**53 exactly.
+    if max(grid) > 2**53:
+        raise ConfigError(f"{context} entries must be <= 2**53, got {max(grid)}")
     # A repeated entry would run its cells twice under one report key.
     if len(set(grid)) != len(grid):
         raise ConfigError(f"{context} lists an entry twice: {list(grid)}")
@@ -287,10 +291,6 @@ def load_config(path, *, seed: int | None = None, repetitions: int | None = None
         _require(study, "n_xi_grid", "'study'"), "'study.n_xi_grid'", minimum=2
     )
     n_eta_grid = _as_int_grid(_require(study, "n_eta_grid", "'study'"), "'study.n_eta_grid'")
-    # Tallies take their leak counts as float64, which holds every count up
-    # to 2**53 exactly.
-    if max(n_eta_grid) > 2**53:
-        raise ConfigError(f"'study.n_eta_grid' entries must be <= 2**53, got {max(n_eta_grid)}")
     # An override replaces the file's value once that has passed the
     # same checks.
     file_repetitions = _as_positive_int(study.get("repetitions", 200), "'study.repetitions'")

@@ -12,7 +12,7 @@ indices), and propagates it (pointwise prediction bands).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -155,6 +155,12 @@ class PceSurrogate:
     @property
     def n_retained(self) -> int:
         return int(self.trimmed_mask.sum())
+
+    @property
+    def contributions(self) -> np.ndarray:
+        """Per-term variance contributions ((beta_k)^2 - Var[beta_k]) b_k, shaped
+        like ``coefficients``; no estimator reads entry 0, the mean term's."""
+        return (self.coefficients**2 - self.coefficient_variance) * self.basis.norms
 
     def unstack(self) -> list[PceSurrogate]:
         """The fits of a block, one PceSurrogate per repetition (views of its rows)."""
@@ -336,14 +342,11 @@ def pce_variance_biased(surrogate: PceSurrogate) -> float:
 def pce_variance_unbiased(surrogate: PceSurrogate) -> float:
     """Variance with the coefficient estimator variance subtracted per term.
 
-    Sums ((beta_k)^2 - Var[beta_k]) b_k over retained non-mean terms; an
-    unbiased estimate of the expansion variance, at the cost of possibly
-    negative draws.
+    Sums the contributions ((beta_k)^2 - Var[beta_k]) b_k of the retained
+    non-mean terms (PceSurrogate.contributions); an unbiased estimate of
+    the expansion variance, at the cost of possibly negative draws.
     """
-    mask = _retained_tail(surrogate)
-    beta = surrogate.coefficients[mask]
-    var_beta = surrogate.coefficient_variance[mask]
-    return float(np.sum((beta**2 - var_beta) * surrogate.basis.norms[mask]))
+    return float(np.sum(surrogate.contributions[_retained_tail(surrogate)]))
 
 
 def variance_deconvolution(data: TrainingData) -> float | np.ndarray:
@@ -365,7 +368,7 @@ def variance_deconvolution(data: TrainingData) -> float | np.ndarray:
 def trim_expansion(surrogate: PceSurrogate, target_variance: float) -> PceSurrogate:
     """Drop low-value terms until the kept variance first reaches the target.
 
-    Per-term contributions ((beta_k)^2 - Var[beta_k]) b_k for k >= 1 are
+    The contributions of the non-mean terms (PceSurrogate.contributions) are
     sorted in decreasing order and the smallest prefix whose cumulative sum
     reaches the goal is retained, where the goal is the target capped at the
     sum of the positive contributions (the largest sum any prefix can reach,
@@ -376,10 +379,7 @@ def trim_expansion(surrogate: PceSurrogate, target_variance: float) -> PceSurrog
     """
     if not np.isfinite(target_variance):
         raise ValueError(f"target variance must be finite, got {target_variance}")
-    norms = surrogate.basis.norms
-    beta = surrogate.coefficients
-    var_beta = surrogate.coefficient_variance
-    contrib = (beta[1:] ** 2 - var_beta[1:]) * norms[1:]
+    contrib = surrogate.contributions[1:]
     mask = np.zeros(len(surrogate.basis), dtype=bool)
     mask[0] = True
     if contrib.size:
@@ -392,10 +392,7 @@ def trim_expansion(surrogate: PceSurrogate, target_variance: float) -> PceSurrog
         if goal > 0.0:
             n_keep = int(np.argmax(cum >= goal)) + 1
             mask[1 + order[:n_keep]] = True
-    return PceSurrogate(
-        surrogate.basis, beta, surrogate.coefficient_covariance,
-        surrogate.noise_corrected_covariance, mask, surrogate.n_xi, surrogate.n_eta, var_beta,
-    )
+    return replace(surrogate, trimmed_mask=mask)
 
 
 def _basis_values(surrogate: PceSurrogate, psi: np.ndarray) -> np.ndarray:
@@ -447,22 +444,21 @@ def sobol_indices(surrogate: PceSurrogate) -> np.ndarray:
     """Bias-corrected sensitivity indices from retained expansion terms, as
     one (2, d) array: first-order indices in row 0, total indices in row 1.
 
-    Each retained non-mean term contributes ((beta_k)^2 - Var[beta_k]) b_k
-    to the group of variables it carries nonzero degree in. A group's share
-    is its sum over the total; first-order indices are the singleton shares,
-    and the total index of variable i sums every group containing i. Where
-    the total is exactly 0, which includes the empty sum of a surrogate that
-    retains no non-mean term, every index is 0/0 and NaN.
+    Each retained non-mean term adds its contribution
+    (PceSurrogate.contributions) to the group of variables it carries
+    nonzero degree in. A group's share is its sum over the total;
+    first-order indices are the singleton shares, and the total index of
+    variable i sums every group containing i. Where the total is exactly 0,
+    which includes the empty sum of a surrogate that retains no non-mean
+    term, every index is 0/0 and NaN.
     """
-    norms = surrogate.basis.norms
-    sq = surrogate.coefficients**2 - surrogate.coefficient_variance
     mask = _retained_tail(surrogate)
     # bincount adds the contributions in term order, as a sequential loop
     # would; groups are listed in order of their first retained term, and
     # the reductions over axis 0 add them in that order.
     labels, flags = surrogate.basis.sobol_groups
     retained = labels[mask]
-    sums = np.bincount(retained, weights=(sq * norms)[mask], minlength=len(flags))
+    sums = np.bincount(retained, weights=surrogate.contributions[mask], minlength=len(flags))
     order = list(dict.fromkeys(retained.tolist()))
     contrib = sums[order]
     denom = sum(contrib.tolist())
@@ -482,7 +478,9 @@ SURROGATE_KEYS = ("dimension", "total_degree", "multi_indices", "coefficients",
 
 
 def save_surrogate(surrogate: PceSurrogate, path) -> None:
-    """Write the surrogate as self-describing JSON (see README for fields)."""
+    """Write one fit, not a block, as self-describing JSON (see README for fields)."""
+    if surrogate.coefficients.ndim != 1:
+        raise ValueError("save_surrogate takes one fit, not a block; save each of its unstack()")
     payload = {
         "format": SURROGATE_FORMAT,
         "dimension": surrogate.basis.dimension,
@@ -513,15 +511,17 @@ def save_surrogate(surrogate: PceSurrogate, path) -> None:
 def load_surrogate(path) -> PceSurrogate:
     """Read a surrogate written by save_surrogate.
 
-    Validates the format tag, that every SURROGATE_KEYS field is there,
-    the basis size (dimension >= 1, total_degree >= 0) and the multi-index
-    set, the sample counts (n_xi >= 2, n_eta >= 1, as a fit needs), all as
-    whole numbers, a trim mask of booleans only, finite coefficients,
-    variances and covariances, and that the file carries the variances: on
-    a stored covariance matrix's diagonal, else as their own list.
+    Validates a JSON object: its format tag, that every SURROGATE_KEYS field
+    is there, the basis size (dimension >= 1, total_degree >= 0) and the
+    multi-index set, the sample counts (n_xi >= 2, n_eta >= 1, as a fit
+    needs), all as whole numbers, a trim mask of booleans only, finite
+    coefficients, variances and covariances, and that the file carries the
+    variances: on a stored covariance matrix's diagonal, else as their own list.
     """
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError(f"stored surrogate must be a JSON object, got {type(payload).__name__}")
     if payload.get("format") != SURROGATE_FORMAT:
         raise ValueError(f"unrecognized surrogate format: {payload.get('format')!r}")
     for key in SURROGATE_KEYS:

@@ -137,12 +137,24 @@ COST_AND_TABLE = (
     "study: {n_xi_grid: [5], n_eta_grid: [10000000000], repetitions: 100000000}\n"
     "cost: {total: 600.0, xi: 1.0, eta: 1.0e300}\n"
 )
+# Grid entries past 2**53: a leak count there is not exact in float64, and
+# past 2**63 not even an int64; a sample count of 10**309 next to a cost
+# model would overflow float() in the realized cost.
+N_ETA_PAST_2_53 = (
+    D1_PROBLEM + f"pce: {{n0: 2}}\nstudy: {{n_xi_grid: [5], n_eta_grid: [{2**53 + 1}]}}\n"
+)
+N_XI_WITH_COST = (
+    D1_PROBLEM + f"pce: {{n0: 2}}\nstudy: {{n_xi_grid: [{10**309}], n_eta_grid: [1]}}\n"
+    "cost: {total: 600.0, xi: 1.0, eta: 1.0}\n"
+)
 # Bodies whose refusal is matched by message as well.
 REJECT_MESSAGES = {
     UNDERFLOW: r"sigmaDelta is 0 .* the exact mean \(1\.16e-304\) .* underflows",
     REVERSED_RANGE: r"unknown key 'lo' in 'problem.materials\[0\]'; allowed: sigma0, sigmaDelta, dx",
     ALIAS: r"unknown key 'sigma_delta' in 'problem.materials\[0\]'",
     COST_AND_TABLE: r"'cost' is out of floating-point range for this grid",
+    N_ETA_PAST_2_53: r"'study.n_eta_grid' entries must be <= 2\*\*53, got 9007199254740993",
+    N_XI_WITH_COST: r"'study.n_xi_grid' entries must be <= 2\*\*53",
 }
 
 
@@ -226,10 +238,9 @@ REJECT_MESSAGES = {
     # a repeated grid entry would run its cells twice under one report key
     D1_PROBLEM + "pce: {n0: 2}\nstudy: {n_xi_grid: [25, 25], n_eta_grid: [2]}\n",
     D1_PROBLEM + "pce: {n0: 2}\nstudy: {n_xi_grid: [25], n_eta_grid: [1, 4, 1]}\n",
-    # leak counts past 2**53 are not exact in float64, and past 2**63 not
-    # even an int64
-    D1_PROBLEM + f"pce: {{n0: 2}}\nstudy: {{n_xi_grid: [5], n_eta_grid: [{2**53 + 1}]}}\n",
+    N_ETA_PAST_2_53,
     D1_PROBLEM + f"pce: {{n0: 2}}\nstudy: {{n_xi_grid: [5], n_eta_grid: [2, {10**30}]}}\n",
+    N_XI_WITH_COST,
 ])
 def test_load_config_rejects(tmp_path, body):
     path = write_config(tmp_path, body)
@@ -1655,6 +1666,10 @@ def test_cli_override_fails_as_the_file_value(tmp_path, flag, value, line):
     # would raise OverflowError part-way through the run
     (D1_PROBLEM, f"study: {{n_xi_grid: [50], n_eta_grid: [{2**53 + 1}]}}\n"),
     (D1_PROBLEM, f"study: {{n_xi_grid: [50], n_eta_grid: [{10**30}]}}\n"),
+    # a sample count of 10**309 next to a cost model would overflow float()
+    # in the realized cost
+    (D1_PROBLEM, f"study: {{n_xi_grid: [{10**309}], n_eta_grid: [1]}}\n"
+     "cost: {total: 600.0, xi: 1.0, eta: 1.0}\n"),
 ])
 def test_cli_rejects_config_before_running(tmp_path, problem, study):
     pce = "" if "pce:" in study else "pce: {n0: 2}\n"

@@ -317,7 +317,12 @@ def test_block_fit_equals_fits_of_its_runs(d3_problem, rng):
     tallies = [simulate_training_set(d3_problem, xi, 3, rng) for xi in x]
     block = TrainingData(x, np.stack([q for q, _ in tallies]),
                          np.stack([s for _, s in tallies]), 3)
-    fits = build_surrogate(block, basis, full_covariance=False).unstack()
+    block_fit = build_surrogate(block, basis, full_covariance=False)
+    fits = block_fit.unstack()
+    # The per-term contributions stack the same way: row r is fit r's.
+    assert block_fit.contributions.shape == (4, len(basis))
+    for row, fit in zip(block_fit.contributions, fits):
+        assert np.array_equal(row, fit.contributions)
     deconv = variance_deconvolution(block)
     assert deconv.shape == (4,)
     for run, fit, dec in zip(block.unstack(), fits, deconv):
@@ -595,6 +600,64 @@ def test_trim_errors():
         trim_expansion(s, float("inf"))
 
 
+def _former_trim_mask(surrogate, target):
+    # trim_expansion's ranking as written before PceSurrogate.contributions.
+    beta, var_beta = surrogate.coefficients, surrogate.coefficient_variance
+    contrib = (beta[1:] ** 2 - var_beta[1:]) * surrogate.basis.norms[1:]
+    mask = np.eye(1, len(surrogate.basis), dtype=bool)[0]
+    order = np.argsort(-contrib, kind="stable")
+    cum = np.cumsum(contrib[order])
+    goal = min(float(target), float(cum.max()))
+    if goal > 0.0:
+        mask[1 + order[:int(np.argmax(cum >= goal)) + 1]] = True
+    return mask
+
+
+def _former_unbiased(surrogate):
+    mask = surrogate.trimmed_mask.copy()
+    mask[0] = False
+    beta, var_beta = surrogate.coefficients[mask], surrogate.coefficient_variance[mask]
+    return float(np.sum((beta**2 - var_beta) * surrogate.basis.norms[mask]))
+
+
+@pytest.mark.parametrize("problem", ["d1", "d3"])
+def test_estimators_read_contributions_bit_for_bit(problem, d1_problem, d3_problem, rng):
+    # The unbiased variance, the trim and the Sobol indices read
+    # PceSurrogate.contributions; each equals its former formula bit for
+    # bit on diagonal and full fits, untrimmed and trimmed, down to a trim
+    # that keeps the mean term only.
+    problem = {"d1": d1_problem, "d3": d3_problem}[problem]
+    basis = total_degree_multi_indices(problem.d, 4)
+    for n_xi, n_eta in ((100, 1), (60, 4)):
+        xis = sample_parameters(problem, n_xi, rng)
+        qt, s2 = simulate_training_set(problem, xis, n_eta, rng)
+        data = TrainingData(xis, qt, s2, n_eta)
+        for full in (True, False):
+            fit = build_surrogate(data, basis, full_covariance=full)
+            assert np.array_equal(
+                fit.contributions,
+                (fit.coefficients**2 - fit.coefficient_variance) * basis.norms,
+            )
+            biased = pce_variance_biased(fit)
+            for target in (0.3 * biased, 0.6 * biased, 2.0 * biased):
+                trimmed = trim_expansion(fit, target)
+                assert np.array_equal(trimmed.trimmed_mask, _former_trim_mask(fit, target))
+                for name in ("coefficients", "coefficient_variance", "coefficient_covariance",
+                             "noise_corrected_covariance"):
+                    assert getattr(trimmed, name) is getattr(fit, name)
+                for s in (fit, trimmed):
+                    assert pce_variance_unbiased(s) == _former_unbiased(s)
+                    res = sobol_indices(s)
+                    first, total = _sobol_reference(s)
+                    assert np.array_equal(res[0], first)
+                    assert np.array_equal(res[1], total)
+            mean_only = trim_expansion(fit, 0.0)
+            assert mean_only.n_retained == 1
+            assert np.array_equal(mean_only.trimmed_mask, _former_trim_mask(fit, 0.0))
+            assert pce_variance_unbiased(mean_only) == _former_unbiased(mean_only) == 0.0
+            assert np.all(np.isnan(sobol_indices(mean_only)))
+
+
 # ---------------------------------------------------------------- prediction
 
 
@@ -822,6 +885,21 @@ def test_surrogate_roundtrip_diagonal_only(tmp_path, d3_problem, rng):
     assert pce_variance_unbiased(back) == pce_variance_unbiased(s)
 
 
+def test_save_refuses_a_block(tmp_path, d3_problem, rng):
+    # A file holds one fit; a block is refused before the file is opened.
+    basis = total_degree_multi_indices(3, 2)
+    xis = sample_parameters(d3_problem, 2 * 10, rng)
+    qt, s2 = simulate_training_set(d3_problem, xis, 3, rng)
+    block = TrainingData(xis.reshape(2, 10, 3), qt.reshape(2, 10), s2.reshape(2, 10), 3)
+    fits = build_surrogate(block, basis, full_covariance=False)
+    path = tmp_path / "block.json"
+    with pytest.raises(ValueError, match=r"unstack\(\)"):
+        save_surrogate(fits, path)
+    assert not path.exists()
+    save_surrogate(fits.unstack()[1], path)
+    assert np.array_equal(load_surrogate(path).coefficients, fits.coefficients[1])
+
+
 def test_load_rejects_tampered_files(tmp_path):
     import json
 
@@ -829,6 +907,12 @@ def test_load_rejects_tampered_files(tmp_path):
     s = make_surrogate(basis, [0.5, 0.25])
     path = tmp_path / "surrogate.json"
     save_surrogate(s, path)
+    # A top level that is not a JSON object.
+    for top in ([1, 2], "uqpc-surrogate-v1", None, 3):
+        not_object = tmp_path / "not_object.json"
+        not_object.write_text(json.dumps(top))
+        with pytest.raises(ValueError, match="must be a JSON object"):
+            load_surrogate(not_object)
     payload = json.loads(path.read_text())
     payload["format"] = "something-else"
     bad_tag = tmp_path / "bad_tag.json"
