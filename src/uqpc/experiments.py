@@ -71,9 +71,21 @@ __all__ = [
     "write_report",
 ]
 
-METHODS = ("pc_mc21", "pc_bias", "pc_bias_trim", "var_deconv")
-GSA_METHODS = ("pc_bias", "pc_bias_trim")
-STUDY_KINDS = ("variance", "gsa", "response")
+# Study kind -> its methods in their default order, each as what it reads of
+# a repetition (see _chain) and how it forms its estimate from that. A
+# method that reads the deconvolution has no rows where n_eta = 1, which has
+# none. The entries look their nisp functions up when called, so
+# wrappers of this module's names see the calls (perfbench/trace_study.py).
+# Response builds fit, trim and predict; they have no methods to choose.
+METHODS = {
+    "variance": {"pc_mc21": ("fit", lambda fit: pce_variance_biased(fit)),
+                 "pc_bias": ("unbiased", lambda unbiased: unbiased),
+                 "pc_bias_trim": ("trimmed", lambda trimmed: pce_variance_unbiased(trimmed)),
+                 "var_deconv": ("deconv", lambda deconv: deconv)},
+    "gsa": {"pc_bias": ("fit", lambda fit: sobol_indices(fit)),
+            "pc_bias_trim": ("trimmed", lambda trimmed: sobol_indices(trimmed))},
+    "response": {},
+}
 STUDY_KEYS = ("kind", "n_xi_grid", "n_eta_grid", "repetitions", "methods", "noise_free",
               "bins", "response_points")
 # In the order of SlabProblem's fields.
@@ -258,6 +270,16 @@ def _check_references(problem: SlabProblem) -> None:
             )
 
 
+def _check_methods(kind: str, methods) -> None:
+    # Every method is one of the kind's (METHODS), listed once.
+    allowed = tuple(METHODS[kind])
+    for m in methods:
+        if m not in allowed:
+            raise ValueError(f"unknown method {m!r} for kind {kind!r}; allowed: {allowed}")
+    if len(set(methods)) != len(methods):
+        raise ValueError(f"'study.methods' lists a method twice: {list(methods)}")
+
+
 def load_config(path, *, seed: int | None = None, repetitions: int | None = None) -> StudyConfig:
     """Parse and validate a YAML study config; raises ConfigError on any problem.
 
@@ -284,8 +306,8 @@ def load_config(path, *, seed: int | None = None, repetitions: int | None = None
 
     study = _mapping(_require(raw, "study", "config"), STUDY_KEYS, "'study'")
     kind = study.get("kind", "variance")
-    if kind not in STUDY_KINDS:
-        raise ConfigError(f"'study.kind' must be one of {STUDY_KINDS}, got {kind!r}")
+    if kind not in METHODS:
+        raise ConfigError(f"'study.kind' must be one of {tuple(METHODS)}, got {kind!r}")
     # Coefficient variances need at least two parameter samples.
     n_xi_grid = _as_int_grid(
         _require(study, "n_xi_grid", "'study'"), "'study.n_xi_grid'", minimum=2
@@ -297,18 +319,16 @@ def load_config(path, *, seed: int | None = None, repetitions: int | None = None
     repetitions = file_repetitions if repetitions is None else _as_positive_int(
         repetitions, "'study.repetitions'"
     )
-    # Response builds fit, trim and predict; they have no methods to choose.
-    allowed = {"variance": METHODS, "gsa": GSA_METHODS, "response": ()}[kind]
+    allowed = METHODS[kind]
     methods_raw = study.get("methods", list(allowed))
     if not allowed and "methods" in study:
         raise ConfigError("'study.methods' does not apply to response studies")
     if not isinstance(methods_raw, list) or (allowed and not methods_raw):
         raise ConfigError("'study.methods' must be a non-empty list")
-    for m in methods_raw:
-        if m not in allowed:
-            raise ConfigError(f"unknown method {m!r} for kind {kind!r}; allowed: {allowed}")
-    if len(set(methods_raw)) != len(methods_raw):
-        raise ConfigError(f"'study.methods' lists a method twice: {methods_raw}")
+    try:
+        _check_methods(kind, methods_raw)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     noise_free = study.get("noise_free", StudyConfig.noise_free)
     if not isinstance(noise_free, bool):
         raise ConfigError("'study.noise_free' must be a boolean")
@@ -390,13 +410,13 @@ def _check_memory(config: StudyConfig) -> StudyConfig:
 # Per-repetition estimation
 #
 # An estimator maps a block of repetitions' training data (see TrainingData)
-# and the cell's basis to one array with a row per repetition, and fits only
-# what it reads: variance estimates (k, methods), Sobol indices (k, methods,
-# 2, d) and response builds (k, 2) objects, a fit and its trim's mask. Its
-# columns are the config's methods at every cell; var_deconv is NaN where it
-# does not apply (n_eta = 1), and none of those rows are written. It fits in
-# the work unit's buffer (see fit_buffers), which the next block overwrites,
-# so nothing it returns may refer to it.
+# and the cell's basis to one array with a row per repetition, taking each
+# repetition from _chain: variance estimates (k, methods), Sobol indices (k,
+# methods, 2, d) and response builds (k, 2) objects, a fit and its trim's
+# mask. Its columns are the config's methods at every cell; var_deconv is
+# NaN where it does not apply (n_eta = 1), and none of those rows are
+# written. It fits in the work unit's buffer (see fit_buffers), which the
+# next block overwrites, so nothing it returns may refer to it.
 
 
 def _draw_training(
@@ -413,83 +433,54 @@ def _draw_training(
     return xis, *simulate_training_set(problem, xis, n_eta, rng)
 
 
-def _deconvolution(data: TrainingData, read: bool) -> list[float] | list[None]:
-    # Variance deconvolution is the var_deconv estimate and, where the
-    # per-sample noise variance is observable (n_eta >= 2), the trim target
-    # of pc_bias_trim and of a response build; it runs once per block, and
-    # only if read. Where it is None, the trim target is the unbiased
-    # expansion variance (n_eta = 1).
-    if data.sigma2eta is None or not read:
-        return [None] * len(data.qtilde)
-    return variance_deconvolution(data).tolist()
+def _chain(data: TrainingData, basis: MultiIndexBasis, buffer, reads, full_covariance=False):
+    # Yields a dict per repetition of the block, in order: its "fit" (one
+    # build per repetition, with both covariances, where full_covariance),
+    # its "deconv" (the block's, taken once if read or trimmed to, else
+    # None, as at n_eta = 1) and, where `reads` names them, its fit's
+    # "unbiased" total and the fit "trimmed" to deconv or else to that total.
+    trim = "trimmed" in reads
+    deconvs = [None] * len(data.qtilde)
+    if data.sigma2eta is not None and ("deconv" in reads or trim):
+        deconvs = variance_deconvolution(data)
+    if full_covariance:
+        fits = (build_surrogate(single, basis, buffer=buffer) for single in data.unstack())
+    else:
+        fits = build_surrogate(data, basis, full_covariance=False, buffer=buffer).unstack()
+    for fit, deconv in zip(fits, deconvs):
+        rep = {"fit": fit, "deconv": deconv}
+        if "unbiased" in reads or (trim and deconv is None):
+            rep["unbiased"] = pce_variance_unbiased(fit)
+        if trim:
+            rep["trimmed"] = trim_expansion(fit, rep["unbiased"] if deconv is None else deconv)
+        yield rep
 
 
-def _trim_target(
-    surrogate: PceSurrogate, deconv: float | None, unbiased: float | None = None
-) -> float:
-    # The noise-corrected variance a trim keeps to: the deconvolution
-    # estimate when there is one, the unbiased expansion total otherwise
-    # (n_eta = 1), taken from `unbiased` where the caller has it already.
-    if deconv is not None:
-        return deconv
-    return pce_variance_unbiased(surrogate) if unbiased is None else unbiased
-
-
-def _variance_estimates(
+def _method_estimates(
     config: StudyConfig, data: TrainingData, basis: MultiIndexBasis, buffer
 ) -> np.ndarray:
-    # pc_bias is also the trim target where there is no deconvolution, so
-    # it is computed once per repetition and read by both methods.
-    methods = config.methods
-    deconvs = _deconvolution(data, "var_deconv" in methods or "pc_bias_trim" in methods)
-    fits = build_surrogate(data, basis, full_covariance=False, buffer=buffer).unstack()
-    estimates = np.full((len(fits), len(methods)), np.nan)
-    for row, surrogate, deconv in zip(estimates, fits, deconvs):
-        unbiased = pce_variance_unbiased(surrogate) if "pc_bias" in methods else None
-        for col, method in enumerate(methods):
-            if method == "pc_mc21":
-                row[col] = pce_variance_biased(surrogate)
-            elif method == "pc_bias":
-                row[col] = unbiased
-            elif method == "pc_bias_trim":
-                target = _trim_target(surrogate, deconv, unbiased)
-                row[col] = pce_variance_unbiased(trim_expansion(surrogate, target))
-            elif deconv is not None:
-                row[col] = deconv
-    return estimates
-
-
-def _gsa_estimates(
-    config: StudyConfig, data: TrainingData, basis: MultiIndexBasis, buffer
-) -> np.ndarray:
+    # Each configured method's estimate of each repetition (see METHODS).
     # Sobol indices stay per repetition: the order of their sums is part of
     # their bits. A draw can trim everything but the mean, or its retained
     # terms can contribute exactly 0 in total (all-zero single-history
     # tallies); its indices are 0/0, which sobol_indices gives as NaN.
-    deconvs = _deconvolution(data, "pc_bias_trim" in config.methods)
-    fits = build_surrogate(data, basis, full_covariance=False, buffer=buffer).unstack()
-    estimates = np.full((len(fits), len(config.methods), 2, basis.dimension), np.nan)
-    for row, surrogate, deconv in zip(estimates, fits, deconvs):
-        for col, method in enumerate(config.methods):
-            fit = surrogate
-            if method == "pc_bias_trim":
-                fit = trim_expansion(surrogate, _trim_target(surrogate, deconv))
-            row[col] = sobol_indices(fit)
-    return estimates
+    methods = [METHODS[config.kind][method] for method in config.methods]
+    chain = _chain(data, basis, buffer, {read for read, _ in methods})
+    return np.array([[np.nan if rep[read] is None else form(rep[read]) for read, form in methods]
+                     for rep in chain])
 
 
 def _response_estimates(
     config: StudyConfig, data: TrainingData, basis: MultiIndexBasis, buffer
 ) -> np.ndarray:
-    # Per build: one surrogate with its covariances, whose BLAS products
-    # are per training set, and the retained-term mask of its trim. Nothing
-    # is evaluated on the response grid here; write_report derives the
-    # curves of both fits from these.
+    # Per build: its fit with both covariances, whose BLAS products are per
+    # training set, and the retained-term mask of its trim. Nothing is
+    # evaluated on the response grid here; write_report derives the curves
+    # of both fits from these.
     estimates = np.empty((len(data.qtilde), 2), dtype=object)
-    for row, single, deconv in zip(estimates, data.unstack(), _deconvolution(data, True)):
-        surrogate = build_surrogate(single, basis, buffer=buffer)
-        trimmed = trim_expansion(surrogate, _trim_target(surrogate, deconv))
-        row[0], row[1] = surrogate, trimmed.trimmed_mask
+    chain = _chain(data, basis, buffer, {"trimmed"}, full_covariance=True)
+    for row, rep in zip(estimates, chain):
+        row[0], row[1] = rep["fit"], rep["trimmed"].trimmed_mask
     return estimates
 
 
@@ -722,10 +713,11 @@ def _row_dtype(kind: str, d: int) -> np.dtype:
 
 def _result_table(config: StudyConfig) -> tuple[np.recarray, list[dict]]:
     # The study's result table with its key columns filled: a row per (cell,
-    # method, repetition) in that order, for each method the cell writes
-    # (var_deconv needs n_eta >= 2). Also each grid cell's rows, by method.
+    # method, repetition) in that order, for each method the cell writes (a
+    # deconvolution reader needs n_eta >= 2). Also each cell's rows, by method.
     keys = [(cell, n_xi, n_eta, method) for cell, (n_xi, n_eta) in enumerate(config.cells)
-            for method in config.methods if method != "var_deconv" or n_eta >= 2]
+            for method in config.methods
+            if METHODS[config.kind][method][0] != "deconv" or n_eta >= 2]
     reps = config.repetitions
     table = np.recarray(len(keys) * reps, _row_dtype(config.kind, config.problem.d))
     cells = [{} for _ in config.cells]
@@ -804,8 +796,8 @@ def _response_summary(report: StudyReport, n_xi: int, n_eta: int, rows: dict) ->
 # _result_table), builds into the report's lists. A summarizer computes a
 # cell's summary entry from its filled rows, or the builds, after the grid.
 _STUDIES = {
-    "variance": (_variance_estimates, _store_variance, _variance_summary),
-    "gsa": (_gsa_estimates, _store_gsa, _gsa_summary),
+    "variance": (_method_estimates, _store_variance, _variance_summary),
+    "gsa": (_method_estimates, _store_gsa, _gsa_summary),
     "response": (_response_estimates, _store_response, _response_summary),
 }
 
@@ -815,9 +807,10 @@ def run_study(config: StudyConfig, workers: int = 1) -> StudyReport:
     kind's estimator, its results stored in the report as each cell's
     shares come back, then each cell summarized from them in grid order.
     The study's result table is allocated once, and the other kind's table
-    has no rows."""
+    has no rows. A method outside the kind's, or listed twice, is a ValueError."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    _check_methods(config.kind, config.methods)
     estimate, store, summarize = _STUDIES[config.kind]
     d = config.problem.d
     tables = {kind: np.recarray(0, _row_dtype(kind, d)) for kind in ("variance", "gsa")}

@@ -112,7 +112,7 @@ class PceSurrogate:
     trimmed. A block of fits, one per repetition of a TrainingData block,
     stacks ``coefficients``, ``coefficient_variance`` and ``trimmed_mask``
     along a leading axis, carries no covariance matrices, and is read
-    through ``unstack``.
+    through ``unstack``: the readers of one fit's terms refuse a block.
     """
 
     basis: MultiIndexBasis
@@ -322,9 +322,16 @@ def build_surrogate(
     )
 
 
+def _one_fit(surrogate: PceSurrogate) -> PceSurrogate:
+    # A block's leading axis is its repetitions; a reader of one fit's terms would misread it.
+    if surrogate.coefficients.ndim != 1:
+        raise ValueError("expected one fit, not a block of fits; pass each of its unstack()")
+    return surrogate
+
+
 def _retained_tail(surrogate: PceSurrogate) -> np.ndarray:
-    # Boolean index over retained non-mean terms.
-    mask = surrogate.trimmed_mask.copy()
+    # Boolean index over retained non-mean terms of one fit.
+    mask = _one_fit(surrogate).trimmed_mask.copy()
     mask[0] = False
     return mask
 
@@ -379,7 +386,7 @@ def trim_expansion(surrogate: PceSurrogate, target_variance: float) -> PceSurrog
     """
     if not np.isfinite(target_variance):
         raise ValueError(f"target variance must be finite, got {target_variance}")
-    contrib = surrogate.contributions[1:]
+    contrib = _one_fit(surrogate).contributions[1:]
     mask = np.zeros(len(surrogate.basis), dtype=bool)
     mask[0] = True
     if contrib.size:
@@ -410,7 +417,7 @@ def predict(surrogate: PceSurrogate, psi: np.ndarray) -> np.ndarray:
     (n, d), so fits of one basis evaluate it once for any number of curves
     on the same points.
     """
-    mask = surrogate.trimmed_mask
+    mask = _one_fit(surrogate).trimmed_mask
     return _basis_values(surrogate, psi)[:, mask] @ surrogate.coefficients[mask]
 
 
@@ -425,6 +432,7 @@ def prediction_stddev(
     the band). Clipped at zero before the square root, since the corrected
     matrix can lose semidefiniteness at finite sample counts.
     """
+    mask = _retained_tail(surrogate)
     cov = (
         surrogate.noise_corrected_covariance
         if use_noise_corrected
@@ -433,7 +441,6 @@ def prediction_stddev(
     if cov is None:
         which = "noise_corrected_covariance" if use_noise_corrected else "coefficient_covariance"
         raise ValueError(f"prediction_stddev requires {which}")
-    mask = _retained_tail(surrogate)
     psi = _basis_values(surrogate, psi)[:, mask]
     sub = cov[np.ix_(mask, mask)]
     var = np.einsum("ij,jk,ik->i", psi, sub, psi)
@@ -479,8 +486,7 @@ SURROGATE_KEYS = ("dimension", "total_degree", "multi_indices", "coefficients",
 
 def save_surrogate(surrogate: PceSurrogate, path) -> None:
     """Write one fit, not a block, as self-describing JSON (see README for fields)."""
-    if surrogate.coefficients.ndim != 1:
-        raise ValueError("save_surrogate takes one fit, not a block; save each of its unstack()")
+    _one_fit(surrogate)
     payload = {
         "format": SURROGATE_FORMAT,
         "dimension": surrogate.basis.dimension,

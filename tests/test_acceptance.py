@@ -56,7 +56,7 @@ def large_sample_study():
         kind="variance",
         cells=((2000, 2), (2000, 50)),
         repetitions=200,
-        methods=METHODS,
+        methods=tuple(METHODS["variance"]),
         cost=None,
         master_seed=901157,
     )

@@ -12,7 +12,6 @@ import pytest
 from uqpc.cli import main
 from uqpc.costmodel import CostModel
 from uqpc.experiments import (
-    GSA_METHODS,
     METHODS,
     ConfigError,
     derive_rng,
@@ -87,7 +86,7 @@ def test_load_config_defaults(tmp_path):
     config = load_config(path)
     assert config.kind == "variance"
     assert config.repetitions == 200
-    assert config.methods == METHODS
+    assert config.methods == tuple(METHODS["variance"])
     assert config.master_seed == 0
     assert config.noise_free is False
     assert config.bins == 40
@@ -108,7 +107,7 @@ def test_load_config_gsa_defaults(tmp_path):
       n_eta_grid: [1]
     """)
     config = load_config(path)
-    assert config.methods == GSA_METHODS
+    assert config.methods == tuple(METHODS["gsa"])
     assert config.problem.sigma0 == pytest.approx([0.3, 0.5])
     assert config.problem.sigma_delta == pytest.approx([0.29, 0.1])
     assert config.problem.dx == pytest.approx([1.0, 2.0])
@@ -617,7 +616,7 @@ def test_gsa_study_single_dim(tmp_path):
         assert g.first_order.tolist() == [1.0]
         assert g.total.tolist() == [1.0]
     cell = report.summary["cells"][0]
-    for method in GSA_METHODS:
+    for method in METHODS["gsa"]:
         stats = cell["methods"][method]
         assert stats["n_defined"] == 3
         assert stats["mean_first"] == [1.0]
@@ -803,7 +802,7 @@ def test_grid_stores_each_share_of_a_cell_once(tmp_path, monkeypatch, workers):
     seed: 5
     """))
     stored = []
-    experiments._run_grid(config, experiments._variance_estimates, workers,
+    experiments._run_grid(config, experiments._method_estimates, workers,
                           lambda cell, at, values: stored.append((cell, range(5)[at], len(values))))
     assert stored == [(cell, reps, len(reps)) for cell in range(4)
                       for reps in (_share(part, workers, cell, 5) for part in range(workers))]
@@ -971,7 +970,7 @@ def test_parent_failure_stops_the_children(tmp_path, monkeypatch):
 
     monkeypatch.setattr(experiments, "derive_rng", derive_rng)
     monkeypatch.setitem(experiments._STUDIES, "variance", (
-        experiments._variance_estimates, store, experiments._variance_summary))
+        experiments._method_estimates, store, experiments._variance_summary))
     config = load_config(write_config(tmp_path, D1_PROBLEM, """\
     pce: {n0: 2}
     study: {n_xi_grid: [20], n_eta_grid: [1, 2], repetitions: 2}
@@ -1000,6 +999,77 @@ def test_run_study_needs_a_worker(tmp_path, monkeypatch):
     for workers in (0, -1):
         with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
             run_study(config, workers=workers)
+
+
+@pytest.mark.parametrize("kind, methods, workers, refused", [
+    # A misspelt method next to var_deconv, a variance method in a GSA
+    # study, any method in a response study and a method listed twice.
+    ("variance", ("var_deconv", "pc_bais_trim"), 1,
+     "unknown method 'pc_bais_trim' for kind 'variance'; allowed: "
+     "('pc_mc21', 'pc_bias', 'pc_bias_trim', 'var_deconv')"),
+    ("gsa", ("pc_mc21",), 2,
+     "unknown method 'pc_mc21' for kind 'gsa'; allowed: ('pc_bias', 'pc_bias_trim')"),
+    ("response", ("pc_bias",), 1, "unknown method 'pc_bias' for kind 'response'; allowed: ()"),
+    ("variance", ("pc_bias", "pc_bias"), 2,
+     "'study.methods' lists a method twice: ['pc_bias', 'pc_bias']"),
+], ids=["misspelt", "variance-method-in-gsa", "response", "twice"])
+def test_run_study_refuses_methods_outside_its_kind(monkeypatch, kind, methods, workers, refused):
+    # A config built in code is checked as load_config checks a file:
+    # run_study names the method and the kind's methods before it draws or
+    # forks anything.
+    import re
+
+    import uqpc.experiments as experiments
+    from uqpc.experiments import StudyConfig
+    from uqpc.transport import SlabProblem
+
+    def refuse(*args):
+        raise AssertionError("drew or forked")
+
+    monkeypatch.setattr(experiments, "derive_rng", refuse)
+    monkeypatch.setattr(os, "fork", refuse)
+    config = StudyConfig(problem=SlabProblem(sigma0=[1.0], sigma_delta=[0.95], dx=[1.0]), n0=2,
+                         kind=kind, cells=((40, 2),), repetitions=3, methods=methods, cost=None,
+                         master_seed=1)
+    with pytest.raises(ValueError, match=re.escape(refused)):
+        run_study(config, workers=workers)
+
+
+@pytest.mark.parametrize("kind, n_eta, methods, calls", [
+    ("variance", 2, "[pc_mc21]", (0, 0, 0)),
+    ("gsa", 2, "[pc_bias]", (0, 0, 0)),
+    # pc_bias's unbiased total is the trim target, then the trimmed fit's.
+    ("variance", 1, "[pc_bias, pc_bias_trim]", (5, 0, 10)),
+    # One deconvolution for the block of all 5 repetitions.
+    ("variance", 2, "[pc_mc21, pc_bias, pc_bias_trim, var_deconv]", (5, 1, 10)),
+])
+def test_chain_computes_only_what_a_method_reads(tmp_path, monkeypatch, kind, n_eta, methods,
+                                                 calls):
+    # Calls of trim_expansion, variance_deconvolution and
+    # pce_variance_unbiased in a study of 5 repetitions: each runs only
+    # where a configured method reads it, and each repetition's unbiased
+    # total is computed once.
+    import uqpc.experiments as experiments
+
+    names = ("trim_expansion", "variance_deconvolution", "pce_variance_unbiased")
+    counts = dict.fromkeys(names, 0)
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    for name in names:
+        monkeypatch.setattr(experiments, name, counted(name, getattr(experiments, name)))
+    config = load_config(write_config(
+        tmp_path,
+        materials_yaml(3) + "pce: {n0: 2}\n"
+        f"study: {{kind: {kind}, n_xi_grid: [40], n_eta_grid: [{n_eta}], repetitions: 5, "
+        f"methods: {methods}}}\n",
+    ))
+    run_study(config)
+    assert tuple(counts[name] for name in names) == calls
 
 
 def test_unpicklable_child_exception_becomes_runtime_error(tmp_path, monkeypatch):
@@ -1130,33 +1200,43 @@ def fresh_estimates(config, n_xi: int, n_eta: int, reps) -> np.ndarray:
     return np.array(out)
 
 
-@pytest.mark.parametrize("kind, d, n0, n_xi, n_eta, noise_free", [
-    ("variance", 1, 5, 40, 1, False),
-    ("variance", 1, 5, 40, 3, False),
-    ("variance", 3, 6, 25, 1, False),
-    ("variance", 3, 6, 60, 2, False),
-    ("variance", 3, 6, 30, 4, True),
-    ("variance", 10, 2, 50, 2, False),
-    ("gsa", 3, 4, 50, 1, False),
-    ("gsa", 3, 4, 50, 3, False),
-    ("gsa", 10, 2, 200, 1, False),
-    ("gsa", 10, 2, 200, 2, True),
+@pytest.mark.parametrize("kind, d, n0, n_xi, n_eta, noise_free, methods", [
+    ("variance", 1, 5, 40, 1, False, None),
+    ("variance", 1, 5, 40, 3, False, None),
+    ("variance", 3, 6, 25, 1, False, None),
+    ("variance", 3, 6, 60, 2, False, None),
+    ("variance", 3, 6, 30, 4, True, None),
+    ("variance", 10, 2, 50, 2, False, None),
+    ("gsa", 3, 4, 50, 1, False, None),
+    ("gsa", 3, 4, 50, 3, False, None),
+    ("gsa", 10, 2, 200, 1, False, None),
+    ("gsa", 10, 2, 200, 2, True, None),
+    # Subsets of the methods: the trim without pc_bias, at n_eta = 1 (whose
+    # target is then computed for the trim alone) and n_eta >= 2, and the
+    # deconvolution without the trim.
+    ("variance", 3, 4, 40, 1, False, "[pc_bias_trim]"),
+    ("variance", 3, 4, 40, 3, False, "[pc_bias_trim]"),
+    ("variance", 3, 4, 40, 2, False, "[var_deconv, pc_mc21]"),
+    ("gsa", 3, 4, 50, 1, False, "[pc_bias_trim]"),
+    ("gsa", 3, 4, 50, 3, False, "[pc_bias_trim]"),
 ])
 def test_stacked_estimates_equal_per_repetition_fits(
-    tmp_path, monkeypatch, kind, d, n0, n_xi, n_eta, noise_free
+    tmp_path, monkeypatch, kind, d, n0, n_xi, n_eta, noise_free, methods
 ):
     # A unit fitted one repetition per block, and the same unit fitted as
     # one block, give every estimate bit for bit as a fresh fit of each
-    # repetition alone; records.csv and gsa.csv do not change either.
+    # repetition alone, for all of a kind's methods and for a subset;
+    # records.csv and gsa.csv do not change either.
     import uqpc.experiments as experiments
     import uqpc.nisp as nisp
 
     reps = 9
+    listed = "" if methods is None else f", methods: {methods}"
     config = load_config(write_config(
         tmp_path,
         materials_yaml(d) + f"pce: {{n0: {n0}}}\n"
         f"study: {{kind: {kind}, n_xi_grid: [{n_xi}], n_eta_grid: [{n_eta}], "
-        f"repetitions: {reps}, noise_free: {str(noise_free).lower()}}}\nseed: 23\n",
+        f"repetitions: {reps}, noise_free: {str(noise_free).lower()}{listed}}}\nseed: 23\n",
     ))
     basis = total_degree_multi_indices(d, n0)
     estimate = experiments._STUDIES[kind][0]
@@ -1195,7 +1275,7 @@ def test_variance_unit_memory_is_bounded(tmp_path):
     """))
     basis = total_degree_multi_indices(3, 6)
     assert nisp.fit_buffers(basis, 2000, 2).shape == (28, 2000)
-    estimate = experiments._variance_estimates
+    estimate = experiments._method_estimates
     experiments._cell_chunk(config, estimate, basis, 0, range(1))
     tracemalloc.start()
     try:
@@ -1255,7 +1335,7 @@ def test_write_csv_matches_csv_module(tmp_path):
 
     floats = [float("nan"), float("inf"), float("-inf"), -0.0, 1e-05, 5e-324, 1e16, 0.1 + 0.2]
     ints = [0, 1, -7, 2000, 10**12, 3, 200, 42]
-    methods = list(METHODS) + list(GSA_METHODS) + ["pc_mc21", "var_deconv"]
+    methods = list(METHODS["variance"]) + list(METHODS["gsa"]) + ["pc_mc21", "var_deconv"]
     header = ["method", "count", "value"]
     columns = [methods, _column(np.array(ints)), _column(np.array(floats))]
     path = tmp_path / "columns.csv"

@@ -887,11 +887,19 @@ def test_surrogate_roundtrip_diagonal_only(tmp_path, d3_problem, rng):
 
 def test_save_refuses_a_block(tmp_path, d3_problem, rng):
     # A file holds one fit; a block is refused before the file is opened.
+    # Every reader of one fit's terms refuses a block the same way, where
+    # it would otherwise take the block's rows for terms.
     basis = total_degree_multi_indices(3, 2)
     xis = sample_parameters(d3_problem, 2 * 10, rng)
     qt, s2 = simulate_training_set(d3_problem, xis, 3, rng)
     block = TrainingData(xis.reshape(2, 10, 3), qt.reshape(2, 10), s2.reshape(2, 10), 3)
     fits = build_surrogate(block, basis, full_covariance=False)
+    psi = eval_basis_matrix(basis, xis[:5])
+    for read in (pce_variance_biased, pce_variance_unbiased, sobol_indices,
+                 lambda fit: trim_expansion(fit, 0.1), lambda fit: predict(fit, psi),
+                 lambda fit: prediction_stddev(fit, psi)):
+        with pytest.raises(ValueError, match=r"one fit, not a block.*unstack\(\)"):
+            read(fits)
     path = tmp_path / "block.json"
     with pytest.raises(ValueError, match=r"unstack\(\)"):
         save_surrogate(fits, path)
