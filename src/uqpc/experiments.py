@@ -97,9 +97,9 @@ MATERIAL_KEYS = ("sigma0", "sigmaDelta", "dx")
 # history, so n_eta does not enter this bound. Variance and GSA fits never
 # build the basis matrix, only n_xi x (head terms) arrays, so for them the
 # bound is conservative. A repetition holds a few arrays of this size at
-# once in every worker, so a larger config is refused in load_config rather
-# than running out of memory part-way through a study. The same bound holds
-# for what a study holds per repetition until its report is written (see
+# once in every worker, so a StudyConfig refuses a larger study rather than
+# running out of memory part-way through it. The same bound holds for what
+# a study holds per repetition until its report is written (see
 # _repetition_bytes): the result table and the arrays that aggregate one
 # method-cell's repetitions, or a response build's objects (BUILD_BYTES)
 # and arrays.
@@ -109,13 +109,15 @@ BUILD_BYTES = 1024
 ROW_KEYS = [("n_xi", np.int64), ("n_eta", np.int64), ("method", "U12"), ("repetition", np.int64)]
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     """Invalid or unreadable study configuration; maps to CLI exit code 2."""
 
 
 @dataclass(frozen=True, eq=False)
 class StudyConfig:
-    """Validated study description; see load_config for the file format."""
+    """A study description. It checks its values on construction, also under
+    dataclasses.replace, and raises ConfigError naming the first invalid
+    field; load_config reads one from a YAML file."""
 
     problem: SlabProblem
     n0: int
@@ -129,6 +131,45 @@ class StudyConfig:
     noise_free: bool = False
     bins: int = 40
     response_points: int = 201
+
+    def __post_init__(self) -> None:
+        # A str is checked first, as a list or mapping kind is unhashable.
+        if not isinstance(self.kind, str) or self.kind not in METHODS:
+            raise ConfigError(f"'study.kind' must be one of {tuple(METHODS)}, got {self.kind!r}")
+        _check_methods(self.kind, self.methods)
+        _as_int(self.n0, "'pce.n0'", 0)
+        _as_int(self.master_seed, "'seed'", 0)
+        for name in ("repetitions", "bins", "response_points"):
+            _as_int(getattr(self, name), f"'study.{name}'", 1)
+        if not isinstance(self.noise_free, bool):
+            raise ConfigError("'study.noise_free' must be a boolean")
+        if not self.cells:
+            raise ConfigError("the study has no cells: 'study.n_xi_grid' and "
+                              "'study.n_eta_grid' must be non-empty")
+        seen = set()
+        for n_xi, n_eta in self.cells:
+            # Coefficient variances need at least two parameter samples.
+            # Tallies take leak counts, and the cost model sample counts,
+            # as float64, which holds every count up to 2**53 exactly.
+            _as_int(n_xi, "'study.n_xi_grid' entries", 2, bits=53)
+            _as_int(n_eta, "'study.n_eta_grid' entries", 1, bits=53)
+            # A repeated cell would run twice under one report key.
+            if (n_xi, n_eta) in seen:
+                raise ConfigError(f"the grid lists a cell twice: ({n_xi}, {n_eta})")
+            seen.add((n_xi, n_eta))
+        if self.kind == "response":
+            if self.problem.d != 1:
+                raise ConfigError("response studies support d=1 problems only")
+            if len(self.cells) != 1:
+                raise ConfigError("response studies take exactly one (n_xi, n_eta) grid point")
+        _check_references(self.problem)
+        # The summary reports the costs and each cell's realized cost.
+        cost = self.cost
+        if cost is not None and not np.isfinite(
+            [cost.c_total, *(n_xi * cost.per_sample(n_eta) for n_xi, n_eta in self.cells)]
+        ).all():
+            raise ConfigError(f"'cost' is out of floating-point range for this grid: {cost}")
+        _check_memory(self)
 
 
 @dataclass(eq=False)
@@ -175,9 +216,13 @@ def _require(mapping: dict, key: str, context: str):
     return mapping[key]
 
 
-def _as_positive_int(value, context: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ConfigError(f"{context} must be a positive integer, got {value!r}")
+def _as_int(value, context: str, minimum: int, bits: int | None = None) -> int:
+    # An int, not a bool, of at least `minimum` and, given `bits`, at most
+    # 2**bits.
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise ConfigError(f"{context} must be an integer >= {minimum}, got {value!r}")
+    if bits is not None and value > 2**bits:
+        raise ConfigError(f"{context} must be <= 2**{bits}, got {value}")
     return value
 
 
@@ -190,22 +235,6 @@ def _as_float(value, context: str) -> float:
         except (TypeError, ValueError):
             pass
     raise ConfigError(f"{context} must be a number, got {value!r}")
-
-
-def _as_int_grid(value, context: str, minimum: int = 1) -> tuple[int, ...]:
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{context} must be a non-empty list of positive integers")
-    grid = tuple(_as_positive_int(v, f"{context} entry") for v in value)
-    if min(grid) < minimum:
-        raise ConfigError(f"{context} entries must be >= {minimum}, got {min(grid)}")
-    # Tallies take leak counts, and the cost model sample counts, as
-    # float64, which holds every count up to 2**53 exactly.
-    if max(grid) > 2**53:
-        raise ConfigError(f"{context} entries must be <= 2**53, got {max(grid)}")
-    # A repeated entry would run its cells twice under one report key.
-    if len(set(grid)) != len(grid):
-        raise ConfigError(f"{context} lists an entry twice: {list(grid)}")
-    return grid
 
 
 def _parse_problem(section) -> SlabProblem:
@@ -225,24 +254,18 @@ def _parse_problem(section) -> SlabProblem:
         raise ConfigError(f"invalid problem: {exc}") from exc
 
 
-def _parse_cost(section, cells: tuple[tuple[int, int], ...]) -> CostModel | None:
+def _parse_cost(section) -> CostModel | None:
     if section is None:
         return None
     _mapping(section, ("total", "xi", "eta"), "'cost'")
     try:
-        cost = CostModel(
+        return CostModel(
             c_total=_as_float(_require(section, "total", "'cost'"), "'cost.total'"),
             c_xi=_as_float(_require(section, "xi", "'cost'"), "'cost.xi'"),
             c_eta=_as_float(_require(section, "eta", "'cost'"), "'cost.eta'"),
         )
     except ValueError as exc:
         raise ConfigError(f"invalid cost model: {exc}") from exc
-    # The summary reports the costs and each cell's realized cost.
-    if not np.isfinite(
-        [cost.c_total, *(n_xi * cost.per_sample(n_eta) for n_xi, n_eta in cells)]
-    ).all():
-        raise ConfigError(f"'cost' is out of floating-point range for this grid: {cost}")
-    return cost
 
 
 def _check_references(problem: SlabProblem) -> None:
@@ -275,17 +298,18 @@ def _check_methods(kind: str, methods) -> None:
     allowed = tuple(METHODS[kind])
     for m in methods:
         if m not in allowed:
-            raise ValueError(f"unknown method {m!r} for kind {kind!r}; allowed: {allowed}")
+            raise ConfigError(f"unknown method {m!r} for kind {kind!r}; allowed: {allowed}")
     if len(set(methods)) != len(methods):
-        raise ValueError(f"'study.methods' lists a method twice: {list(methods)}")
+        raise ConfigError(f"'study.methods' lists a method twice: {list(methods)}")
 
 
 def load_config(path, *, seed: int | None = None, repetitions: int | None = None) -> StudyConfig:
-    """Parse and validate a YAML study config; raises ConfigError on any problem.
+    """Read a YAML study config into a StudyConfig, which checks its values;
+    raises ConfigError on any problem.
 
     A given ``seed`` or ``repetitions`` takes the place of the file's
-    ``seed`` or ``study.repetitions`` and passes the same checks; the file's
-    own value is still checked for type and range.
+    ``seed`` or ``study.repetitions``; the file's own value is still checked
+    for type and range.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -298,72 +322,40 @@ def load_config(path, *, seed: int | None = None, repetitions: int | None = None
     _mapping(raw, ("problem", "pce", "study", "cost", "seed"), "config root")
 
     problem = _parse_problem(_require(raw, "problem", "config"))
-    _check_references(problem)
     pce = _mapping(_require(raw, "pce", "config"), ("n0",), "'pce'")
-    n0 = _require(pce, "n0", "'pce'")
-    if not isinstance(n0, int) or isinstance(n0, bool) or n0 < 0:
-        raise ConfigError(f"'pce.n0' must be a nonnegative integer, got {n0!r}")
-
     study = _mapping(_require(raw, "study", "config"), STUDY_KEYS, "'study'")
     kind = study.get("kind", "variance")
-    if kind not in METHODS:
-        raise ConfigError(f"'study.kind' must be one of {tuple(METHODS)}, got {kind!r}")
-    # Coefficient variances need at least two parameter samples.
-    n_xi_grid = _as_int_grid(
-        _require(study, "n_xi_grid", "'study'"), "'study.n_xi_grid'", minimum=2
-    )
-    n_eta_grid = _as_int_grid(_require(study, "n_eta_grid", "'study'"), "'study.n_eta_grid'")
-    # An override replaces the file's value once that has passed the
-    # same checks.
-    file_repetitions = _as_positive_int(study.get("repetitions", 200), "'study.repetitions'")
-    repetitions = file_repetitions if repetitions is None else _as_positive_int(
-        repetitions, "'study.repetitions'"
-    )
-    allowed = METHODS[kind]
-    methods_raw = study.get("methods", list(allowed))
-    if not allowed and "methods" in study:
+    if "methods" not in study:
+        # The kind's methods; StudyConfig refuses a kind outside METHODS.
+        methods = METHODS.get(kind, ()) if isinstance(kind, str) else ()
+    elif kind == "response":
         raise ConfigError("'study.methods' does not apply to response studies")
-    if not isinstance(methods_raw, list) or (allowed and not methods_raw):
-        raise ConfigError("'study.methods' must be a non-empty list")
-    try:
-        _check_methods(kind, methods_raw)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    noise_free = study.get("noise_free", StudyConfig.noise_free)
-    if not isinstance(noise_free, bool):
-        raise ConfigError("'study.noise_free' must be a boolean")
-    bins = _as_positive_int(study.get("bins", StudyConfig.bins), "'study.bins'")
-    response_points = _as_positive_int(
-        study.get("response_points", StudyConfig.response_points), "'study.response_points'"
-    )
+    else:
+        methods = study["methods"]
+        if not isinstance(methods, list) or not methods:
+            raise ConfigError("'study.methods' must be a non-empty list")
+    grids = [_require(study, key, "'study'") for key in ("n_xi_grid", "n_eta_grid")]
+    for key, grid in zip(("n_xi_grid", "n_eta_grid"), grids):
+        if not isinstance(grid, list):
+            raise ConfigError(f"'study.{key}' must be a list")
+    # An override takes the place of the file's value once that has passed
+    # the same type and range check.
+    file_seed = _as_int(raw.get("seed", 0), "'seed'", 0)
+    file_repetitions = _as_int(study.get("repetitions", 200), "'study.repetitions'", 1)
 
-    cells = tuple(product(n_xi_grid, n_eta_grid))
-    if kind == "response":
-        if problem.d != 1:
-            raise ConfigError("response studies support d=1 problems only")
-        if len(cells) != 1:
-            raise ConfigError("response studies take exactly one (n_xi, n_eta) grid point")
-
-    file_seed = raw.get("seed", 0)
-    for value in (file_seed, seed):
-        if value is not None and (not isinstance(value, int) or isinstance(value, bool)
-                                  or value < 0):
-            raise ConfigError(f"'seed' must be a nonnegative integer, got {value!r}")
-    seed = file_seed if seed is None else seed
-
-    return _check_memory(StudyConfig(
+    return StudyConfig(
         problem=problem,
-        n0=n0,
+        n0=_require(pce, "n0", "'pce'"),
         kind=kind,
-        cells=cells,
-        repetitions=repetitions,
-        methods=tuple(methods_raw),
-        cost=_parse_cost(raw.get("cost"), cells),
-        master_seed=seed,
-        noise_free=noise_free,
-        bins=bins,
-        response_points=response_points,
-    ))
+        cells=tuple(product(*grids)),
+        repetitions=file_repetitions if repetitions is None else repetitions,
+        methods=tuple(methods),
+        cost=_parse_cost(raw.get("cost")),
+        master_seed=file_seed if seed is None else seed,
+        noise_free=study.get("noise_free", StudyConfig.noise_free),
+        bins=study.get("bins", StudyConfig.bins),
+        response_points=study.get("response_points", StudyConfig.response_points),
+    )
 
 
 def _repetition_bytes(config: StudyConfig) -> int:
@@ -384,7 +376,7 @@ def _repetition_bytes(config: StudyConfig) -> int:
     return len(config.methods) * row.itemsize + 64 + 2 * floats
 
 
-def _check_memory(config: StudyConfig) -> StudyConfig:
+def _check_memory(config: StudyConfig) -> None:
     # Refuse a study whose arrays or result table would pass MAX_ARRAY_BYTES.
     d = config.problem.d
     n_terms = basis_count(d, config.n0)
@@ -403,7 +395,6 @@ def _check_memory(config: StudyConfig) -> StudyConfig:
                 f"{what} too large: {count} rows of {size} B are {count * size / 2**20:.0f} "
                 f"MiB, over the {MAX_ARRAY_BYTES / 2**20:.0f} MiB limit"
             )
-    return config
 
 
 # ---------------------------------------------------------------------------
@@ -807,10 +798,9 @@ def run_study(config: StudyConfig, workers: int = 1) -> StudyReport:
     kind's estimator, its results stored in the report as each cell's
     shares come back, then each cell summarized from them in grid order.
     The study's result table is allocated once, and the other kind's table
-    has no rows. A method outside the kind's, or listed twice, is a ValueError."""
+    has no rows."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    _check_methods(config.kind, config.methods)
     estimate, store, summarize = _STUDIES[config.kind]
     d = config.problem.d
     tables = {kind: np.recarray(0, _row_dtype(kind, d)) for kind in ("variance", "gsa")}

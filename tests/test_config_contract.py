@@ -167,6 +167,10 @@ MUTATION = st.one_of(
 @example(name="d3_variance.yaml", mutations=[(("study", "n_eta_grid", -1), 2**53)])
 @example(name="d1_oracle.yaml", mutations=[(("problem", "materials", 0, "sigma0"), 700.0),
                                            (("problem", "materials", 0, "sigmaDelta"), 1)])
+# A kind that is not a string, which once raised TypeError when looked up.
+@example(name="d3_variance.yaml", mutations=[(("study", "kind"), [])])
+@example(name="d3_gsa.yaml", mutations=[(("study", "kind"), {"a": 1})])
+@example(name="d1_response.yaml", mutations=[(("study", "kind"), [3, 5])])
 def test_cli_runs_or_refuses_any_config(name, mutations):
     check_contract(name, mutations)
 

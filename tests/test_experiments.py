@@ -23,7 +23,7 @@ from uqpc.experiments import (
 from uqpc.nisp import load_surrogate, predict, prediction_stddev
 from uqpc.oracle import exact_mean, exact_sobol, exact_variance, quadrature_coefficients
 from uqpc.polybasis import eval_basis_matrix, total_degree_multi_indices
-from uqpc.transport import transmittance_batch
+from uqpc.transport import SlabProblem, transmittance_batch
 
 D1_PROBLEM = """\
 problem:
@@ -1001,38 +1001,72 @@ def test_run_study_needs_a_worker(tmp_path, monkeypatch):
             run_study(config, workers=workers)
 
 
-@pytest.mark.parametrize("kind, methods, workers, refused", [
+@pytest.mark.parametrize("changes, workers, refused", [
     # A misspelt method next to var_deconv, a variance method in a GSA
     # study, any method in a response study and a method listed twice.
-    ("variance", ("var_deconv", "pc_bais_trim"), 1,
+    ({"methods": ("var_deconv", "pc_bais_trim")}, 1,
      "unknown method 'pc_bais_trim' for kind 'variance'; allowed: "
      "('pc_mc21', 'pc_bias', 'pc_bias_trim', 'var_deconv')"),
-    ("gsa", ("pc_mc21",), 2,
+    ({"kind": "gsa", "methods": ("pc_mc21",)}, 2,
      "unknown method 'pc_mc21' for kind 'gsa'; allowed: ('pc_bias', 'pc_bias_trim')"),
-    ("response", ("pc_bias",), 1, "unknown method 'pc_bias' for kind 'response'; allowed: ()"),
-    ("variance", ("pc_bias", "pc_bias"), 2,
+    ({"kind": "response"}, 1, "unknown method 'pc_bias' for kind 'response'; allowed: ()"),
+    ({"methods": ("pc_bias", "pc_bias")}, 2,
      "'study.methods' lists a method twice: ['pc_bias', 'pc_bias']"),
-], ids=["misspelt", "variance-method-in-gsa", "response", "twice"])
-def test_run_study_refuses_methods_outside_its_kind(monkeypatch, kind, methods, workers, refused):
-    # A config built in code is checked as load_config checks a file:
-    # run_study names the method and the kind's methods before it draws or
-    # forks anything.
+    # Values that once ran, failed deep inside the run or returned NaN.
+    ({"repetitions": 0}, 1, "'study.repetitions' must be an integer >= 1, got 0"),
+    ({"kind": "nope"}, 1,
+     "'study.kind' must be one of ('variance', 'gsa', 'response'), got 'nope'"),
+    ({"kind": []}, 1, "'study.kind' must be one of ('variance', 'gsa', 'response'), got []"),
+    ({"bins": 0}, 1, "'study.bins' must be an integer >= 1, got 0"),
+    ({"response_points": 0}, 1, "'study.response_points' must be an integer >= 1, got 0"),
+    ({"n0": -1}, 1, "'pce.n0' must be an integer >= 0, got -1"),
+    ({"n0": True}, 1, "'pce.n0' must be an integer >= 0, got True"),
+    ({"master_seed": -1}, 2, "'seed' must be an integer >= 0, got -1"),
+    ({"cells": ((40, 2), (1, 2))}, 1, "'study.n_xi_grid' entries must be an integer >= 2, got 1"),
+    ({"cells": ((40, 0),)}, 1, "'study.n_eta_grid' entries must be an integer >= 1, got 0"),
+    ({"cells": ((40, 2), (40, 2))}, 2, "the grid lists a cell twice: (40, 2)"),
+    ({"cells": ()}, 1, "the study has no cells"),
+    ({"noise_free": "yes"}, 1, "'study.noise_free' must be a boolean"),
+    ({"problem": SlabProblem(sigma0=[1.0], sigma_delta=[0.0], dx=[1.0])}, 1,
+     "problem has no resolvable uncertainty"),
+    ({"problem": SlabProblem(sigma0=[1.0, 0.3], sigma_delta=[0.95, 0.29], dx=[1.0, 1.0]),
+      "kind": "response", "methods": ()}, 1,
+     "response studies support d=1 problems only"),
+    ({"cost": CostModel(600.0, 1.0, 1e300), "cells": ((2**53, 1),)}, 1,
+     "'cost' is out of floating-point range for this grid"),
+    ({"repetitions": 10**8}, 2, "result table of 1 cells x 100000000 repetitions too large"),
+], ids=["misspelt", "variance-method-in-gsa", "response", "twice", "repetitions", "kind",
+        "unhashable-kind", "bins", "response-points", "n0", "bool-n0", "seed", "n_xi", "n_eta",
+        "cell-twice", "no-cells", "noise-free", "no-variance", "response-d2", "cost-range",
+        "memory"])
+def test_run_study_refuses_methods_outside_its_kind(tmp_path, monkeypatch, changes, workers,
+                                                    refused):
+    # A config built in code is checked as load_config checks a file: a
+    # StudyConfig refuses its invalid values, here under replace of a valid
+    # one, naming the field before run_study draws or forks anything.
     import re
 
     import uqpc.experiments as experiments
-    from uqpc.experiments import StudyConfig
-    from uqpc.transport import SlabProblem
 
     def refuse(*args):
         raise AssertionError("drew or forked")
 
     monkeypatch.setattr(experiments, "derive_rng", refuse)
     monkeypatch.setattr(os, "fork", refuse)
-    config = StudyConfig(problem=SlabProblem(sigma0=[1.0], sigma_delta=[0.95], dx=[1.0]), n0=2,
-                         kind=kind, cells=((40, 2),), repetitions=3, methods=methods, cost=None,
-                         master_seed=1)
-    with pytest.raises(ValueError, match=re.escape(refused)):
-        run_study(config, workers=workers)
+    path = write_config(tmp_path, D1_PROBLEM, """\
+    pce: {n0: 2}
+    study: {n_xi_grid: [40], n_eta_grid: [2], repetitions: 3, methods: [pc_bias]}
+    seed: 1
+    """)
+    config = load_config(path)
+    with pytest.raises(ConfigError, match=re.escape(refused)) as info:
+        run_study(replace(config, **changes), workers=workers)
+    assert isinstance(info.value, ValueError)
+    if "repetitions" in changes:
+        # The override is refused with the same message.
+        with pytest.raises(ConfigError) as override:
+            load_config(path, repetitions=changes["repetitions"])
+        assert str(override.value) == str(info.value)
 
 
 @pytest.mark.parametrize("kind, n_eta, methods, calls", [
