@@ -102,7 +102,8 @@ MATERIAL_KEYS = ("sigma0", "sigmaDelta", "dx")
 # a study holds per repetition until its report is written (see
 # _repetition_bytes): the result table and the arrays that aggregate one
 # method-cell's repetitions, or a response build's objects (BUILD_BYTES)
-# and arrays.
+# and arrays. A response block's R covariance pairs are its builds' own, and
+# its R n_xi x P basis matrix is one build's or within nisp.BLOCK_BYTES.
 MAX_ARRAY_BYTES = 2**28
 BUILD_BYTES = 1024
 # The key columns of a result table row: its cell, method and repetition.
@@ -136,13 +137,14 @@ class StudyConfig:
         # A str is checked first, as a list or mapping kind is unhashable.
         if not isinstance(self.kind, str) or self.kind not in METHODS:
             raise ConfigError(f"'study.kind' must be one of {tuple(METHODS)}, got {self.kind!r}")
-        _check_methods(self.kind, self.methods)
+        object.__setattr__(self, "methods", _check_methods(self.kind, self.methods))
         _as_int(self.n0, "'pce.n0'", 0)
         _as_int(self.master_seed, "'seed'", 0)
         for name in ("repetitions", "bins", "response_points"):
             _as_int(getattr(self, name), f"'study.{name}'", 1)
         if not isinstance(self.noise_free, bool):
             raise ConfigError("'study.noise_free' must be a boolean")
+        object.__setattr__(self, "cells", tuple(self.cells))
         if not self.cells:
             raise ConfigError("the study has no cells: 'study.n_xi_grid' and "
                               "'study.n_eta_grid' must be non-empty")
@@ -293,14 +295,18 @@ def _check_references(problem: SlabProblem) -> None:
             )
 
 
-def _check_methods(kind: str, methods) -> None:
-    # Every method is one of the kind's (METHODS), listed once.
+def _check_methods(kind: str, methods) -> tuple[str, ...]:
+    # A list or tuple of the kind's methods (METHODS), each listed once, as a
+    # tuple; a kind with methods needs at least one.
     allowed = tuple(METHODS[kind])
+    if not isinstance(methods, (list, tuple)) or (allowed and not methods):
+        raise ConfigError(f"'study.methods' must be a non-empty list, got {methods!r}")
     for m in methods:
         if m not in allowed:
             raise ConfigError(f"unknown method {m!r} for kind {kind!r}; allowed: {allowed}")
     if len(set(methods)) != len(methods):
         raise ConfigError(f"'study.methods' lists a method twice: {list(methods)}")
+    return tuple(methods)
 
 
 def load_config(path, *, seed: int | None = None, repetitions: int | None = None) -> StudyConfig:
@@ -327,13 +333,11 @@ def load_config(path, *, seed: int | None = None, repetitions: int | None = None
     kind = study.get("kind", "variance")
     if "methods" not in study:
         # The kind's methods; StudyConfig refuses a kind outside METHODS.
-        methods = METHODS.get(kind, ()) if isinstance(kind, str) else ()
+        methods = tuple(METHODS.get(kind, ())) if isinstance(kind, str) else ()
     elif kind == "response":
         raise ConfigError("'study.methods' does not apply to response studies")
     else:
         methods = study["methods"]
-        if not isinstance(methods, list) or not methods:
-            raise ConfigError("'study.methods' must be a non-empty list")
     grids = [_require(study, key, "'study'") for key in ("n_xi_grid", "n_eta_grid")]
     for key, grid in zip(("n_xi_grid", "n_eta_grid"), grids):
         if not isinstance(grid, list):
@@ -349,7 +353,7 @@ def load_config(path, *, seed: int | None = None, repetitions: int | None = None
         kind=kind,
         cells=tuple(product(*grids)),
         repetitions=file_repetitions if repetitions is None else repetitions,
-        methods=tuple(methods),
+        methods=methods,
         cost=_parse_cost(raw.get("cost")),
         master_seed=file_seed if seed is None else seed,
         noise_free=study.get("noise_free", StudyConfig.noise_free),
@@ -425,19 +429,16 @@ def _draw_training(
 
 
 def _chain(data: TrainingData, basis: MultiIndexBasis, buffer, reads, full_covariance=False):
-    # Yields a dict per repetition of the block, in order: its "fit" (one
-    # build per repetition, with both covariances, where full_covariance),
-    # its "deconv" (the block's, taken once if read or trimmed to, else
-    # None, as at n_eta = 1) and, where `reads` names them, its fit's
-    # "unbiased" total and the fit "trimmed" to deconv or else to that total.
+    # Yields a dict per repetition of the block, in order: its "fit" (with
+    # both covariances where full_covariance), its "deconv" (the block's,
+    # taken once if read or trimmed to, else None, as at n_eta = 1) and,
+    # where `reads` names them, its fit's "unbiased" total and the fit
+    # "trimmed" to deconv or else to that total.
     trim = "trimmed" in reads
     deconvs = [None] * len(data.qtilde)
     if data.sigma2eta is not None and ("deconv" in reads or trim):
         deconvs = variance_deconvolution(data)
-    if full_covariance:
-        fits = (build_surrogate(single, basis, buffer=buffer) for single in data.unstack())
-    else:
-        fits = build_surrogate(data, basis, full_covariance=False, buffer=buffer).unstack()
+    fits = build_surrogate(data, basis, full_covariance=full_covariance, buffer=buffer).unstack()
     for fit, deconv in zip(fits, deconvs):
         rep = {"fit": fit, "deconv": deconv}
         if "unbiased" in reads or (trim and deconv is None):
@@ -465,9 +466,9 @@ def _response_estimates(
     config: StudyConfig, data: TrainingData, basis: MultiIndexBasis, buffer
 ) -> np.ndarray:
     # Per build: its fit with both covariances, whose BLAS products are per
-    # training set, and the retained-term mask of its trim. Nothing is
-    # evaluated on the response grid here; write_report derives the curves
-    # of both fits from these.
+    # build also in a block fit, and the retained-term mask of its trim.
+    # Nothing is evaluated on the response grid here; write_report derives
+    # the curves of both fits from these.
     estimates = np.empty((len(data.qtilde), 2), dtype=object)
     chain = _chain(data, basis, buffer, {"trimmed"}, full_covariance=True)
     for row, rep in zip(estimates, chain):
@@ -799,6 +800,8 @@ def run_study(config: StudyConfig, workers: int = 1) -> StudyReport:
     shares come back, then each cell summarized from them in grid order.
     The study's result table is allocated once, and the other kind's table
     has no rows."""
+    if not isinstance(workers, int) or isinstance(workers, bool):
+        raise ValueError(f"workers must be an integer, got {workers!r}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     estimate, store, summarize = _STUDIES[config.kind]

@@ -54,14 +54,14 @@ class TrainingData:
     n_eta: int
 
     def __post_init__(self) -> None:
-        samples = np.atleast_2d(np.asarray(self.samples, dtype=float))
+        samples = np.asarray(self.samples, dtype=float)
         qtilde = np.asarray(self.qtilde, dtype=float)
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "qtilde", qtilde)
-        if samples.ndim > 3 or qtilde.shape != samples.shape[:-1]:
-            raise ValueError(
-                f"qtilde shape {qtilde.shape} does not match samples of shape {samples.shape}"
-            )
+        if samples.ndim not in (2, 3):
+            raise ValueError(f"samples shape {samples.shape} is neither (n_xi, d) nor (R, n_xi, d)")
+        if qtilde.shape != samples.shape[:-1]:
+            raise ValueError(f"qtilde shape {qtilde.shape} does not match samples {samples.shape}")
         if samples.shape[-2] < 2:
             raise ValueError(f"need at least 2 samples per run, got {samples.shape[-2]}")
         if qtilde.size < 1:
@@ -89,13 +89,6 @@ class TrainingData:
     def d(self) -> int:
         return self.samples.shape[-1]
 
-    def unstack(self) -> list[TrainingData]:
-        """The runs of a block, one TrainingData each (views of its rows)."""
-        if self.qtilde.ndim != 2:
-            raise ValueError("unstack needs a block of runs")
-        s2 = [None] * len(self.qtilde) if self.sigma2eta is None else self.sigma2eta
-        return [TrainingData(x, q, s, self.n_eta) for x, q, s in zip(self.samples, self.qtilde, s2)]
-
 
 @dataclass(frozen=True, eq=False)
 class PceSurrogate:
@@ -110,9 +103,9 @@ class PceSurrogate:
     per-history noise (present only when n_eta >= 2); both are optional.
     ``trimmed_mask[k]`` is True for retained terms; the mean term is never
     trimmed. A block of fits, one per repetition of a TrainingData block,
-    stacks ``coefficients``, ``coefficient_variance`` and ``trimmed_mask``
-    along a leading axis, carries no covariance matrices, and is read
-    through ``unstack``: the readers of one fit's terms refuse a block.
+    stacks every array of its fits along a leading axis, covariances
+    included, and is read through ``unstack``: the readers of one fit's
+    terms refuse a block.
     """
 
     basis: MultiIndexBasis
@@ -145,12 +138,10 @@ class PceSurrogate:
             c = getattr(self, name)
             if c is None:
                 continue
-            if coefficients.ndim != 1:
-                raise ValueError(f"a block of fits carries no {name}")
             c = np.asarray(c, dtype=float)
             object.__setattr__(self, name, c)
-            if c.shape != (p1, p1):
-                raise ValueError(f"{name} shape {c.shape} != ({p1}, {p1})")
+            if c.shape != coefficients.shape + (p1,):
+                raise ValueError(f"{name} shape {c.shape} != {coefficients.shape + (p1,)}")
 
     @property
     def n_retained(self) -> int:
@@ -166,26 +157,18 @@ class PceSurrogate:
         """The fits of a block, one PceSurrogate per repetition (views of its rows)."""
         if self.coefficients.ndim != 2:
             raise ValueError("unstack needs a block of fits")
-        return [
-            PceSurrogate(self.basis, beta, None, None, mask, self.n_xi, self.n_eta, v)
-            for beta, mask, v in zip(
-                self.coefficients, self.trimmed_mask, self.coefficient_variance
-            )
-        ]
+        none = [None] * len(self.coefficients)
+        covs, noise_covs = (none if c is None else c
+                            for c in (self.coefficient_covariance, self.noise_corrected_covariance))
+        rows = zip(self.coefficients, covs, noise_covs, self.trimmed_mask, self.coefficient_variance)
+        return [PceSurrogate(self.basis, beta, cov, noise_cov, mask, self.n_xi, self.n_eta, v)
+                for beta, cov, noise_cov, mask, v in rows]
 
 
-def _check_basis_match(data: TrainingData, basis: MultiIndexBasis) -> None:
-    if data.d != basis.dimension:
-        raise ValueError(f"sample dimension {data.d} != basis dimension {basis.dimension}")
-
-
-def _noise_correction(
-    data: TrainingData, basis: MultiIndexBasis, psi: np.ndarray
-) -> np.ndarray:
-    # Estimated share of the coefficient covariance caused by per-history
-    # noise: (1/n_xi) mean_i[Psi_k Psi_r sigma2eta_i / n_eta] / (b_k b_r).
-    n = data.n_xi
-    w = data.sigma2eta / data.n_eta
+def _noise_correction(psi: np.ndarray, w: np.ndarray, basis: MultiIndexBasis) -> np.ndarray:
+    # One run's share of its coefficient covariance caused by per-history noise,
+    # with w = sigma2eta / n_eta: (1/n_xi) mean_i[Psi_k Psi_r w_i] / (b_k b_r).
+    n = len(psi)
     m = (psi * w[:, None]).T @ psi / n
     corr = m / (n * np.outer(basis.norms, basis.norms))
     return 0.5 * (corr + corr.T)
@@ -218,9 +201,11 @@ def fit_buffers(basis: MultiIndexBasis, n_xi: int, repetitions: int) -> np.ndarr
 
     R is the largest block of at most ``repetitions`` fits of n_xi samples
     whose head terms and last-variable Legendre tables, (n0 + 1) d values
-    per point, stay within BLOCK_BYTES, and at least 1; a caller reads R
-    off the buffer's shape. Fits with the same basis may share one buffer,
-    one fit at a time; each fit overwrites the part it uses.
+    per point, stay within BLOCK_BYTES, and at least 1; a caller reads R off
+    the buffer's shape. At d = 1 that is P values, so for R >= 2 a block's
+    R n_xi x P basis matrix (full_covariance) stays within BLOCK_BYTES too.
+    Fits with the same basis may share one buffer, one fit at a time; each
+    fit overwrites the part it uses.
     """
     h = len(basis.split[0])
     width = max(h, (basis.total_degree + 1) * basis.dimension)
@@ -253,20 +238,18 @@ def build_surrogate(
     evaluation over all R n_xi points, one Legendre recurrence for the last
     variable and, per sum, one contraction per run of equal-degree heads
     (MultiIndexBasis.head_runs). It returns a block of R fits,
-    each bit for bit the fit of its training set alone; a single training
-    set is the R = 1 case. The covariance matrices are built for a single
-    training set only.
+    each bit for bit the fit of its training set alone, covariances
+    included; a single training set is the R = 1 case.
 
     The head terms are worked on in ``buffer``, from fit_buffers for this
     basis and at least R n_xi points, allocated per call when not given. A
     repetition loop that passes one buffer to every fit allocates no head
     arrays after the first; the surrogate never refers to the buffer.
     """
-    _check_basis_match(data, basis)
+    if data.d != basis.dimension:
+        raise ValueError(f"sample dimension {data.d} != basis dimension {basis.dimension}")
     n = data.n_xi
     block = data.qtilde.ndim == 2
-    if full_covariance and block:
-        raise ValueError("full covariance needs a single training set, not a block")
     samples = data.samples.reshape(-1, n, data.d)
     qtilde = data.qtilde.reshape(-1, n)
     reps, points = len(qtilde), qtilde.size
@@ -285,21 +268,29 @@ def build_surrogate(
     t = table.reshape(-1, reps, n)
     cov = noise_cov = psi = None
     if full_covariance:
-        # np.take returns C-ordered factors whatever the layout of its input,
-        # so the BLAS products below always see the same layout and bits.
-        psi = np.take(rows.T, row, axis=1) * np.take(table.T, last, axis=1)
+        # The block's R n_xi x P basis matrix. np.take returns C-ordered factors
+        # whatever their input's layout, so each run's rows are one C-contiguous
+        # slice, and the BLAS products below see the layout of a fit of it alone.
+        psi = np.take(rows.T, row, axis=1)
+        psi *= np.take(table.T, last, axis=1)
     # Degree-major head factors w = q Phi_h, formed in place over the rows.
     w = np.multiply(rows.reshape(h, reps, n), qtilde, out=rows.reshape(h, reps, n))
     coefficients = _term_sums(w, t, basis) / (n * basis.norms)
     if full_covariance:
-        beta = coefficients[0]
-        dev = psi * (data.qtilde[:, None] / basis.norms[None, :]) - beta
-        cov = dev.T @ dev / ((n - 1) * n)
-        cov = 0.5 * (cov + cov.T)
-        if data.sigma2eta is not None:
-            noise_cov = cov - _noise_correction(data, basis, psi)
-        # The variances are the diagonal of cov itself, a read-only view.
-        var = np.diag(cov)[None]
+        cov = np.empty((reps, len(basis), len(basis)))
+        w = None if data.sigma2eta is None else data.sigma2eta.reshape(-1, n) / data.n_eta
+        noise_cov = None if w is None else np.empty_like(cov)
+        # One run at a time, with the 2-D products of a fit of that run alone:
+        # a batched matmul or einsum does not promise their order of sums.
+        for r in range(reps):
+            run = psi[r * n : (r + 1) * n]
+            dev = run * (qtilde[r][:, None] / basis.norms[None, :]) - coefficients[r]
+            c = dev.T @ dev / ((n - 1) * n)
+            cov[r] = 0.5 * (c + c.T)
+            if w is not None:
+                noise_cov[r] = cov[r] - _noise_correction(run, w[r], basis)
+        # The variances are the diagonals of cov itself, a read-only view.
+        var = np.diagonal(cov, axis1=1, axis2=2)
     else:
         # w is not read again, so it is squared in place.
         s2 = _term_sums(np.multiply(w, w, out=w), t * t, basis)
@@ -310,6 +301,7 @@ def build_surrogate(
         var[:, 0] = np.sum(dev * dev, axis=1) / ((n - 1) * n)
     if not block:
         coefficients, var = coefficients[0], var[0]
+        cov, noise_cov = (None if c is None else c[0] for c in (cov, noise_cov))
     return PceSurrogate(
         basis=basis,
         coefficients=coefficients,

@@ -986,6 +986,8 @@ def test_parent_failure_stops_the_children(tmp_path, monkeypatch):
 def test_run_study_needs_a_worker(tmp_path, monkeypatch):
     # No worker would run no share and leave the table's estimates
     # unwritten; run_study refuses before it allocates anything.
+    import re
+
     import uqpc.experiments as experiments
 
     def no_table(config):
@@ -996,8 +998,14 @@ def test_run_study_needs_a_worker(tmp_path, monkeypatch):
     study: {kind: gsa, n_xi_grid: [20], n_eta_grid: [1], repetitions: 3}
     """))
     monkeypatch.setattr(experiments, "_result_table", no_table)
-    for workers in (0, -1):
-        with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+    # A count that is not an int is refused too: a float or str would fail
+    # later with a TypeError, and True would run as 1.
+    for workers, refused in ((0, "workers must be >= 1, got 0"),
+                             (-1, "workers must be >= 1, got -1"),
+                             (2.5, "workers must be an integer, got 2.5"),
+                             ("2", "workers must be an integer, got '2'"),
+                             (True, "workers must be an integer, got True")):
+        with pytest.raises(ValueError, match=f"^{re.escape(refused)}$"):
             run_study(config, workers=workers)
 
 
@@ -1035,10 +1043,17 @@ def test_run_study_needs_a_worker(tmp_path, monkeypatch):
     ({"cost": CostModel(600.0, 1.0, 1e300), "cells": ((2**53, 1),)}, 1,
      "'cost' is out of floating-point range for this grid"),
     ({"repetitions": 10**8}, 2, "result table of 1 cells x 100000000 repetitions too large"),
+    # A variance or GSA study needs a method, and its methods are a list, not
+    # a str; cells may come from any iterable, here one that is too large.
+    ({"methods": ()}, 1, "'study.methods' must be a non-empty list, got ()"),
+    ({"kind": "gsa", "methods": []}, 2, "'study.methods' must be a non-empty list, got []"),
+    ({"methods": "pc_bias"}, 1, "'study.methods' must be a non-empty list, got 'pc_bias'"),
+    ({"cells": (c for c in [(40, 2)]), "repetitions": 10**8}, 1,
+     "result table of 1 cells x 100000000 repetitions too large"),
 ], ids=["misspelt", "variance-method-in-gsa", "response", "twice", "repetitions", "kind",
         "unhashable-kind", "bins", "response-points", "n0", "bool-n0", "seed", "n_xi", "n_eta",
         "cell-twice", "no-cells", "noise-free", "no-variance", "response-d2", "cost-range",
-        "memory"])
+        "memory", "no-methods", "no-gsa-methods", "str-methods", "cell-generator"])
 def test_run_study_refuses_methods_outside_its_kind(tmp_path, monkeypatch, changes, workers,
                                                     refused):
     # A config built in code is checked as load_config checks a file: a
@@ -1067,6 +1082,22 @@ def test_run_study_refuses_methods_outside_its_kind(tmp_path, monkeypatch, chang
         with pytest.raises(ConfigError) as override:
             load_config(path, repetitions=changes["repetitions"])
         assert str(override.value) == str(info.value)
+
+
+def test_study_config_takes_methods_and_cells_as_sequences(tmp_path):
+    # Methods from a list and cells from a generator are kept as tuples, so
+    # every later pass over them sees them all.
+    config = load_config(write_config(tmp_path, D1_PROBLEM, """\
+    pce: {n0: 2}
+    study: {n_xi_grid: [40], n_eta_grid: [2], repetitions: 2, methods: [pc_bias]}
+    """))
+    changed = replace(config, methods=["pc_bias", "var_deconv"],
+                      cells=(cell for cell in [(25, 2), (25, 1)]))
+    assert changed.methods == ("pc_bias", "var_deconv")
+    assert changed.cells == ((25, 2), (25, 1))
+    cells = run_study(changed).summary["cells"]
+    assert [(cell["n_xi"], cell["n_eta"]) for cell in cells] == [(25, 2), (25, 1)]
+    assert [list(cell["methods"]) for cell in cells] == [["pc_bias", "var_deconv"]] * 2
 
 
 @pytest.mark.parametrize("kind, n_eta, methods, calls", [
@@ -1893,8 +1924,9 @@ def test_variance_records_independent_of_blas_threads(tmp_path):
 # variance and GSA fits are BLAS-free, so these hold at any worker or
 # thread count; a change that moves them changes a random stream or an
 # output and must say so. A response build's covariance is a BLAS product
-# of its 2000 x 7 basis matrix; its digests were the same at 1 and 2 BLAS
-# threads and at 1 and 2 workers. Tallies at n_eta >= 2 are NumPy
+# of its 2000 x 7 basis matrix, a slice of its block's; its digests were the
+# same at 1 and 2 BLAS threads and at 1 and 2 workers, and CI compares the
+# reports of 8 builds at 1 and 2 BLAS threads. Tallies at n_eta >= 2 are NumPy
 # Generator.binomial draws, so the variance and response digests also
 # depend on the NumPy version that draws them (recorded with numpy 2.4.6).
 # Two entries are not one file: "density_*.csv" digests every density file,

@@ -100,25 +100,28 @@ def test_surrogate_validation():
 
 def test_block_containers():
     # A block stacks runs (and fits) of one n_xi along a leading axis; its
-    # checks cover every run, and unstack returns the runs as views.
+    # checks cover every run, and a run taken from its rows is a view.
     x = np.linspace(-1, 1, 12).reshape(2, 3, 2)
     q = np.array([[1.0, 0.0, 0.5], [0.0, 0.0, 1.0]])
     s2 = np.full((2, 3), 0.25)
     block = TrainingData(x, q, s2, 4)
     assert (block.n_xi, block.d) == (3, 2)
-    runs = block.unstack()
-    assert len(runs) == 2
-    assert np.shares_memory(runs[1].qtilde, q)
-    assert np.array_equal(runs[1].samples, x[1]) and np.array_equal(runs[1].sigma2eta, s2[1])
-    assert [r.sigma2eta for r in TrainingData(x, q, None, 1).unstack()] == [None, None]
+    run = TrainingData(block.samples[1], block.qtilde[1], block.sigma2eta[1], 4)
+    assert (run.n_xi, run.d) == (3, 2)
+    assert np.shares_memory(run.qtilde, q) and np.shares_memory(run.samples, x)
+    assert np.array_equal(run.samples, x[1]) and np.array_equal(run.sigma2eta, s2[1])
+    assert TrainingData(x, q, None, 1).sigma2eta is None
     bad_s2 = s2.copy()
     bad_s2[1, 2] = -0.1
     for args in ((x, q[:, :2], s2, 4), (x, q, bad_s2, 4), (x, q, s2[0], 4),
                  (x[None], q[None], None, 1), (x[:0], q[:0], None, 1)):
         with pytest.raises(ValueError):
             TrainingData(*args)
-    with pytest.raises(ValueError):
-        runs[0].unstack()
+    # Samples are (n_xi, d) or (R, n_xi, d); d = 1 samples need their axis.
+    for samples, qtilde in ((np.linspace(-1, 1, 5), np.ones(5)), (x[None], q[None])):
+        with pytest.raises(ValueError, match=r"samples shape \(.*\) is neither \(n_xi, d\) "
+                                             r"nor \(R, n_xi, d\)"):
+            TrainingData(samples, qtilde, None, 1)
 
     basis = total_degree_multi_indices(1, 1)
     beta = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -126,15 +129,31 @@ def test_block_containers():
                           mask=np.ones((2, 2), dtype=bool)).unstack()
     assert [f.coefficients.tolist() for f in fits] == beta.tolist()
     assert all(f.coefficient_variance.tolist() == [0.5, 0.5] for f in fits)
+    assert all(f.coefficient_covariance is None and f.noise_corrected_covariance is None
+               for f in fits)
+    # A block's covariances stack too, and unstack slices them.
+    cov = np.stack([np.eye(2), 2.0 * np.eye(2)])
+    stacked = make_surrogate(basis, beta, cov=cov, noise_cov=0.5 * cov,
+                             var=np.diagonal(cov, axis1=1, axis2=2),
+                             mask=np.ones((2, 2), dtype=bool))
+    for r, fit in enumerate(stacked.unstack()):
+        assert np.shares_memory(fit.coefficient_covariance, stacked.coefficient_covariance)
+        assert np.array_equal(fit.coefficient_covariance, cov[r])
+        assert np.array_equal(fit.noise_corrected_covariance, 0.5 * cov[r])
+        assert fit.coefficient_variance.tolist() == [r + 1.0] * 2
     with pytest.raises(ValueError):
         make_surrogate(basis, beta, mask=np.array([[True, True], [False, True]]))
     with pytest.raises(ValueError):
         make_surrogate(basis, beta, mask=np.ones(2, dtype=bool))
     with pytest.raises(ValueError):
+        make_surrogate(basis, beta, mask=np.ones((2, 2), dtype=bool), var=np.ones(2))
+    # A covariance has the shape of the coefficients with one more axis of P.
+    with pytest.raises(ValueError, match=r"coefficient_covariance shape \(2, 2\) != \(2, 2, 2\)"):
         make_surrogate(basis, beta, mask=np.ones((2, 2), dtype=bool), cov=np.eye(2),
                        var=np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        make_surrogate(basis, beta, mask=np.ones((2, 2), dtype=bool), var=np.ones(2))
+    with pytest.raises(ValueError, match=r"noise_corrected_covariance shape \(1, 2, 2\) != "
+                                         r"\(2, 2\)"):
+        make_surrogate(basis, beta[0], cov=np.eye(2), noise_cov=np.zeros((1, 2, 2)))
     with pytest.raises(ValueError):
         fits[0].unstack()
 
@@ -308,38 +327,59 @@ def test_fit_layout_belongs_to_its_basis(d1_problem, d3_problem, rng):
         assert np.all(np.abs(variance - var) <= 1e-13 * var)
 
 
-def test_block_fit_equals_fits_of_its_runs(d3_problem, rng):
-    # One pass over a block of runs gives each run's fit bit for bit; the
-    # deconvolution is per run too. Full covariances need one run, and the
-    # buffer must hold the block's head values.
-    basis = total_degree_multi_indices(3, 4)
-    x = sample_parameters(d3_problem, 4 * 30, rng).reshape(4, 30, 3)
-    tallies = [simulate_training_set(d3_problem, xi, 3, rng) for xi in x]
-    block = TrainingData(x, np.stack([q for q, _ in tallies]),
-                         np.stack([s for _, s in tallies]), 3)
-    block_fit = build_surrogate(block, basis, full_covariance=False)
+@pytest.mark.parametrize("shared", [False, True], ids=["own-buffer", "shared-buffer"])
+@pytest.mark.parametrize("full", [False, True], ids=["diagonal", "full-covariance"])
+@pytest.mark.parametrize("problem, n_eta", [("d1_problem", 1), ("d1_problem", 4),
+                                            ("d3_problem", 1), ("d3_problem", 4)])
+def test_block_fit_equals_fits_of_its_runs(request, problem, n_eta, full, shared, rng):
+    # One pass over a block of runs gives each run's fit bit for bit, with
+    # either fit kind; the deconvolution is per run too. With a shared
+    # buffer, the fits of the runs alone overwrite it after the block fit,
+    # so a block that kept a view of it would differ. The buffer must hold
+    # the block's head values.
+    problem = request.getfixturevalue(problem)
+    d = problem.d
+    basis = total_degree_multi_indices(d, 4)
+    x = sample_parameters(problem, 4 * 30, rng).reshape(4, 30, d)
+    tallies = [simulate_training_set(problem, xi, n_eta, rng) for xi in x]
+    s2 = None if n_eta == 1 else np.stack([s for _, s in tallies])
+    block = TrainingData(x, np.stack([q for q, _ in tallies]), s2, n_eta)
+    buffer = fit_buffers(basis, 30, 4) if shared else None
+    block_fit = build_surrogate(block, basis, full_covariance=full, buffer=buffer)
+    p1 = len(basis)
+    if full:
+        assert block_fit.coefficient_covariance.shape == (4, p1, p1)
+        assert np.array_equal(block_fit.coefficient_variance,
+                              np.diagonal(block_fit.coefficient_covariance, axis1=1, axis2=2))
     fits = block_fit.unstack()
     # The per-term contributions stack the same way: row r is fit r's.
-    assert block_fit.contributions.shape == (4, len(basis))
+    assert block_fit.contributions.shape == (4, p1)
     for row, fit in zip(block_fit.contributions, fits):
         assert np.array_equal(row, fit.contributions)
-    deconv = variance_deconvolution(block)
-    assert deconv.shape == (4,)
-    for run, fit, dec in zip(block.unstack(), fits, deconv):
-        alone = build_surrogate(run, basis, full_covariance=False)
-        assert np.array_equal(fit.coefficients, alone.coefficients)
-        assert np.array_equal(fit.coefficient_variance, alone.coefficient_variance)
-        assert dec == variance_deconvolution(run)
-        assert fit.n_xi == 30 and fit.n_eta == 3
-    with pytest.raises(ValueError):
-        build_surrogate(block, basis)
+    deconv = [None] * 4 if s2 is None else variance_deconvolution(block)
+    assert len(deconv) == 4
+    for r, (fit, dec) in enumerate(zip(fits, deconv)):
+        run = TrainingData(x[r], block.qtilde[r], None if s2 is None else s2[r], n_eta)
+        alone = build_surrogate(run, basis, full_covariance=full, buffer=buffer)
+        for name in ("coefficients", "coefficient_variance", "coefficient_covariance",
+                     "noise_corrected_covariance"):
+            mine, its = getattr(fit, name), getattr(alone, name)
+            if its is None:
+                assert mine is None, name
+            else:
+                assert np.array_equal(mine, its), name
+        assert (alone.coefficient_covariance is None) == (not full)
+        assert (alone.noise_corrected_covariance is None) == (not full or n_eta == 1)
+        if dec is not None:
+            assert dec == variance_deconvolution(run)
+        assert fit.n_xi == 30 and fit.n_eta == n_eta
     # One point short of the block's 4 x 30, and a whole run short.
     head = fit_buffers(basis, 30, 4).shape[0]
     for short in (np.empty((head, 4 * 30 - 1)), fit_buffers(basis, 30, 3)):
         with pytest.raises(ValueError, match="buffer holds fewer"):
-            build_surrogate(block, basis, full_covariance=False, buffer=short)
+            build_surrogate(block, basis, full_covariance=full, buffer=short)
     # A larger buffer serves smaller fits from its leading part.
-    big = build_surrogate(block, basis, full_covariance=False, buffer=fit_buffers(basis, 50, 10))
+    big = build_surrogate(block, basis, full_covariance=full, buffer=fit_buffers(basis, 50, 10))
     assert np.array_equal(np.stack([f.coefficients for f in fits]), big.coefficients)
 
 
